@@ -1,10 +1,11 @@
 """Versioned JSON model checkpoints.
 
 Layout (version 1): format marker, network config, scaler params, seed,
-window, symbol, and every parameter block in the order param_blocks
-declares (per layer w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o, then the dense
-head). Floats are serialized with repr, so save -> load -> save is
-byte-identical and values survive exactly.
+window, symbol, and every parameter block under its param_blocks name, in
+param_blocks order, which is also NetworkParams.flat order. Floats are serialized with repr, so
+save -> load -> save is byte-identical and values survive exactly.
+Non-finite values are refused on save, and every block is checked against
+the shape the stored config implies on load.
 """
 
 from __future__ import annotations
@@ -15,18 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .lstm_core import (
-    DenseParams,
-    LstmLayerParams,
-    NetworkConfig,
-    NetworkParams,
-)
+from .lstm_core import NetworkConfig, NetworkParams, param_blocks, zeros_params
 from .preprocess import ScalerParams
 
 FORMAT_NAME = "seqcast-checkpoint"
 FORMAT_VERSION = 1
 
-_GATE_FIELDS = ("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o")
+
+class CheckpointError(ValueError):
+    """Checkpoint cannot be written, is not a well-formed v1 model, or does not fit the run."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,19 @@ class Checkpoint:
     symbol: str
 
 
+def _slot(tree: dict, name: str) -> tuple[dict, str]:
+    """The dict in the "params" tree that holds block `name`, and its key there."""
+    group, key = name.split(".")
+    if group == "dense":
+        return tree["dense"], key
+    return tree["layers"][int(group.removeprefix("layer"))], key
+
+
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
+    tree: dict = {"layers": [{} for _ in ckpt.params.layers], "dense": {}}
+    for name, arr in param_blocks(ckpt.params):
+        slot, key = _slot(tree, name)
+        slot[key] = arr.tolist()
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -56,15 +66,13 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
             "input_features": ckpt.config.input_features,
             "seed": ckpt.config.seed,
         },
-        "params": {
-            "layers": [
-                {name: getattr(layer, name).tolist() for name in _GATE_FIELDS}
-                for layer in ckpt.params.layers
-            ],
-            "dense": {"w": ckpt.params.dense.w.tolist(), "b": ckpt.params.dense.b.tolist()},
-        },
+        "params": tree,
     }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    try:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise CheckpointError(f"refusing to write a non-finite model: {exc}") from exc
+    return (text + "\n").encode("utf-8")
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
@@ -74,31 +82,35 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != FORMAT_NAME:
-        raise ValueError(f"not a {FORMAT_NAME} file: {path}")
+        raise CheckpointError(f"not a {FORMAT_NAME} file: {path}")
     if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
+        raise CheckpointError(f"unsupported checkpoint version {doc.get('version')}")
 
-    layers = [
-        LstmLayerParams(
-            **{name: np.array(block[name], dtype=np.float64) for name in _GATE_FIELDS}
-        )
-        for block in doc["params"]["layers"]
-    ]
-    dense = DenseParams(
-        w=np.array(doc["params"]["dense"]["w"], dtype=np.float64),
-        b=np.array(doc["params"]["dense"]["b"], dtype=np.float64),
-    )
     config = NetworkConfig(
         layer_units=tuple(doc["config"]["layer_units"]),
         dropout_rates=tuple(doc["config"]["dropout_rates"]),
         input_features=doc["config"]["input_features"],
         seed=doc["config"]["seed"],
     )
+    tree = doc["params"]
+    if len(tree["layers"]) != len(config.layer_units):
+        raise CheckpointError(
+            f"{path}: {len(tree['layers'])} stored layers, config names {len(config.layer_units)}"
+        )
+    params = zeros_params(config)
+    for name, arr in param_blocks(params):
+        slot, key = _slot(tree, name)
+        block = np.array(slot.get(key), dtype=np.float64)
+        if block.shape != arr.shape:
+            raise CheckpointError(
+                f"{path}: block {name} is not a float array of shape {arr.shape}"
+            )
+        arr[...] = block
     scaler = ScalerParams(
         min_value=doc["scaler"]["min_value"], max_value=doc["scaler"]["max_value"]
     )
     return Checkpoint(
-        params=NetworkParams(layers=layers, dense=dense),
+        params=params,
         config=config,
         scaler=scaler,
         seed=doc["seed"],

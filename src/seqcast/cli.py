@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .chart import render_price_chart
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .evaluate import compute_metrics, predict_series, report_as_dict
 from .lstm_core import (
     DEFAULT_DROPOUT_RATES,
@@ -230,8 +230,12 @@ def cmd_train(cfg: RunConfig, stdout=sys.stdout, log_out: str | None = None) -> 
 
 def _evaluate_one(cfg: RunConfig, symbol: str, ckpt: Checkpoint, stdout) -> dict:
     if ckpt.window != cfg.window:
-        raise ValueError(
+        raise CheckpointError(
             f"checkpoint window {ckpt.window} does not match config window {cfg.window}"
+        )
+    if ckpt.symbol != symbol:
+        raise CheckpointError(
+            f"checkpoint was trained on {ckpt.symbol}, refusing to score {symbol} with it"
         )
     series = load_series(cfg, symbol)
     cleaned, _ = drop_missing(series)

@@ -13,6 +13,15 @@ The backward pass is exact backpropagation through time over these
 equations; training.finite_diff_gradcheck validates it against central
 finite differences. All arithmetic is float64.
 
+Parameter layout, known only to this module: every trainable scalar lives
+in one contiguous buffer, NetworkParams.flat. Each layer holds a packed
+weight w [4*hidden, hidden + input] (rows W_f, W_i, W_c, W_o; columns
+[h_prev | x_t]) and a packed bias b [4*hidden] in the same f, i, c, o row
+order, so one GEMM per step computes all four gates. Layers follow each
+other in flat (w then b), then the dense head's w and b. Every array is a
+view into flat, gradients share the layout, and param_blocks names the
+per-gate row views in flat order.
+
 Layer stacking: every layer but the last feeds its full hidden sequence
 to the next layer; the last layer emits only its final hidden state,
 which the dense head maps to one scalar. Dropout (inverted: survivors
@@ -23,7 +32,7 @@ to each layer's output, including the last hidden state before the head.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,24 +98,21 @@ class NetworkConfig:
 
 @dataclass
 class LstmLayerParams:
-    """Per-gate weight blocks [hidden, hidden + input] with columns [h_prev | x_t]."""
+    """Packed gate weights [4*hidden, hidden + input] and biases [4*hidden].
 
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    Rows are in gate order f, i, c, o; weight columns are [h_prev | x_t].
+    """
+
+    w: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.w_f.shape[0]
+        return self.w.shape[0] // 4
 
     @property
     def input_size(self) -> int:
-        return self.w_f.shape[1] - self.w_f.shape[0]
+        return self.w.shape[1] - self.hidden_size
 
 
 @dataclass
@@ -117,24 +123,16 @@ class DenseParams:
 
 @dataclass
 class NetworkParams:
-    """All trainable blocks. Gradient containers share this exact layout."""
+    """Every trainable scalar in one contiguous float64 buffer, `flat`.
 
+    Each layer's packed `w` then `b`, then the dense head's `w` and `b`, are
+    views into `flat` in that order, so flat order is param_blocks order.
+    Gradient containers share this exact layout.
+    """
+
+    flat: np.ndarray
     layers: list[LstmLayerParams]
     dense: DenseParams
-
-
-@dataclass(frozen=True)
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-
-@dataclass(frozen=True)
-class GateRecord:
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    candidate: np.ndarray
 
 
 @dataclass
@@ -160,142 +158,87 @@ class NetworkCache:
     layer_caches: list[LayerCache]
     dropout_masks: list[np.ndarray | None]  # mask on each layer's output, None = identity
     final_hidden: np.ndarray  # [B, hidden_last] after dropout; input to the dense head
-    mode: str = "train"
+
+
+def _bind(flat: np.ndarray, sizes: list[tuple[int, int]]) -> NetworkParams:
+    """Carve per-layer (hidden, input) views and the dense head out of `flat`."""
+    layers = []
+    offset = 0
+    for hid, in_size in sizes:
+        n_w = 4 * hid * (hid + in_size)
+        w = flat[offset : offset + n_w].reshape(4 * hid, hid + in_size)
+        b = flat[offset + n_w : offset + n_w + 4 * hid]
+        layers.append(LstmLayerParams(w=w, b=b))
+        offset += n_w + 4 * hid
+    hid_last = sizes[-1][0]
+    dense = DenseParams(w=flat[offset : offset + hid_last], b=flat[offset + hid_last :])
+    return NetworkParams(flat=flat, layers=layers, dense=dense)
+
+
+def _layer_sizes(config: NetworkConfig) -> list[tuple[int, int]]:
+    """(hidden, input) widths of each layer, bottom up."""
+    inputs = (config.input_features,) + config.layer_units[:-1]
+    return list(zip(config.layer_units, inputs))
+
+
+def zeros_params(config: NetworkConfig) -> NetworkParams:
+    return _bind(np.zeros(count_params(config), dtype=np.float64), _layer_sizes(config))
+
+
+def zeros_like_params(params: NetworkParams) -> NetworkParams:
+    sizes = [(layer.hidden_size, layer.input_size) for layer in params.layers]
+    return _bind(np.zeros_like(params.flat), sizes)
 
 
 def param_blocks(params: NetworkParams) -> list[tuple[str, np.ndarray]]:
-    """All parameter arrays in the declared order.
+    """Per-gate views of every parameter array, in flat order.
 
-    This order is the contract shared by the optimizer state, the gradient
-    probes, and the checkpoint layout: per layer w_f, w_i, w_c, w_o,
-    b_f, b_i, b_c, b_o, then dense w and b.
+    This order is the contract shared by the gradient probes and the
+    checkpoint layout: per layer w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o,
+    then dense w and b. Concatenated, the blocks equal params.flat.
     """
     blocks: list[tuple[str, np.ndarray]] = []
     for idx, layer in enumerate(params.layers):
-        for name in ("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o"):
-            blocks.append((f"layer{idx}.{name}", getattr(layer, name)))
+        hid = layer.hidden_size
+        for kind, packed in (("w", layer.w), ("b", layer.b)):
+            for k, gate in enumerate("fico"):
+                blocks.append((f"layer{idx}.{kind}_{gate}", packed[k * hid : (k + 1) * hid]))
     blocks.append(("dense.w", params.dense.w))
     blocks.append(("dense.b", params.dense.b))
     return blocks
 
 
-def param_count(params: NetworkParams) -> int:
-    return sum(arr.size for _, arr in param_blocks(params))
-
-
 def count_params(config: NetworkConfig) -> int:
     """Trainable scalar count: 4*(in+hid+1)*hid per layer plus hid+1 for the head."""
-    total = 0
-    in_size = config.input_features
-    for units in config.layer_units:
-        total += 4 * (in_size + units + 1) * units
-        in_size = units
-    return total + in_size + 1
-
-
-def zeros_like_params(params: NetworkParams) -> NetworkParams:
-    layers = [
-        LstmLayerParams(
-            w_f=np.zeros_like(l.w_f),
-            w_i=np.zeros_like(l.w_i),
-            w_c=np.zeros_like(l.w_c),
-            w_o=np.zeros_like(l.w_o),
-            b_f=np.zeros_like(l.b_f),
-            b_i=np.zeros_like(l.b_i),
-            b_c=np.zeros_like(l.b_c),
-            b_o=np.zeros_like(l.b_o),
-        )
-        for l in params.layers
-    ]
-    dense = DenseParams(w=np.zeros_like(params.dense.w), b=np.zeros_like(params.dense.b))
-    return NetworkParams(layers=layers, dense=dense)
+    lstm = sum(4 * (in_size + hid + 1) * hid for hid, in_size in _layer_sizes(config))
+    return lstm + config.layer_units[-1] + 1
 
 
 def init_params(config: NetworkConfig) -> NetworkParams:
     """Glorot-uniform weights, zero biases except forget bias 1.0, seeded PCG64.
 
-    Draw order is fixed (per layer: w_f, w_i, w_c, w_o; dense last) so a seed
-    pins every parameter bitwise.
+    Draw order is fixed (per layer: the f, i, c, o weight rows; dense last) so
+    a seed pins every parameter bitwise.
     """
     rng = make_rng(config.seed)
-    layers = []
-    in_size = config.input_features
-    for units in config.layer_units:
-        cols = units + in_size
-        limit = math.sqrt(6.0 / (cols + units))  # fan_in = cols, fan_out = units
-        w_f, w_i, w_c, w_o = (
-            rng.uniform(-limit, limit, size=(units, cols)) for _ in range(4)
-        )
-        layers.append(
-            LstmLayerParams(
-                w_f=w_f,
-                w_i=w_i,
-                w_c=w_c,
-                w_o=w_o,
-                # forget bias 1.0 keeps early cell-state gradients alive
-                b_f=np.ones(units, dtype=np.float64),
-                b_i=np.zeros(units, dtype=np.float64),
-                b_c=np.zeros(units, dtype=np.float64),
-                b_o=np.zeros(units, dtype=np.float64),
-            )
-        )
-        in_size = units
-    limit = math.sqrt(6.0 / (in_size + 1))
-    dense = DenseParams(
-        w=rng.uniform(-limit, limit, size=in_size), b=np.zeros(1, dtype=np.float64)
-    )
-    return NetworkParams(layers=layers, dense=dense)
-
-
-def lstm_cell_forward(
-    params: LstmLayerParams, x_t, prev: LstmState | None = None
-) -> tuple[LstmState, GateRecord]:
-    """One timestep of the gate equations. Accepts a vector or a [B, in] batch."""
-    x = np.asarray(x_t, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = x[np.newaxis, :] if single else x
-    if x2.ndim != 2 or x2.shape[1] != params.input_size:
-        raise ShapeMismatchError(
-            f"expected input width {params.input_size}, got shape {x.shape}"
-        )
-    hid = params.hidden_size
-    if prev is None:
-        h_prev = np.zeros((x2.shape[0], hid), dtype=np.float64)
-        c_prev = np.zeros((x2.shape[0], hid), dtype=np.float64)
-    else:
-        h_prev = np.atleast_2d(np.asarray(prev.h, dtype=np.float64))
-        c_prev = np.atleast_2d(np.asarray(prev.c, dtype=np.float64))
-        if h_prev.shape != (x2.shape[0], hid) or c_prev.shape != (x2.shape[0], hid):
-            raise ShapeMismatchError(
-                f"state shape {h_prev.shape}/{c_prev.shape} does not match batch {x2.shape[0]} x {hid}"
-            )
-
-    z = np.concatenate([h_prev, x2], axis=1)
-    f = sigmoid(z @ params.w_f.T + params.b_f)
-    i = sigmoid(z @ params.w_i.T + params.b_i)
-    candidate = np.tanh(z @ params.w_c.T + params.b_c)
-    o = sigmoid(z @ params.w_o.T + params.b_o)
-    c = f * c_prev + i * candidate
-    h = o * np.tanh(c)
-
-    if single:
-        h, c, f, i, o, candidate = (a[0] for a in (h, c, f, i, o, candidate))
-    return LstmState(h=h, c=c), GateRecord(f=f, i=i, o=o, candidate=candidate)
-
-
-def _packed_weights(params: LstmLayerParams) -> tuple[np.ndarray, np.ndarray]:
-    # gate order f, i, c, o; packing turns four gemms per step into one
-    w = np.concatenate([params.w_f, params.w_i, params.w_c, params.w_o], axis=0)
-    b = np.concatenate([params.b_f, params.b_i, params.b_c, params.b_o])
-    return w, b
+    params = zeros_params(config)
+    for layer in params.layers:
+        hid = layer.hidden_size
+        cols = layer.w.shape[1]
+        limit = math.sqrt(6.0 / (cols + hid))  # fan_in = cols, fan_out = hid
+        layer.w[...] = rng.uniform(-limit, limit, size=layer.w.shape)
+        # forget bias 1.0 keeps early cell-state gradients alive
+        layer.b[:hid] = 1.0
+    limit = math.sqrt(6.0 / (params.dense.w.size + 1))
+    params.dense.w[...] = rng.uniform(-limit, limit, size=params.dense.w.size)
+    return params
 
 
 def _layer_forward(params: LstmLayerParams, seq_tm: np.ndarray) -> LayerCache:
     """Run the recurrence over a time-major [T, B, in] sequence from zero state."""
     T, B, _ = seq_tm.shape
     hid = params.hidden_size
-    w_z, b_z = _packed_weights(params)
-    w_zt = w_z.T  # [hidden + input, 4*hidden]
+    w_zt = params.w.T  # [hidden + input, 4*hidden]
 
     z = np.empty((T, B, hid + params.input_size), dtype=np.float64)
     f = np.empty((T, B, hid), dtype=np.float64)
@@ -312,7 +255,7 @@ def _layer_forward(params: LstmLayerParams, seq_tm: np.ndarray) -> LayerCache:
         zt = z[t]
         zt[:, :hid] = h_prev
         zt[:, hid:] = seq_tm[t]
-        a = zt @ w_zt + b_z
+        a = zt @ w_zt + params.b
         f[t] = sigmoid(a[:, :hid])
         i[t] = sigmoid(a[:, hid : 2 * hid])
         candidate[t] = np.tanh(a[:, 2 * hid : 3 * hid])
@@ -428,27 +371,22 @@ def network_forward(
         layer_caches=layer_caches,
         dropout_masks=masks,
         final_hidden=final_hidden,
-        mode="train",
     )
     return predictions, net_cache
 
 
 def _layer_backward(
-    params: LstmLayerParams, cache: LayerCache, d_hidden: np.ndarray
-) -> tuple[np.ndarray, LstmLayerParams]:
+    params: LstmLayerParams, cache: LayerCache, d_hidden: np.ndarray, grads: LstmLayerParams
+) -> np.ndarray:
     """BPTT through one layer.
 
     d_hidden is [T, B, hidden]: the loss gradient flowing into each hidden
     output (zeros except the final step for a last-state-only consumer).
-    Returns the gradient w.r.t. the layer's input sequence plus its own
-    parameter gradients.
+    Accumulates the layer's parameter gradients into the zeroed `grads` and
+    returns the gradient w.r.t. the layer's input sequence.
     """
     T, B, hid = cache.h.shape
     in_size = params.input_size
-    w_z, _ = _packed_weights(params)  # [4*hidden, hidden + input]
-
-    g_w = np.zeros_like(w_z)
-    g_b = np.zeros(4 * hid, dtype=np.float64)
     d_inputs = np.empty((T, B, in_size), dtype=np.float64)
     dh_next = np.zeros((B, hid), dtype=np.float64)
     dc_next = np.zeros((B, hid), dtype=np.float64)
@@ -466,24 +404,14 @@ def _layer_backward(
         da[:, 2 * hid : 3 * hid] = dc * i * (1.0 - candidate * candidate)
         da[:, 3 * hid :] = dh * tanh_c * o * (1.0 - o)
 
-        g_w += da.T @ cache.z[t]
-        g_b += da.sum(axis=0)
-        dz = da @ w_z
+        grads.w += da.T @ cache.z[t]
+        grads.b += da.sum(axis=0)
+        dz = da @ params.w
         dh_next = dz[:, :hid]
         d_inputs[t] = dz[:, hid:]
         dc_next = dc * f
 
-    grads = LstmLayerParams(
-        w_f=g_w[:hid],
-        w_i=g_w[hid : 2 * hid],
-        w_c=g_w[2 * hid : 3 * hid],
-        w_o=g_w[3 * hid :],
-        b_f=g_b[:hid],
-        b_i=g_b[hid : 2 * hid],
-        b_c=g_b[2 * hid : 3 * hid],
-        b_o=g_b[3 * hid :],
-    )
-    return d_inputs, grads
+    return d_inputs
 
 
 def network_backward(
@@ -498,7 +426,7 @@ def network_backward(
     e.g. training.mse_grad; the cache must come from a train-mode forward on
     the same batch so the dropout masks are reused exactly.
     """
-    if cache is None or cache.mode != "train":
+    if cache is None:
         raise StaleCacheError("backward needs the cache from a train-mode forward")
     if len(cache.layer_caches) != len(params.layers):
         raise StaleCacheError(
@@ -510,15 +438,14 @@ def network_backward(
             f"gradient batch {d_pred.shape[0]} does not match cache batch {cache.batch_size}"
         )
 
-    g_dense = DenseParams(
-        w=cache.final_hidden.T @ d_pred, b=np.array([d_pred.sum()], dtype=np.float64)
-    )
+    grads = zeros_like_params(params)
+    grads.dense.w[...] = cache.final_hidden.T @ d_pred
+    grads.dense.b[0] = d_pred.sum()
     d_out = np.outer(d_pred, params.dense.w)  # [B, hidden_last]
     if cache.dropout_masks[-1] is not None:
         d_out = d_out * cache.dropout_masks[-1]
 
     n_layers = len(params.layers)
-    layer_grads: list[LstmLayerParams] = [None] * n_layers  # type: ignore[list-item]
     d_seq: np.ndarray | None = None
     for idx in reversed(range(n_layers)):
         lc = cache.layer_caches[idx]
@@ -527,10 +454,9 @@ def network_backward(
             d_hidden[-1] = d_out
         else:
             d_hidden = d_seq
-        d_inputs, grads = _layer_backward(params.layers[idx], lc, d_hidden)
-        layer_grads[idx] = grads
+        d_inputs = _layer_backward(params.layers[idx], lc, d_hidden, grads.layers[idx])
         if idx > 0:
             mask = cache.dropout_masks[idx - 1]
             d_seq = d_inputs if mask is None else d_inputs * mask
 
-    return NetworkParams(layers=layer_grads, dense=g_dense)
+    return grads

@@ -13,9 +13,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date
+from urllib.error import HTTPError
+from urllib.parse import urlsplit
+from urllib.request import urlopen
 
 import numpy as np
-import requests
 
 
 class MissingColumnError(ValueError):
@@ -247,22 +249,29 @@ def fetch_remote(
 ) -> str:
     """GET a CSV body from a templated endpoint.
 
-    The template must contain {symbol}, {start}, and {end} placeholders.
-    Feeds parse_csv on success.
+    The template must contain {symbol}, {start}, and {end} placeholders,
+    and the URL must be http or https. Feeds parse_csv on success.
     """
     for placeholder in ("{symbol}", "{start}", "{end}"):
         if placeholder not in endpoint_template:
             raise ValueError(f"endpoint template missing {placeholder}: {endpoint_template!r}")
     url = endpoint_template.format(symbol=symbol, start=str(start), end=str(end))
+    if urlsplit(url).scheme not in ("http", "https"):
+        raise NetworkError(f"only http and https endpoints are fetched, not {url}")
     try:
-        response = requests.get(url, timeout=timeout)
-    except requests.RequestException as exc:
+        with urlopen(url, timeout=timeout) as response:
+            status = response.status
+            charset = response.headers.get_content_charset() or "utf-8"
+            body = response.read()
+    except HTTPError as exc:
+        raise HttpStatusError(exc.code) from exc
+    except OSError as exc:  # URLError, refused connections and timeouts
         raise NetworkError(f"fetch failed for {url}: {exc}") from exc
-    if response.status_code != 200:
-        raise HttpStatusError(response.status_code)
-    if not response.text:
+    if status != 200:
+        raise HttpStatusError(status)
+    if not body:
         raise EmptyBodyError(f"empty body from {url}")
-    return response.text
+    return body.decode(charset)
 
 
 def drop_missing(series: PriceSeries) -> tuple[PriceSeries, int]:

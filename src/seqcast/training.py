@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -13,7 +14,6 @@ from .lstm_core import (
     ShapeMismatchError,
     network_backward,
     network_forward,
-    param_blocks,
 )
 from .preprocess import WindowedDataset
 from .rng import make_rng
@@ -25,6 +25,10 @@ class EmptySetError(ValueError):
 
 class EmptyDatasetError(ValueError):
     """Training needs at least one sample."""
+
+
+class DivergedError(ArithmeticError):
+    """Training produced a non-finite loss or parameter."""
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,10 @@ def mse_grad(p: PredictionSet) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, shaped like param_blocks(params)."""
+    """First/second moment accumulators, shaped like params.flat."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -80,10 +84,9 @@ def init_adam(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> AdamState:
-    blocks = [arr for _, arr in param_blocks(params)]
     return AdamState(
-        m=[np.zeros_like(a) for a in blocks],
-        v=[np.zeros_like(a) for a in blocks],
+        m=np.zeros_like(params.flat),
+        v=np.zeros_like(params.flat),
         t=0,
         lr=lr,
         beta1=beta1,
@@ -95,25 +98,18 @@ def init_adam(
 def adam_step(
     state: AdamState, params: NetworkParams, grads: NetworkParams
 ) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update, in place on the parameter blocks."""
-    p_blocks = param_blocks(params)
-    g_blocks = param_blocks(grads)
-    if len(state.m) != len(p_blocks):
-        raise ShapeMismatchError(
-            f"optimizer tracks {len(state.m)} blocks, params have {len(p_blocks)}"
-        )
-    for (name, p), (_, g), m, v in zip(p_blocks, g_blocks, state.m, state.v):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeMismatchError(f"block {name}: param {p.shape}, grad {g.shape}, state {m.shape}")
+    """One bias-corrected Adam update, in place on params.flat."""
+    p, g, m, v = params.flat, grads.flat, state.m, state.v
+    if p.shape != g.shape or p.shape != m.shape:
+        raise ShapeMismatchError(f"param {p.shape}, grad {g.shape}, state {m.shape}")
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for (_, p), (_, g), m, v in zip(p_blocks, g_blocks, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
     return params, state
 
 
@@ -142,15 +138,9 @@ class EpochLog:
 
 
 def _clip_global_norm(grads: NetworkParams, max_norm: float) -> None:
-    total = 0.0
-    blocks = [arr for _, arr in param_blocks(grads)]
-    for g in blocks:
-        total += float(np.sum(g * g))
-    norm = np.sqrt(total)
+    norm = math.sqrt(np.dot(grads.flat, grads.flat))
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in blocks:
-            g *= scale
+        grads.flat *= max_norm / norm
 
 
 def train(
@@ -165,6 +155,8 @@ def train(
     One seeded generator drives both the epoch shuffles and the dropout
     masks, so a (seed, config, data) triple reproduces the parameter
     trajectory bitwise. The final short batch is trained on, not dropped.
+    Raises DivergedError at the end of an epoch whose loss or parameters
+    are not finite.
     """
     n = dataset.n_samples
     if n == 0:
@@ -189,6 +181,8 @@ def train(
         log = EpochLog(
             epoch=epoch, loss=squared_sum / n, seconds=time.perf_counter() - started
         )
+        if not (math.isfinite(log.loss) and np.isfinite(params.flat).all()):
+            raise DivergedError(f"epoch {epoch}: non-finite loss or parameters (loss {log.loss})")
         logs.append(log)
         if progress is not None:
             progress(log)
@@ -224,25 +218,18 @@ def finite_diff_gradcheck(
     pset = PredictionSet(y=y, y_hat=pred[:, 0])
     analytic = network_backward(params, cfg, cache, mse_grad(pset))
 
-    p_blocks = [arr for _, arr in param_blocks(params)]
-    a_blocks = [arr for _, arr in param_blocks(analytic)]
-    sizes = np.array([a.size for a in p_blocks])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
     rng = make_rng(seed)
-    picks = rng.integers(0, int(offsets[-1]), size=probe_count)
+    picks = rng.integers(0, params.flat.size, size=probe_count)
 
     worst = 0.0
-    for flat in picks:
-        block = int(np.searchsorted(offsets, flat, side="right") - 1)
-        off = int(flat - offsets[block])
-        target = p_blocks[block]
-        saved = float(target.flat[off])
-        target.flat[off] = saved + step
+    for k in picks:
+        saved = float(params.flat[k])
+        params.flat[k] = saved + step
         loss_plus = batch_loss()
-        target.flat[off] = saved - step
+        params.flat[k] = saved - step
         loss_minus = batch_loss()
-        target.flat[off] = saved
+        params.flat[k] = saved
         fd = (loss_plus - loss_minus) / (2.0 * step)
-        a = float(a_blocks[block].flat[off])
+        a = float(analytic.flat[k])
         worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-8))
     return worst

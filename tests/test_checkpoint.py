@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from seqcast.checkpoint import Checkpoint, checkpoint_bytes, load_checkpoint, save_checkpoint
+from seqcast.checkpoint import (
+    Checkpoint,
+    CheckpointError,
+    checkpoint_bytes,
+    load_checkpoint,
+    save_checkpoint,
+)
 from seqcast.lstm_core import NetworkConfig, init_params, param_blocks
 from seqcast.preprocess import ScalerParams
 
@@ -57,3 +63,32 @@ def test_rejects_wrong_format_or_version(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+# Each edit damages the "params" tree of a saved checkpoint in one place.
+BLOCK_EDITS = {
+    "row-for-matrix": lambda p: p["layers"][0].update(w_i=p["layers"][0]["w_i"][0]),
+    "long-bias": lambda p: p["layers"][1]["b_o"].append(0.5),
+    "nested-dense": lambda p: p["dense"].update(w=[p["dense"]["w"]]),
+    "missing-block": lambda p: p["layers"][0].pop("b_c"),
+    "missing-layer": lambda p: p["layers"].pop(),
+}
+
+
+@pytest.mark.parametrize("edit", BLOCK_EDITS.values(), ids=BLOCK_EDITS.keys())
+def test_rejects_block_shape_mismatch(tmp_path, edit):
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(path, make_checkpoint())
+    doc = json.loads(path.read_text())
+    edit(doc["params"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_refuses_to_write_non_finite_params(tmp_path):
+    ckpt = make_checkpoint()
+    ckpt.params.flat[3] = np.nan
+    with pytest.raises(CheckpointError):
+        save_checkpoint(tmp_path / "model.ckpt.json", ckpt)
+    assert not (tmp_path / "model.ckpt.json").exists()

@@ -81,3 +81,11 @@ def test_fetch_connection_failure_wraps_as_network_error():
 def test_fetch_rejects_incomplete_template():
     with pytest.raises(ValueError):
         fetch_remote("http://example.com/{symbol}", "VNQ", "2020-01-01", "2020-02-01")
+
+
+def test_fetch_refuses_file_url(tmp_path):
+    # the file exists, so only the scheme check stands between it and the caller
+    (tmp_path / "VNQ-2020-01-01-2020-02-01.csv").write_text(CSV_BODY)
+    template = tmp_path.as_uri() + "/{symbol}-{start}-{end}.csv"
+    with pytest.raises(NetworkError):
+        fetch_remote(template, "VNQ", "2020-01-01", "2020-02-01")

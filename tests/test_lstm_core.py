@@ -10,41 +10,31 @@ from seqcast.lstm_core import (
     EmptySequenceError,
     InvalidConfigError,
     LstmLayerParams,
-    LstmState,
     NetworkConfig,
     ShapeMismatchError,
     StaleCacheError,
     count_params,
     dropout_apply,
     init_params,
-    lstm_cell_forward,
     lstm_layer_forward,
     network_backward,
     network_forward,
     param_blocks,
-    param_count,
     zeros_like_params,
 )
 from seqcast.rng import make_rng
 
+from lstm_oracle import LstmState, gate, lstm_cell_forward
+
 
 def zero_layer(hidden, inputs):
-    cols = hidden + inputs
-    z = lambda *shape: np.zeros(shape)
-    return LstmLayerParams(
-        w_f=z(hidden, cols), w_i=z(hidden, cols), w_c=z(hidden, cols), w_o=z(hidden, cols),
-        b_f=z(hidden), b_i=z(hidden), b_c=z(hidden), b_o=z(hidden),
-    )
+    return LstmLayerParams(w=np.zeros((4 * hidden, hidden + inputs)), b=np.zeros(4 * hidden))
 
 
 def random_layer(hidden, inputs, seed, scale=0.5):
     rng = make_rng(seed)
-    cols = hidden + inputs
     r = lambda *shape: rng.normal(scale=scale, size=shape)
-    return LstmLayerParams(
-        w_f=r(hidden, cols), w_i=r(hidden, cols), w_c=r(hidden, cols), w_o=r(hidden, cols),
-        b_f=r(hidden), b_i=r(hidden), b_c=r(hidden), b_o=r(hidden),
-    )
+    return LstmLayerParams(w=r(4 * hidden, hidden + inputs), b=r(4 * hidden))
 
 
 # ----------------------------------------------------------------- cell math
@@ -72,7 +62,7 @@ def test_cell_zero_params_prev_cell_two():
 
 def test_cell_saturated_forget_retains_cell_state():
     layer = zero_layer(2, 1)
-    layer.b_f[:] = 100.0
+    gate(layer, "f")[1][:] = 100.0
     prev = LstmState(h=np.zeros(2), c=np.full(2, 3.0))
     state, gates = lstm_cell_forward(layer, np.array([0.0]), prev=prev)
     np.testing.assert_allclose(state.c, 3.0, atol=1e-9)
@@ -197,16 +187,16 @@ def test_init_default_parameter_count():
     # 10,400 + 26,640 + 45,120 + 96,480 + 121
     cfg = NetworkConfig()
     assert count_params(cfg) == 178_761
-    assert param_count(init_params(cfg)) == 178_761
+    assert init_params(cfg).flat.size == 178_761
 
 
 def test_init_bias_rule():
     params = init_params(NetworkConfig(layer_units=(4, 2), dropout_rates=(0.0, 0.0), seed=3))
     for layer in params.layers:
-        np.testing.assert_array_equal(layer.b_f, 1.0)
-        np.testing.assert_array_equal(layer.b_i, 0.0)
-        np.testing.assert_array_equal(layer.b_c, 0.0)
-        np.testing.assert_array_equal(layer.b_o, 0.0)
+        np.testing.assert_array_equal(gate(layer, "f")[1], 1.0)
+        np.testing.assert_array_equal(gate(layer, "i")[1], 0.0)
+        np.testing.assert_array_equal(gate(layer, "c")[1], 0.0)
+        np.testing.assert_array_equal(gate(layer, "o")[1], 0.0)
     np.testing.assert_array_equal(params.dense.b, 0.0)
 
 
@@ -214,8 +204,8 @@ def test_init_glorot_bounds():
     cfg = NetworkConfig(layer_units=(6,), dropout_rates=(0.0,), input_features=2, seed=1)
     params = init_params(cfg)
     limit = math.sqrt(6.0 / ((6 + 2) + 6))
-    for name in ("w_f", "w_i", "w_c", "w_o"):
-        w = getattr(params.layers[0], name)
+    for name in "fico":
+        w, _ = gate(params.layers[0], name)
         assert np.all(np.abs(w) <= limit)
 
 
@@ -270,7 +260,7 @@ def test_network_forward_train_with_zero_dropout_equals_inference():
     train_pred, cache = network_forward(params, cfg, batch, mode="train")
     infer_pred, _ = network_forward(params, cfg, batch, mode="inference")
     np.testing.assert_array_equal(train_pred, infer_pred)
-    assert cache is not None and cache.mode == "train"
+    assert cache is not None
 
 
 def test_network_forward_shape_errors():
@@ -325,3 +315,30 @@ def test_zeros_like_params_mirrors_shapes():
         assert name_p == name_g
         assert p.shape == g.shape
         assert np.all(g == 0.0)
+
+
+# -------------------------------------------------------------------- layout
+
+
+def test_param_blocks_are_views_of_flat_in_order():
+    cfg = NetworkConfig(layer_units=(3, 2), dropout_rates=(0.0, 0.0), seed=5)
+    params = init_params(cfg)
+    _, cache = network_forward(params, cfg, make_rng(25).normal(size=(2, 4, 1)), mode="train")
+    grads = network_backward(params, cfg, cache, np.ones((2, 1)))
+    for p in (params, grads):
+        blocks = param_blocks(p)
+        assert all(np.shares_memory(arr, p.flat) for _, arr in blocks)
+        np.testing.assert_array_equal(np.concatenate([arr.ravel() for _, arr in blocks]), p.flat)
+    names = [name for name, _ in param_blocks(params)]
+    assert names[:8] == [f"layer0.{k}_{g}" for k in "wb" for g in "fico"]
+    assert names[-2:] == ["dense.w", "dense.b"]
+
+
+def test_writing_a_block_writes_flat():
+    params = init_params(NetworkConfig(layer_units=(3, 2), dropout_rates=(0.0, 0.0), seed=5))
+    offset = 0
+    for name, arr in param_blocks(params):
+        arr[...] = -7.0
+        np.testing.assert_array_equal(params.flat[offset : offset + arr.size], -7.0)
+        offset += arr.size
+    assert offset == params.flat.size

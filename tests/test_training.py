@@ -15,12 +15,15 @@ from seqcast.lstm_core import (
 from seqcast.preprocess import fit_scaler, make_windows, transform
 from seqcast.rng import make_rng
 from seqcast.synthetic import sine_trend_series
+from seqcast.preprocess import WindowedDataset
 from seqcast.training import (
     AdamState,
+    DivergedError,
     EmptyDatasetError,
     EmptySetError,
     PredictionSet,
     TrainConfig,
+    _clip_global_norm,
     adam_step,
     finite_diff_gradcheck,
     init_adam,
@@ -163,8 +166,8 @@ def test_adam_constant_gradient_matches_scalar_recurrence():
 def test_adam_shape_mismatch():
     _, params = scalar_net()
     state = init_adam(params)
-    bad = zeros_like_params(params)
-    bad.dense.w = np.zeros(5)
+    other = NetworkConfig(layer_units=(5,), dropout_rates=(0.0,), seed=0)
+    bad = zeros_like_params(init_params(other))
     with pytest.raises(ShapeMismatchError):
         adam_step(state, params, bad)
 
@@ -249,6 +252,40 @@ def test_train_overfits_noiseless_sine():
         init_params(cfg), cfg, ds, TrainConfig(epochs=30, shuffle_seed=7)
     )
     assert logs[-1].loss < logs[0].loss / 10.0
+
+
+def test_train_raises_on_divergence():
+    ds = tiny_dataset(n=40)
+    targets = ds.targets.copy()
+    targets[7] = np.nan
+    bad = WindowedDataset(inputs=ds.inputs, targets=targets, window=ds.window)
+    cfg = NetworkConfig(layer_units=(2,), dropout_rates=(0.0,), seed=1)
+    with pytest.raises(DivergedError):
+        train(init_params(cfg), cfg, bad, TrainConfig(epochs=2, shuffle_seed=1))
+
+
+def random_grads(seed):
+    cfg = NetworkConfig(layer_units=(3, 2), dropout_rates=(0.0, 0.0), seed=seed)
+    grads = zeros_like_params(init_params(cfg))
+    grads.flat[...] = make_rng(seed).normal(size=grads.flat.size)
+    return grads
+
+
+def test_clip_global_norm_scales_to_threshold():
+    grads = random_grads(14)
+    norm = float(np.linalg.norm(grads.flat))
+    direction = grads.flat / norm
+    _clip_global_norm(grads, norm / 4.0)
+    total = sum(float(np.sum(arr * arr)) for _, arr in param_blocks(grads))
+    assert abs(np.sqrt(total) - norm / 4.0) < 1e-12
+    np.testing.assert_allclose(grads.flat / np.linalg.norm(grads.flat), direction, rtol=1e-12)
+
+
+def test_clip_global_norm_below_threshold_is_identity():
+    grads = random_grads(15)
+    before = grads.flat.copy()
+    _clip_global_norm(grads, float(np.linalg.norm(before)) * 1.01)
+    np.testing.assert_array_equal(grads.flat, before)
 
 
 def test_train_config_validation():
