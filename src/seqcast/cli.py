@@ -10,6 +10,7 @@ training log).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -181,8 +182,13 @@ def cmd_ingest(cfg: RunConfig, stdout=sys.stdout) -> int:
     return 0
 
 
+def _open_log(log_out: str | None):
+    """The --log-out JSONL file, truncated once per command; a null context without one."""
+    return open(log_out, "w", encoding="utf-8") if log_out else contextlib.nullcontext()
+
+
 def _train_one(
-    cfg: RunConfig, symbol: str, stdout, log_out: str | None
+    cfg: RunConfig, symbol: str, stdout, log_file
 ) -> tuple[Checkpoint, list[EpochLog]]:
     series = load_series(cfg, symbol)
     cleaned, dropped = drop_missing(series)
@@ -193,21 +199,18 @@ def _train_one(
     net_cfg = cfg.network_config()
     params = init_params(net_cfg)
 
-    log_lines: list[dict] = []
-
     def progress(log: EpochLog) -> None:
         print(
             f"epoch={log.epoch} loss={log.loss:.8f} seconds={log.seconds:.3f}",
             file=stdout,
             flush=True,
         )
-        log_lines.append({"epoch": log.epoch, "loss": log.loss, "seconds": log.seconds})
+        if log_file is not None:
+            record = {"epoch": log.epoch, "loss": log.loss, "seconds": log.seconds}
+            log_file.write(json.dumps({"symbol": symbol, **record}) + "\n")
+            log_file.flush()
 
     params, logs = train(params, net_cfg, dataset, cfg.train_config(), progress=progress)
-    if log_out:
-        Path(log_out).write_text(
-            "".join(json.dumps(line) + "\n" for line in log_lines), encoding="utf-8"
-        )
     ckpt = Checkpoint(
         params=params,
         config=net_cfg,
@@ -220,11 +223,12 @@ def _train_one(
 
 
 def cmd_train(cfg: RunConfig, stdout=sys.stdout, log_out: str | None = None) -> int:
-    for symbol in cfg.symbols:
-        ckpt, _ = _train_one(cfg, symbol, stdout, log_out)
-        path = _out_path(cfg, symbol, ".ckpt.json")
-        save_checkpoint(path, ckpt)
-        print(f"symbol={symbol} checkpoint={path}", file=stdout)
+    with _open_log(log_out) as log_file:
+        for symbol in cfg.symbols:
+            ckpt, _ = _train_one(cfg, symbol, stdout, log_file)
+            path = _out_path(cfg, symbol, ".ckpt.json")
+            save_checkpoint(path, ckpt)
+            print(f"symbol={symbol} checkpoint={path}", file=stdout)
     return 0
 
 
@@ -289,14 +293,15 @@ def cmd_sweep(cfg: RunConfig, stdout=sys.stdout, log_out: str | None = None) -> 
     """Train and evaluate every symbol independently; report the metric grid."""
     rows: list[dict] = []
     failures: dict[str, str] = {}
-    for symbol in cfg.symbols:
-        try:
-            ckpt, _ = _train_one(cfg, symbol, stdout, log_out=None)
-            save_checkpoint(_out_path(cfg, symbol, ".ckpt.json"), ckpt)
-            rows.append(_evaluate_one(cfg, symbol, ckpt, stdout))
-        except Exception as exc:  # isolate per-symbol failures
-            failures[symbol] = str(exc)
-            print(f"symbol={symbol} FAILED: {exc}", file=sys.stderr)
+    with _open_log(log_out) as log_file:
+        for symbol in cfg.symbols:
+            try:
+                ckpt, _ = _train_one(cfg, symbol, stdout, log_file)
+                save_checkpoint(_out_path(cfg, symbol, ".ckpt.json"), ckpt)
+                rows.append(_evaluate_one(cfg, symbol, ckpt, stdout))
+            except Exception as exc:  # isolate per-symbol failures
+                failures[symbol] = str(exc)
+                print(f"symbol={symbol} FAILED: {exc}", file=sys.stderr)
 
     header = f"{'symbol':<8}{'rmse':>12}{'mae':>12}{'r_squared':>12}{'mape':>12}{'evs':>12}"
     print(header, file=stdout)
@@ -358,7 +363,9 @@ def _parse_args(argv):
     parser.add_argument("--endpoint", help="HTTP CSV template with {symbol}/{start}/{end}")
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--window", type=int)
-    parser.add_argument("--log-out", help="also write the training log as JSON lines")
+    parser.add_argument(
+        "--log-out", help="also write every symbol's training log to one JSON-lines file"
+    )
     parser.add_argument("--symbols", help="comma-separated tickers")
     parser.add_argument("--data", help="explicit CSV file (single-symbol runs)")
     parser.add_argument("--start")

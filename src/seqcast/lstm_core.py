@@ -22,11 +22,27 @@ other in flat (w then b), then the dense head's w and b. Every array is a
 view into flat, gradients share the layout, and param_blocks names the
 per-gate row views in flat order.
 
+Activation layout: the recurrence runs feature-major, [T, features, B].
+Step t computes all four gates with one GEMM, w @ z_t -> [4*hidden, B], so
+each gate is a contiguous [hidden, B] row block and the gate math runs as
+in-place ufuncs on preallocated buffers. A train-mode forward keeps, per
+layer, z [T+1, hidden+input, B] (z[t] = [h_{t-1} | x_t], so z[t+1, :hidden]
+is h_t), the activated gates g [T, 4*hidden, B], the cell states
+c [T+1, hidden, B] (c[0] = 0) and tanh(c_t). An inference forward keeps no
+BPTT cache: two-deep rolling z and c buffers, one gate buffer, and only
+the hidden sequence the next layer reads.
+
+The BPTT cache is single use: backward writes the gate gradients over the
+cached gates, so network_backward marks the cache consumed and refuses it
+a second time with StaleCacheError.
+
 Layer stacking: every layer but the last feeds its full hidden sequence
 to the next layer; the last layer emits only its final hidden state,
 which the dense head maps to one scalar. Dropout (inverted: survivors
 scaled by 1/(1-rate) at train time, identity at inference) is applied
 to each layer's output, including the last hidden state before the head.
+Masks are drawn batch-major, [T, B, hidden] per layer and [B, hidden] for
+the last state, in layer order.
 """
 
 from __future__ import annotations
@@ -62,12 +78,14 @@ class StaleCacheError(ValueError):
 DEFAULT_LAYER_UNITS = (50, 60, 80, 120)
 DEFAULT_DROPOUT_RATES = (0.2, 0.3, 0.4, 0.5)
 
-# sigmoid saturates to 0/1 long before +-500; the clamp only keeps exp finite
-_SIGMOID_CLAMP = 500.0
 
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -_SIGMOID_CLAMP, _SIGMOID_CLAMP)))
+def _sigmoid_(x: np.ndarray) -> None:
+    """In place 1 / (1 + exp(-x)). exp overflows to inf below x = -709, which
+    gives exactly 0; callers silence that overflow with np.errstate."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.divide(1.0, x, out=x)
 
 
 @dataclass(frozen=True)
@@ -137,16 +155,12 @@ class NetworkParams:
 
 @dataclass
 class LayerCache:
-    """Time-major forward intermediates one layer needs for BPTT."""
+    """Feature-major forward intermediates one layer keeps for BPTT."""
 
-    z: np.ndarray  # [T, B, hidden + input]
-    f: np.ndarray  # [T, B, hidden]
-    i: np.ndarray
-    o: np.ndarray
-    candidate: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
+    z: np.ndarray  # [T + 1, hidden + input, B]: z[t] = [h_{t-1} | x_t]
+    g: np.ndarray  # [T, 4 * hidden, B]: gates f, i, c~, o; gate gradients after backward
+    c: np.ndarray  # [T + 1, hidden, B]: c[t + 1] = c_t, c[0] = 0
+    tanh_c: np.ndarray  # [T, hidden, B]
 
 
 @dataclass
@@ -158,6 +172,7 @@ class NetworkCache:
     layer_caches: list[LayerCache]
     dropout_masks: list[np.ndarray | None]  # mask on each layer's output, None = identity
     final_hidden: np.ndarray  # [B, hidden_last] after dropout; input to the dense head
+    consumed: bool = False  # set by network_backward, which overwrites the gates
 
 
 def _bind(flat: np.ndarray, sizes: list[tuple[int, int]]) -> NetworkParams:
@@ -181,13 +196,21 @@ def _layer_sizes(config: NetworkConfig) -> list[tuple[int, int]]:
     return list(zip(config.layer_units, inputs))
 
 
+def _param_sizes(params: NetworkParams) -> list[tuple[int, int]]:
+    return [(layer.hidden_size, layer.input_size) for layer in params.layers]
+
+
 def zeros_params(config: NetworkConfig) -> NetworkParams:
     return _bind(np.zeros(count_params(config), dtype=np.float64), _layer_sizes(config))
 
 
 def zeros_like_params(params: NetworkParams) -> NetworkParams:
-    sizes = [(layer.hidden_size, layer.input_size) for layer in params.layers]
-    return _bind(np.zeros_like(params.flat), sizes)
+    return _bind(np.zeros_like(params.flat), _param_sizes(params))
+
+
+def copy_params(params: NetworkParams) -> NetworkParams:
+    """Same layout and values, in a buffer of its own."""
+    return _bind(params.flat.copy(), _param_sizes(params))
 
 
 def param_blocks(params: NetworkParams) -> list[tuple[str, np.ndarray]]:
@@ -234,39 +257,51 @@ def init_params(config: NetworkConfig) -> NetworkParams:
     return params
 
 
-def _layer_forward(params: LstmLayerParams, seq_tm: np.ndarray) -> LayerCache:
-    """Run the recurrence over a time-major [T, B, in] sequence from zero state."""
-    T, B, _ = seq_tm.shape
+def _layer_forward(
+    params: LstmLayerParams, x: np.ndarray, keep: bool, sequence: bool
+) -> tuple[np.ndarray, LayerCache | None]:
+    """Run the recurrence over a feature-major [T, in, B] input from zero state.
+
+    Returns the hidden sequence [T, hidden, B] when `sequence` is set, else
+    the final hidden state [hidden, B]; and the BPTT cache when `keep` is
+    set, else None, with only rolling buffers allocated.
+    """
+    T, _, B = x.shape
     hid = params.hidden_size
-    w_zt = params.w.T  # [hidden + input, 4*hidden]
+    depth = T + 1 if keep else 2  # z and c slots; step t reads slot t, writes t + 1
+    z = np.empty((depth, hid + params.input_size, B))
+    c = np.empty((depth, hid, B))
+    g = np.empty((T if keep else 1, 4 * hid, B))
+    tanh_c = np.empty((len(g), hid, B))
+    z[0, :hid] = 0.0
+    c[0] = 0.0
+    h = np.empty((T, hid, B)) if sequence and not keep else None
+    bias = np.repeat(params.b[:, np.newaxis], B, axis=1)  # a broadcast add is ~3x slower
+    ic = np.empty((hid, B))
 
-    z = np.empty((T, B, hid + params.input_size), dtype=np.float64)
-    f = np.empty((T, B, hid), dtype=np.float64)
-    i = np.empty((T, B, hid), dtype=np.float64)
-    o = np.empty((T, B, hid), dtype=np.float64)
-    candidate = np.empty((T, B, hid), dtype=np.float64)
-    c = np.empty((T, B, hid), dtype=np.float64)
-    tanh_c = np.empty((T, B, hid), dtype=np.float64)
-    h = np.empty((T, B, hid), dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            now, nxt, k = t % depth, (t + 1) % depth, t % len(g)
+            zt, gt, tc, h_t = z[now], g[k], tanh_c[k], z[nxt, :hid]
+            zt[hid:] = x[t]
+            np.matmul(params.w, zt, out=gt)
+            gt += bias
+            f, i, cand, o = gt[:hid], gt[hid : 2 * hid], gt[2 * hid : 3 * hid], gt[3 * hid :]
+            _sigmoid_(gt[: 2 * hid])  # f and i
+            np.tanh(cand, out=cand)
+            _sigmoid_(o)
+            np.multiply(f, c[now], out=c[nxt])
+            np.multiply(i, cand, out=ic)
+            c[nxt] += ic
+            np.tanh(c[nxt], out=tc)
+            np.multiply(o, tc, out=h_t)
+            if h is not None:
+                h[t] = h_t
 
-    h_prev = np.zeros((B, hid), dtype=np.float64)
-    c_prev = np.zeros((B, hid), dtype=np.float64)
-    for t in range(T):
-        zt = z[t]
-        zt[:, :hid] = h_prev
-        zt[:, hid:] = seq_tm[t]
-        a = zt @ w_zt + params.b
-        f[t] = sigmoid(a[:, :hid])
-        i[t] = sigmoid(a[:, hid : 2 * hid])
-        candidate[t] = np.tanh(a[:, 2 * hid : 3 * hid])
-        o[t] = sigmoid(a[:, 3 * hid :])
-        c[t] = f[t] * c_prev + i[t] * candidate[t]
-        tanh_c[t] = np.tanh(c[t])
-        h[t] = o[t] * tanh_c[t]
-        h_prev = h[t]
-        c_prev = c[t]
-
-    return LayerCache(z=z, f=f, i=i, o=o, candidate=candidate, c=c, tanh_c=tanh_c, h=h)
+    if keep:
+        out = z[1:, :hid] if sequence else z[T, :hid]
+        return out, LayerCache(z=z, g=g, c=c, tanh_c=tanh_c)
+    return (h if sequence else z[T % 2, :hid]), None
 
 
 def lstm_layer_forward(
@@ -288,11 +323,9 @@ def lstm_layer_forward(
     if arr.shape[1] == 0:
         raise EmptySequenceError("sequence has zero timesteps")
 
-    cache = _layer_forward(params, np.ascontiguousarray(arr.transpose(1, 0, 2)))
-    if return_sequences:
-        out = cache.h.transpose(1, 0, 2)
-        return (out[0] if single else out), cache
-    out = cache.h[-1]
+    x = arr.transpose(1, 2, 0)  # feature-major [T, in, B]
+    h, cache = _layer_forward(params, x, keep=True, sequence=return_sequences)
+    out = h.transpose(2, 0, 1) if return_sequences else h.T
     return (out[0] if single else out), cache
 
 
@@ -345,23 +378,22 @@ def network_forward(
         raise ValueError("train-mode forward with nonzero dropout needs an rng")
 
     B, T, _ = arr.shape
-    x = np.ascontiguousarray(arr.transpose(1, 0, 2))  # time-major
+    x = arr.transpose(1, 2, 0)  # feature-major [T, features, B]
     last = len(params.layers) - 1
     layer_caches: list[LayerCache] = []
     masks: list[np.ndarray | None] = []
     for idx, (layer, rate) in enumerate(zip(params.layers, config.dropout_rates)):
-        cache = _layer_forward(layer, x)
-        out = cache.h[-1] if idx == last else cache.h
+        h, cache = _layer_forward(layer, x, keep=train, sequence=idx != last)
+        out = h.swapaxes(-1, -2)  # batch-major view: [T, B, hidden] or [B, hidden]
+        mask = None
         if train and rate > 0.0:
             out, mask = dropout_apply(out, rate, "train", rng)
-        else:
-            mask = None
         if train:
             layer_caches.append(cache)
         masks.append(mask)
-        x = out
+        x = out.swapaxes(-1, -2)
 
-    final_hidden = x  # [B, hidden_last]
+    final_hidden = out  # [B, hidden_last]
     predictions = (final_hidden @ params.dense.w + params.dense.b[0])[:, np.newaxis]
     if not train:
         return predictions, None
@@ -376,42 +408,69 @@ def network_forward(
 
 
 def _layer_backward(
-    params: LstmLayerParams, cache: LayerCache, d_hidden: np.ndarray, grads: LstmLayerParams
-) -> np.ndarray:
-    """BPTT through one layer.
+    params: LstmLayerParams,
+    cache: LayerCache,
+    d_hidden: np.ndarray,
+    grads: LstmLayerParams,
+    inputs: bool,
+) -> np.ndarray | None:
+    """BPTT through one layer, overwriting cache.g with the gate gradients.
 
-    d_hidden is [T, B, hidden]: the loss gradient flowing into each hidden
-    output (zeros except the final step for a last-state-only consumer).
-    Accumulates the layer's parameter gradients into the zeroed `grads` and
-    returns the gradient w.r.t. the layer's input sequence.
+    d_hidden is the loss gradient flowing into the layer's hidden outputs:
+    [T, hidden, B] for a whole-sequence consumer, or [hidden, B] into the
+    final step only. Accumulates the layer's parameter gradients into the
+    zeroed `grads`; returns the gradient w.r.t. the input sequence,
+    [T, in, B], when `inputs` is set, else None.
     """
-    T, B, hid = cache.h.shape
-    in_size = params.input_size
-    d_inputs = np.empty((T, B, in_size), dtype=np.float64)
-    dh_next = np.zeros((B, hid), dtype=np.float64)
-    dc_next = np.zeros((B, hid), dtype=np.float64)
-    da = np.empty((B, 4 * hid), dtype=np.float64)
+    z, g, c, tanh_c = cache.z, cache.g, cache.c, cache.tanh_c
+    T, _, B = g.shape
+    hid = params.hidden_size
+    w_h = params.w[:, :hid].T  # [hidden, 4*hidden]: recurrent part of dz = w.T @ da
+    sequence = d_hidden.ndim == 3
+    dh = np.zeros((hid, B)) if sequence else np.array(d_hidden, order="C")
+    dc = np.zeros((hid, B))
+    t1, t2, t3 = np.empty((3, hid, B))
+    dw = np.empty_like(grads.w)
 
     for t in reversed(range(T)):
-        f, i, o = cache.f[t], cache.i[t], cache.o[t]
-        candidate, tanh_c = cache.candidate[t], cache.tanh_c[t]
-        c_prev = cache.c[t - 1] if t > 0 else np.zeros((B, hid), dtype=np.float64)
+        gt, tc = g[t], tanh_c[t]
+        f, i, cand, o = gt[:hid], gt[hid : 2 * hid], gt[2 * hid : 3 * hid], gt[3 * hid :]
+        if sequence:
+            dh += d_hidden[t]
+        # dc = dh * o * (1 - tanh_c^2) + dc_next
+        np.multiply(tc, tc, out=t1)
+        np.subtract(1.0, t1, out=t1)
+        np.multiply(dh, o, out=t2)
+        t2 *= t1
+        dc += t2
+        # da_o = dh * tanh_c * o * (1 - o)
+        np.multiply(dh, tc, out=t1)
+        t1 *= o
+        np.subtract(1.0, o, out=o)
+        o *= t1
+        # da_f = dc * c_prev * f * (1 - f); da_i = dc * c~ * i * (1 - i);
+        # da_c = dc * i * (1 - c~^2); then dc_next = dc * f
+        np.multiply(dc, c[t], out=t1)
+        t1 *= f
+        np.multiply(dc, cand, out=t2)
+        t2 *= i
+        np.multiply(dc, i, out=t3)
+        dc *= f
+        np.subtract(1.0, f, out=f)
+        f *= t1
+        np.subtract(1.0, i, out=i)
+        i *= t2
+        np.multiply(cand, cand, out=cand)
+        np.subtract(1.0, cand, out=cand)
+        cand *= t3
+        # gt now holds da_t
+        np.matmul(gt, z[t].T, out=dw)
+        grads.w += dw
+        if t:
+            np.matmul(w_h, gt, out=dh)
 
-        dh = d_hidden[t] + dh_next
-        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
-        da[:, :hid] = dc * c_prev * f * (1.0 - f)
-        da[:, hid : 2 * hid] = dc * candidate * i * (1.0 - i)
-        da[:, 2 * hid : 3 * hid] = dc * i * (1.0 - candidate * candidate)
-        da[:, 3 * hid :] = dh * tanh_c * o * (1.0 - o)
-
-        grads.w += da.T @ cache.z[t]
-        grads.b += da.sum(axis=0)
-        dz = da @ params.w
-        dh_next = dz[:, :hid]
-        d_inputs[t] = dz[:, hid:]
-        dc_next = dc * f
-
-    return d_inputs
+    np.sum(g, axis=(0, 2), out=grads.b)
+    return np.matmul(params.w[:, hid:].T, g) if inputs else None
 
 
 def network_backward(
@@ -424,7 +483,9 @@ def network_backward(
 
     d_predictions is the loss gradient at the network output ([B, 1] or [B]),
     e.g. training.mse_grad; the cache must come from a train-mode forward on
-    the same batch so the dropout masks are reused exactly.
+    the same batch so the dropout masks are reused exactly. The cache is
+    consumed: its gates are overwritten, and a second backward on it raises
+    StaleCacheError.
     """
     if cache is None:
         raise StaleCacheError("backward needs the cache from a train-mode forward")
@@ -437,26 +498,26 @@ def network_backward(
         raise StaleCacheError(
             f"gradient batch {d_pred.shape[0]} does not match cache batch {cache.batch_size}"
         )
+    if cache.consumed:
+        raise StaleCacheError("cache already used by a backward pass, which overwrote its gates")
+    cache.consumed = True
 
     grads = zeros_like_params(params)
     grads.dense.w[...] = cache.final_hidden.T @ d_pred
     grads.dense.b[0] = d_pred.sum()
     d_out = np.outer(d_pred, params.dense.w)  # [B, hidden_last]
     if cache.dropout_masks[-1] is not None:
-        d_out = d_out * cache.dropout_masks[-1]
+        d_out *= cache.dropout_masks[-1]
 
-    n_layers = len(params.layers)
-    d_seq: np.ndarray | None = None
-    for idx in reversed(range(n_layers)):
-        lc = cache.layer_caches[idx]
-        if idx == n_layers - 1:
-            d_hidden = np.zeros_like(lc.h)
-            d_hidden[-1] = d_out
-        else:
-            d_hidden = d_seq
-        d_inputs = _layer_backward(params.layers[idx], lc, d_hidden, grads.layers[idx])
+    d_hidden = d_out.T  # feature-major from here on
+    for idx in reversed(range(len(params.layers))):
+        d_inputs = _layer_backward(
+            params.layers[idx], cache.layer_caches[idx], d_hidden, grads.layers[idx], idx > 0
+        )
         if idx > 0:
             mask = cache.dropout_masks[idx - 1]
-            d_seq = d_inputs if mask is None else d_inputs * mask
+            if mask is not None:
+                d_inputs *= mask.transpose(0, 2, 1)
+            d_hidden = d_inputs
 
     return grads

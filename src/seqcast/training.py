@@ -12,6 +12,7 @@ from .lstm_core import (
     NetworkConfig,
     NetworkParams,
     ShapeMismatchError,
+    copy_params,
     network_backward,
     network_forward,
 )
@@ -152,15 +153,17 @@ def train(
 ) -> tuple[NetworkParams, list[EpochLog]]:
     """Shuffled mini-batch training: forward, BPTT, Adam, once per batch.
 
-    One seeded generator drives both the epoch shuffles and the dropout
-    masks, so a (seed, config, data) triple reproduces the parameter
-    trajectory bitwise. The final short batch is trained on, not dropped.
-    Raises DivergedError at the end of an epoch whose loss or parameters
-    are not finite.
+    Trains a copy of `params` and returns it; the caller's params are left
+    as they were. One seeded generator drives both the epoch shuffles and
+    the dropout masks, so a (seed, config, data) triple reproduces the
+    parameter trajectory bitwise. The final short batch is trained on, not
+    dropped. Raises DivergedError at the end of an epoch whose loss or
+    parameters are not finite.
     """
     n = dataset.n_samples
     if n == 0:
         raise EmptyDatasetError("training dataset has no samples")
+    params = copy_params(params)
     rng = make_rng(tc.shuffle_seed)
     state = init_adam(params, lr=tc.learning_rate)
     logs: list[EpochLog] = []

@@ -1,7 +1,9 @@
-"""Per-gate reference for one LSTM timestep, the oracle the layer tests compare against.
+"""Per-gate reference for one LSTM timestep and for the stacked network, the
+oracle the kernel tests compare against.
 
 It reads each gate's rows of the packed weight and bias separately and runs
-four small GEMMs, where seqcast.lstm_core runs one packed GEMM per step.
+four small batch-major GEMMs per step, where seqcast.lstm_core runs one
+packed feature-major GEMM per step.
 """
 
 from __future__ import annotations
@@ -10,9 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seqcast.lstm_core import LstmLayerParams, ShapeMismatchError, sigmoid
+from seqcast.lstm_core import LstmLayerParams, NetworkConfig, NetworkParams, ShapeMismatchError
 
 GATES = "fico"
+# sigmoid saturates to 0/1 long before +-500; the clamp only keeps exp finite
+_SIGMOID_CLAMP = 500.0
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -_SIGMOID_CLAMP, _SIGMOID_CLAMP)))
 
 
 @dataclass(frozen=True)
@@ -73,3 +81,25 @@ def lstm_cell_forward(
     if single:
         h, c, f, i, o, candidate = (a[0] for a in (h, c, f, i, o, candidate))
     return LstmState(h=h, c=c), GateRecord(f=f, i=i, o=o, candidate=candidate)
+
+
+def network_forward(params: NetworkParams, config: NetworkConfig, batch, rng=None) -> np.ndarray:
+    """The stacked network from lstm_cell_forward, one timestep at a time.
+
+    With an rng, each layer's output gets an inverted-dropout mask drawn in
+    layer order: [T, B, hidden] for a sequence, [B, hidden] for the last
+    layer's final state. Returns the [B] predictions.
+    """
+    x = np.asarray(batch, dtype=np.float64)
+    steps = [x[:, t] for t in range(x.shape[1])]
+    last = len(params.layers) - 1
+    for idx, (layer, rate) in enumerate(zip(params.layers, config.dropout_rates)):
+        state, hidden = None, []
+        for x_t in steps:
+            state, _ = lstm_cell_forward(layer, x_t, prev=state)
+            hidden.append(state.h)
+        out = hidden[-1] if idx == last else np.stack(hidden)
+        if rng is not None and rate > 0.0:
+            out = out * ((rng.random(out.shape) >= rate) / (1.0 - rate))
+        steps = list(out)
+    return out @ params.dense.w + params.dense.b[0]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from seqcast.lstm_core import (
 from seqcast.rng import make_rng
 
 from lstm_oracle import LstmState, gate, lstm_cell_forward
+from lstm_oracle import network_forward as oracle_network_forward
 
 
 def zero_layer(hidden, inputs):
@@ -122,10 +125,11 @@ def test_gate_ranges_and_hidden_bound():
     layer = random_layer(4, 1, seed=11, scale=1.5)
     seq = make_rng(12).normal(size=(5, 20, 1)) * 2.0
     out, cache = lstm_layer_forward(layer, seq)
-    for arr in (cache.f, cache.i, cache.o):
+    f, i, candidate, o = np.split(cache.g, 4, axis=1)
+    for arr in (f, i, o):
         assert np.all(arr > 0.0) and np.all(arr < 1.0)
-    assert np.all(np.abs(cache.candidate) < 1.0)
-    assert np.all(np.abs(cache.h) < 1.0)
+    assert np.all(np.abs(candidate) < 1.0)
+    assert np.all(np.abs(out) < 1.0)
 
 
 def test_cell_state_growth_bound():
@@ -342,3 +346,71 @@ def test_writing_a_block_writes_flat():
         np.testing.assert_array_equal(params.flat[offset : offset + arr.size], -7.0)
         offset += arr.size
     assert offset == params.flat.size
+
+
+def test_backward_refuses_a_consumed_cache():
+    cfg = NetworkConfig(layer_units=(3, 2), dropout_rates=(0.2, 0.0), seed=10)
+    params = init_params(cfg)
+    batch = make_rng(26).normal(size=(2, 4, 1))
+    _, cache = network_forward(params, cfg, batch, mode="train", rng=make_rng(27))
+    network_backward(params, cfg, cache, np.ones((2, 1)))
+    assert cache.consumed
+    with pytest.raises(StaleCacheError):
+        network_backward(params, cfg, cache, np.ones((2, 1)))
+
+
+# -------------------------------------------------------------------- kernel
+
+ORACLE_CFG = NetworkConfig(layer_units=(5, 3, 4), dropout_rates=(0.2, 0.3, 0.4), seed=31)
+
+
+@pytest.mark.parametrize("batch_size", [1, 5])
+@pytest.mark.parametrize("steps", [1, 9])
+def test_forward_matches_oracle_in_both_modes(batch_size, steps):
+    params = init_params(ORACLE_CFG)
+    params.flat[...] += make_rng(32).normal(scale=0.3, size=params.flat.size)
+    batch = make_rng(33).normal(size=(batch_size, steps, 1))
+
+    pred, _ = network_forward(params, ORACLE_CFG, batch, mode="inference")
+    np.testing.assert_allclose(
+        pred[:, 0], oracle_network_forward(params, ORACLE_CFG, batch), rtol=1e-12, atol=1e-15
+    )
+    # same seed on both sides: equal predictions need equal dropout masks
+    pred, _ = network_forward(params, ORACLE_CFG, batch, mode="train", rng=make_rng(34))
+    expected = oracle_network_forward(params, ORACLE_CFG, batch, rng=make_rng(34))
+    np.testing.assert_allclose(pred[:, 0], expected, rtol=1e-12, atol=1e-15)
+
+
+def test_saturated_gates_are_exact_and_silent():
+    layer = zero_layer(3, 1)
+    for name, value in zip("fico", (1e3, -1e3, 1e3, 1e3)):
+        gate(layer, name)[1][:] = value
+    seq = make_rng(35).normal(size=(2, 4, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, cache = lstm_layer_forward(layer, seq)
+    f, i, candidate, o = np.split(cache.g, 4, axis=1)
+    np.testing.assert_array_equal(f, 1.0)
+    np.testing.assert_array_equal(i, 0.0)
+    np.testing.assert_array_equal(o, 1.0)
+    np.testing.assert_array_equal(candidate, 1.0)
+    np.testing.assert_array_equal(out, 0.0)  # c stays 0: the input gate is shut
+
+
+def _forward_peak_bytes(params, cfg, batch, mode):
+    tracemalloc.start()
+    try:
+        network_forward(params, cfg, batch, mode=mode, rng=make_rng(0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_forward_keeps_no_bptt_cache():
+    cfg = NetworkConfig(layer_units=(16, 24, 32), dropout_rates=(0.1, 0.1, 0.1), seed=3)
+    params = init_params(cfg)
+    steps, batch_size = 40, 64
+    batch = make_rng(36).normal(size=(batch_size, steps, 1))
+    gate_buffer = steps * batch_size * 4 * cfg.layer_units[0] * 8  # bytes, smallest layer
+    assert _forward_peak_bytes(params, cfg, batch, "inference") < gate_buffer
+    assert _forward_peak_bytes(params, cfg, batch, "train") > gate_buffer

@@ -216,6 +216,18 @@ def test_train_deterministic_for_seed():
         np.testing.assert_array_equal(a, b)
 
 
+def test_train_leaves_callers_params_alone():
+    ds = tiny_dataset(n=40)
+    cfg = NetworkConfig(layer_units=(3,), dropout_rates=(0.2,), seed=6)
+    p = init_params(cfg)
+    before = p.flat.copy()
+    out, _ = train(p, cfg, ds, TrainConfig(epochs=1, shuffle_seed=3))
+    assert out is not p
+    assert not np.shares_memory(out.flat, p.flat)
+    np.testing.assert_array_equal(p.flat, before)
+    assert not np.array_equal(out.flat, before)
+
+
 def test_train_epoch_covers_every_sample_once(monkeypatch):
     ds = tiny_dataset(n=50)
     cfg = NetworkConfig(layer_units=(2,), dropout_rates=(0.0,), seed=7)
