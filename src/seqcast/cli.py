@@ -36,6 +36,7 @@ from .lstm_core import (
 )
 from .market_data import (
     PriceSeries,
+    SplitResult,
     chronological_split,
     drop_missing,
     fetch_remote,
@@ -48,6 +49,10 @@ from .training import EpochLog, TrainConfig, finite_diff_gradcheck, train
 
 DATA_DIR_ENV = "SEQCAST_DATA_DIR"
 SMA_WINDOWS = (100, 200)
+
+
+class RunConfigError(ValueError):
+    """Run configuration fields contradict each other."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,10 @@ class RunConfig:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
         object.__setattr__(self, "dropout_rates", tuple(float(r) for r in self.dropout_rates))
+        if self.data_path and len(self.symbols) > 1:
+            raise RunConfigError(
+                f"data file {self.data_path} holds one series; got {len(self.symbols)} symbols"
+            )
 
     def network_config(self) -> NetworkConfig:
         return NetworkConfig(
@@ -187,12 +196,15 @@ def _open_log(log_out: str | None):
     return open(log_out, "w", encoding="utf-8") if log_out else contextlib.nullcontext()
 
 
+def _load_split(cfg: RunConfig, symbol: str) -> SplitResult:
+    """The symbol's cleaned series, split chronologically into train and test."""
+    cleaned, _ = drop_missing(load_series(cfg, symbol))
+    return chronological_split(cleaned, cfg.split_ratio)
+
+
 def _train_one(
-    cfg: RunConfig, symbol: str, stdout, log_file
+    cfg: RunConfig, symbol: str, split: SplitResult, stdout, log_file
 ) -> tuple[Checkpoint, list[EpochLog]]:
-    series = load_series(cfg, symbol)
-    cleaned, dropped = drop_missing(series)
-    split = chronological_split(cleaned, cfg.split_ratio)
     train_close = split.train.closes(adjusted=cfg.use_adj_close)
     scaler = fit_scaler(train_close)
     dataset = make_windows(transform(scaler, train_close), cfg.window)
@@ -225,14 +237,16 @@ def _train_one(
 def cmd_train(cfg: RunConfig, stdout=sys.stdout, log_out: str | None = None) -> int:
     with _open_log(log_out) as log_file:
         for symbol in cfg.symbols:
-            ckpt, _ = _train_one(cfg, symbol, stdout, log_file)
+            ckpt, _ = _train_one(cfg, symbol, _load_split(cfg, symbol), stdout, log_file)
             path = _out_path(cfg, symbol, ".ckpt.json")
             save_checkpoint(path, ckpt)
             print(f"symbol={symbol} checkpoint={path}", file=stdout)
     return 0
 
 
-def _evaluate_one(cfg: RunConfig, symbol: str, ckpt: Checkpoint, stdout) -> dict:
+def _evaluate_one(
+    cfg: RunConfig, symbol: str, ckpt: Checkpoint, split: SplitResult, stdout
+) -> dict:
     if ckpt.window != cfg.window:
         raise CheckpointError(
             f"checkpoint window {ckpt.window} does not match config window {cfg.window}"
@@ -241,9 +255,6 @@ def _evaluate_one(cfg: RunConfig, symbol: str, ckpt: Checkpoint, stdout) -> dict
         raise CheckpointError(
             f"checkpoint was trained on {ckpt.symbol}, refusing to score {symbol} with it"
         )
-    series = load_series(cfg, symbol)
-    cleaned, _ = drop_missing(series)
-    split = chronological_split(cleaned, cfg.split_ratio)
     scaled_train = transform(ckpt.scaler, split.train.closes(adjusted=cfg.use_adj_close))
     scaled_test = transform(ckpt.scaler, split.test.closes(adjusted=cfg.use_adj_close))
     windows = bridge_test_windows(
@@ -285,7 +296,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path: str | None = None, stdout=sys.
             print(f"error: checkpoint not found: {path}", file=sys.stderr)
             return 1
         ckpt = load_checkpoint(path)
-        _evaluate_one(cfg, symbol, ckpt, stdout)
+        _evaluate_one(cfg, symbol, ckpt, _load_split(cfg, symbol), stdout)
     return 0
 
 
@@ -296,9 +307,10 @@ def cmd_sweep(cfg: RunConfig, stdout=sys.stdout, log_out: str | None = None) -> 
     with _open_log(log_out) as log_file:
         for symbol in cfg.symbols:
             try:
-                ckpt, _ = _train_one(cfg, symbol, stdout, log_file)
+                split = _load_split(cfg, symbol)
+                ckpt, _ = _train_one(cfg, symbol, split, stdout, log_file)
                 save_checkpoint(_out_path(cfg, symbol, ".ckpt.json"), ckpt)
-                rows.append(_evaluate_one(cfg, symbol, ckpt, stdout))
+                rows.append(_evaluate_one(cfg, symbol, ckpt, split, stdout))
             except Exception as exc:  # isolate per-symbol failures
                 failures[symbol] = str(exc)
                 print(f"symbol={symbol} FAILED: {exc}", file=sys.stderr)

@@ -32,9 +32,29 @@ c [T+1, hidden, B] (c[0] = 0) and tanh(c_t). An inference forward keeps no
 BPTT cache: two-deep rolling z and c buffers, one gate buffer, and only
 the hidden sequence the next layer reads.
 
-The BPTT cache is single use: backward writes the gate gradients over the
-cached gates, so network_backward marks the cache consumed and refuses it
-a second time with StaleCacheError.
+Backward keeps only the recurrent work in its time loop: the gate
+gradients, written over the cached gates, and dh = W_h^T da. After the
+loop it copies da and z into gate-major G [4*hidden, T*B] and
+Z [hidden+input, T*B], and takes dW = G Z^T and dX = W_x^T G as one GEMM
+each and db as the row sums of G.
+
+Buffer lifetime: a train-mode forward takes z, g, c and tanh_c from a
+module-private pool of float64 buffers keyed by shape, and backward takes
+its scratch from it too: one flat buffer for the loop temporaries and
+G and Z, and one for the input gradient. network_backward then gives the
+cache's buffers and its scratch back to the pool and drops every array the
+cache held, so a steady training step allocates almost nothing. The cache
+is single use: a consumed cache keeps only batch_size, seq_len and the
+consumed flag, and a second backward on it raises StaleCacheError.
+Recycled buffers are not cleared, so the kernel writes every element
+before it reads it. A forward whose cache is dropped without a backward
+leaves its buffers to the garbage collector. Inference never uses the pool.
+
+The pool keeps, per shape, as many buffers as were live at once, for the
+life of the process: after training at the paper config (B = 32, T = 100)
+about 80 MB for the full batches plus 35 MB for a short last batch of 14.
+Taking and giving back are single list operations, so threads never share
+a buffer.
 
 Layer stacking: every layer but the last feeds its full hidden sequence
 to the next layer; the last layer emits only its final hidden state,
@@ -77,6 +97,26 @@ class StaleCacheError(ValueError):
 
 DEFAULT_LAYER_UNITS = (50, 60, 80, 120)
 DEFAULT_DROPOUT_RATES = (0.2, 0.3, 0.4, 0.5)
+
+
+# Recycled BPTT buffers by shape (see the module docstring). A buffer in
+# the pool belongs to no one: _take hands it to one caller, and only
+# network_backward gives buffers back, once their cache is consumed.
+_POOL: dict[tuple[int, ...], list[np.ndarray]] = {}
+
+
+def _take(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 buffer of `shape`: a recycled one when the pool has it."""
+    try:
+        return _POOL[shape].pop()
+    except (KeyError, IndexError):
+        return np.empty(shape)
+
+
+def _recycle(buffers) -> None:
+    """Give buffers back to the pool; no reference to them may remain in use."""
+    for buf in buffers:
+        _POOL.setdefault(buf.shape, []).append(buf)
 
 
 def _sigmoid_(x: np.ndarray) -> None:
@@ -171,8 +211,8 @@ class NetworkCache:
     seq_len: int
     layer_caches: list[LayerCache]
     dropout_masks: list[np.ndarray | None]  # mask on each layer's output, None = identity
-    final_hidden: np.ndarray  # [B, hidden_last] after dropout; input to the dense head
-    consumed: bool = False  # set by network_backward, which overwrites the gates
+    final_hidden: np.ndarray | None  # [B, hidden_last] after dropout; input to the dense head
+    consumed: bool = False  # set by network_backward, which recycles the buffers
 
 
 def _bind(flat: np.ndarray, sizes: list[tuple[int, int]]) -> NetworkParams:
@@ -269,10 +309,11 @@ def _layer_forward(
     T, _, B = x.shape
     hid = params.hidden_size
     depth = T + 1 if keep else 2  # z and c slots; step t reads slot t, writes t + 1
-    z = np.empty((depth, hid + params.input_size, B))
-    c = np.empty((depth, hid, B))
-    g = np.empty((T if keep else 1, 4 * hid, B))
-    tanh_c = np.empty((len(g), hid, B))
+    alloc = _take if keep else np.empty
+    z = alloc((depth, hid + params.input_size, B))
+    c = alloc((depth, hid, B))
+    g = alloc((T if keep else 1, 4 * hid, B))
+    tanh_c = alloc((len(g), hid, B))
     z[0, :hid] = 0.0
     c[0] = 0.0
     h = np.empty((T, hid, B)) if sequence and not keep else None
@@ -412,25 +453,29 @@ def _layer_backward(
     cache: LayerCache,
     d_hidden: np.ndarray,
     grads: LstmLayerParams,
-    inputs: bool,
+    work: np.ndarray,
+    d_inputs: np.ndarray | None,
 ) -> np.ndarray | None:
     """BPTT through one layer, overwriting cache.g with the gate gradients.
 
     d_hidden is the loss gradient flowing into the layer's hidden outputs:
     [T, hidden, B] for a whole-sequence consumer, or [hidden, B] into the
-    final step only. Accumulates the layer's parameter gradients into the
-    zeroed `grads`; returns the gradient w.r.t. the input sequence,
-    [T, in, B], when `inputs` is set, else None.
+    final step only. Writes the layer's parameter gradients into `grads`.
+    `work` is flat scratch of at least (5*hidden + input) * T * B floats.
+    When `d_inputs`, flat scratch of at least input * T * B floats apart
+    from `work`, is given, returns the gradient w.r.t. the input sequence
+    as a [T, in, B] view of it; else None. d_hidden may live in d_inputs:
+    the loop reads it before dX is written.
     """
     z, g, c, tanh_c = cache.z, cache.g, cache.c, cache.tanh_c
-    T, _, B = g.shape
+    T, rows, B = g.shape
+    width = z.shape[1]
     hid = params.hidden_size
     w_h = params.w[:, :hid].T  # [hidden, 4*hidden]: recurrent part of dz = w.T @ da
     sequence = d_hidden.ndim == 3
-    dh = np.zeros((hid, B)) if sequence else np.array(d_hidden, order="C")
-    dc = np.zeros((hid, B))
-    t1, t2, t3 = np.empty((3, hid, B))
-    dw = np.empty_like(grads.w)
+    dh, dc, t1, t2, t3 = work[: 5 * hid * B].reshape(5, hid, B)
+    dh[...] = 0.0 if sequence else d_hidden
+    dc[...] = 0.0
 
     for t in reversed(range(T)):
         gt, tc = g[t], tanh_c[t]
@@ -464,13 +509,23 @@ def _layer_backward(
         np.subtract(1.0, cand, out=cand)
         cand *= t3
         # gt now holds da_t
-        np.matmul(gt, z[t].T, out=dw)
-        grads.w += dw
         if t:
             np.matmul(w_h, gt, out=dh)
 
-    np.sum(g, axis=(0, 2), out=grads.b)
-    return np.matmul(params.w[:, hid:].T, g) if inputs else None
+    # Everything left is time-independent: one whole-layer product each over
+    # gate-major copies G [4*hidden, T*B] of da and Z [hidden+input, T*B] of z.
+    cols = T * B
+    gm = work[: rows * cols].reshape(rows, cols)
+    zm = work[rows * cols : (rows + width) * cols].reshape(width, cols)
+    np.copyto(gm.reshape(rows, T, B), g.transpose(1, 0, 2))
+    np.copyto(zm.reshape(width, T, B), z[:T].transpose(1, 0, 2))
+    np.matmul(gm, zm.T, out=grads.w)
+    np.sum(gm, axis=1, out=grads.b)
+    if d_inputs is None:
+        return None
+    dx = d_inputs[: (width - hid) * cols].reshape(width - hid, cols)
+    np.matmul(params.w[:, hid:].T, gm, out=dx)
+    return dx.reshape(width - hid, T, B).transpose(1, 0, 2)
 
 
 def network_backward(
@@ -484,11 +539,13 @@ def network_backward(
     d_predictions is the loss gradient at the network output ([B, 1] or [B]),
     e.g. training.mse_grad; the cache must come from a train-mode forward on
     the same batch so the dropout masks are reused exactly. The cache is
-    consumed: its gates are overwritten, and a second backward on it raises
-    StaleCacheError.
+    consumed: its buffers go back to the pool, it keeps no arrays, and a
+    second backward on it raises StaleCacheError.
     """
     if cache is None:
         raise StaleCacheError("backward needs the cache from a train-mode forward")
+    if cache.consumed:
+        raise StaleCacheError("cache already used by a backward pass, which recycled its buffers")
     if len(cache.layer_caches) != len(params.layers):
         raise StaleCacheError(
             f"cache has {len(cache.layer_caches)} layers, params have {len(params.layers)}"
@@ -498,8 +555,6 @@ def network_backward(
         raise StaleCacheError(
             f"gradient batch {d_pred.shape[0]} does not match cache batch {cache.batch_size}"
         )
-    if cache.consumed:
-        raise StaleCacheError("cache already used by a backward pass, which overwrote its gates")
     cache.consumed = True
 
     grads = zeros_like_params(params)
@@ -510,14 +565,24 @@ def network_backward(
         d_out *= cache.dropout_masks[-1]
 
     d_hidden = d_out.T  # feature-major from here on
+    sizes = _param_sizes(params)
+    cells = cache.seq_len * cache.batch_size
+    work = _take((max(5 * hid + inp for hid, inp in sizes) * cells,))
+    d_inputs = _take((max((inp for _, inp in sizes[1:]), default=0) * cells,))
     for idx in reversed(range(len(params.layers))):
-        d_inputs = _layer_backward(
-            params.layers[idx], cache.layer_caches[idx], d_hidden, grads.layers[idx], idx > 0
+        d_hidden = _layer_backward(
+            params.layers[idx],
+            cache.layer_caches[idx],
+            d_hidden,
+            grads.layers[idx],
+            work,
+            d_inputs if idx else None,
         )
-        if idx > 0:
-            mask = cache.dropout_masks[idx - 1]
-            if mask is not None:
-                d_inputs *= mask.transpose(0, 2, 1)
-            d_hidden = d_inputs
+        mask = cache.dropout_masks[idx - 1] if idx else None
+        if mask is not None:
+            d_hidden *= mask.transpose(0, 2, 1)
 
+    _recycle([work, d_inputs])
+    _recycle(a for lc in cache.layer_caches for a in (lc.z, lc.g, lc.c, lc.tanh_c))
+    cache.layer_caches, cache.dropout_masks, cache.final_hidden = [], [], None
     return grads

@@ -2,9 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import seqcast
+import seqcast.cli as cli_module
 from seqcast.cli import DATA_DIR_ENV, main
 
 TINY = ["--units", "4", "--window", "5", "--epochs", "1"]
@@ -45,3 +51,40 @@ def test_log_out_keeps_every_symbol(tmp_path, monkeypatch, command):
     lines = _log_lines(log)
     assert [(line["symbol"], line["epoch"]) for line in lines] == [("VNQ", 1), ("VGT", 1)]
     assert all(math.isfinite(line["loss"]) for line in lines)
+
+
+def test_sweep_parses_each_symbol_once(tmp_path, monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    parsed = []
+    original = cli_module.parse_csv
+
+    def counting(text, symbol=""):
+        parsed.append(symbol)
+        return original(text, symbol)
+
+    monkeypatch.setattr(cli_module, "parse_csv", counting)
+    assert main(TINY + ["--symbols", "VNQ,VGT", "--out-dir", str(tmp_path), "sweep"]) == 0
+    assert parsed == ["VNQ", "VGT"]
+
+
+def test_data_file_refuses_several_symbols(tmp_path, capsys):
+    data = tmp_path / "prices.csv"
+    data.write_text("date,close\n2020-01-02,1.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = TINY + ["--symbols", "VNQ,VGT", "--data", str(data), "--out-dir", str(out)]
+    assert main(argv + ["train"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2 symbols" in err
+    assert not out.exists()
+
+
+def test_module_runs_gradcheck_without_installing():
+    src = str(Path(seqcast.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["--units", "4", "gradcheck", "--probes", "20", "--tolerance", "1e-3"]
+    done = subprocess.run(
+        [sys.executable, "-m", "seqcast", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("max_relative_error=")

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from seqcast import lstm_core
 from seqcast.lstm_core import (
     BadRateError,
     EmptySequenceError,
@@ -355,7 +356,7 @@ def test_backward_refuses_a_consumed_cache():
     _, cache = network_forward(params, cfg, batch, mode="train", rng=make_rng(27))
     network_backward(params, cfg, cache, np.ones((2, 1)))
     assert cache.consumed
-    with pytest.raises(StaleCacheError):
+    with pytest.raises(StaleCacheError, match="already used"):
         network_backward(params, cfg, cache, np.ones((2, 1)))
 
 
@@ -414,3 +415,93 @@ def test_inference_forward_keeps_no_bptt_cache():
     gate_buffer = steps * batch_size * 4 * cfg.layer_units[0] * 8  # bytes, smallest layer
     assert _forward_peak_bytes(params, cfg, batch, "inference") < gate_buffer
     assert _forward_peak_bytes(params, cfg, batch, "train") > gate_buffer
+
+
+# ------------------------------------------------------------- buffer pool
+
+
+@pytest.fixture
+def cold_pool(monkeypatch):
+    """An empty buffer pool of the test's own, so earlier tests cannot warm it."""
+    pool: dict = {}
+    monkeypatch.setattr(lstm_core, "_POOL", pool)
+    return pool
+
+
+def _poison(pool):
+    """Fill every pooled buffer with NaN: a value read before it is written shows."""
+    for buffers in pool.values():
+        for buf in buffers:
+            buf.fill(np.nan)
+
+
+def _step(params, cfg, batch, seed):
+    pred, cache = network_forward(params, cfg, batch, mode="train", rng=make_rng(seed))
+    d_pred = make_rng(seed + 1).normal(size=pred.shape)
+    return pred, network_backward(params, cfg, cache, d_pred).flat
+
+
+def _cache_buffers(cache):
+    return [a for lc in cache.layer_caches for a in (lc.z, lc.g, lc.c, lc.tanh_c)]
+
+
+def test_warm_pool_gives_bitwise_equal_gradients(cold_pool):
+    params = init_params(ORACLE_CFG)
+    batch = make_rng(40).normal(size=(3, 7, 1))
+    runs = []
+    for _ in range(3):
+        runs.append(_step(params, ORACLE_CFG, batch, seed=41))
+        assert cold_pool
+        _poison(cold_pool)
+    for pred, grads in runs[1:]:
+        np.testing.assert_array_equal(pred, runs[0][0])
+        np.testing.assert_array_equal(grads, runs[0][1])
+
+
+def test_consumed_cache_keeps_no_buffers(cold_pool):
+    params = init_params(ORACLE_CFG)
+    batch = make_rng(42).normal(size=(3, 5, 1))
+    _, cache = network_forward(params, ORACLE_CFG, batch, mode="train", rng=make_rng(43))
+    consumed = _cache_buffers(cache)
+    network_backward(params, ORACLE_CFG, cache, np.ones((3, 1)))
+    # no array left, so nothing the consumed cache holds can alias a later forward's
+    assert (cache.layer_caches, cache.dropout_masks, cache.final_hidden) == ([], [], None)
+
+    _, nxt = network_forward(params, ORACLE_CFG, batch, mode="train", rng=make_rng(43))
+    assert all(any(a is b for b in consumed) for a in _cache_buffers(nxt))  # recycled
+
+
+def test_mixed_shapes_on_one_pool_match_a_cold_pool(cold_pool, monkeypatch):
+    # (8, 8): both layers ask for g, c and tanh_c of the same shape
+    cfg = NetworkConfig(layer_units=(8, 8), dropout_rates=(0.3, 0.2), seed=44)
+    params = init_params(cfg)
+    cases = [(4, 6), (3, 6), (4, 1)]  # (batch, steps): full, short last batch, T = 1
+    batches = {case: make_rng(45).normal(size=case + (1,)) for case in cases}
+    expected = {}
+    for case in cases:
+        monkeypatch.setattr(lstm_core, "_POOL", {})
+        expected[case] = _step(params, cfg, batches[case], seed=46)
+    monkeypatch.setattr(lstm_core, "_POOL", cold_pool)
+
+    # a forward whose cache is dropped without a backward takes buffers it never returns
+    network_forward(params, cfg, batches[cases[0]], mode="train", rng=make_rng(47))
+    for case in cases + cases[::-1]:
+        pred, grads = _step(params, cfg, batches[case], seed=46)
+        np.testing.assert_array_equal(pred, expected[case][0])
+        np.testing.assert_array_equal(grads, expected[case][1])
+        _poison(cold_pool)
+
+
+def test_warm_step_allocates_under_half_the_first(cold_pool):
+    cfg = NetworkConfig(layer_units=(16, 24), dropout_rates=(0.2, 0.2), seed=48)
+    params = init_params(cfg)
+    batch = make_rng(49).normal(size=(16, 30, 1))
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            _step(params, cfg, batch, seed=50)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] / 2

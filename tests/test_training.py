@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import seqcast
 import seqcast.training as training_module
 from seqcast.lstm_core import (
     NetworkConfig,
@@ -202,18 +209,46 @@ def test_train_logs_and_batch_count(monkeypatch):
     assert len(calls) == 5 * 3
 
 
-def test_train_deterministic_for_seed():
-    ds = tiny_dataset()
-    cfg = NetworkConfig(layer_units=(3,), dropout_rates=(0.2,), seed=6)
+# Trains the tiny_dataset() run of test_train_deterministic_for_seed in a
+# fresh interpreter, whose buffer pool starts empty; prints losses and flat.
+_FRESH_PROCESS_RUN = """
+import json, sys
+import numpy as np
+from seqcast.lstm_core import NetworkConfig, init_params
+from seqcast.preprocess import WindowedDataset
+from seqcast.training import TrainConfig, train
+data = np.load(sys.argv[1])
+ds = WindowedDataset(inputs=data["inputs"], targets=data["targets"], window=6)
+cfg = NetworkConfig(layer_units=(3, 4), dropout_rates=(0.2, 0.1), seed=6)
+params, logs = train(init_params(cfg), cfg, ds, TrainConfig(epochs=3, shuffle_seed=11))
+print(json.dumps({"losses": [log.loss for log in logs], "flat": params.flat.tobytes().hex()}))
+"""
+
+
+def test_train_deterministic_for_seed(tmp_path):
+    ds = tiny_dataset()  # 80 samples: two batches of 32 and a short one of 16
+    cfg = NetworkConfig(layer_units=(3, 4), dropout_rates=(0.2, 0.1), seed=6)
     runs = []
     for _ in range(2):
         params, logs = train(
             init_params(cfg), cfg, ds, TrainConfig(epochs=3, shuffle_seed=11)
         )
-        runs.append((params, [log.loss for log in logs]))
-    assert runs[0][1] == runs[1][1]
-    for (_, a), (_, b) in zip(param_blocks(runs[0][0]), param_blocks(runs[1][0])):
-        np.testing.assert_array_equal(a, b)
+        runs.append(([log.loss for log in logs], params.flat))
+
+    data = tmp_path / "data.npz"
+    np.savez(data, inputs=ds.inputs, targets=ds.targets)
+    src = str(Path(seqcast.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS_RUN, str(data)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    fresh = json.loads(done.stdout)
+    runs.append((fresh["losses"], np.frombuffer(bytes.fromhex(fresh["flat"]))))
+
+    for losses, flat in runs[1:]:
+        assert losses == runs[0][0]
+        np.testing.assert_array_equal(flat, runs[0][1])
 
 
 def test_train_leaves_callers_params_alone():
