@@ -1,101 +1,3 @@
 """seqcast: daily close-price forecasting with a from-scratch stacked LSTM."""
 
-from .market_data import (
-    OhlcvBar,
-    PriceSeries,
-    SplitResult,
-    chronological_split,
-    drop_missing,
-    fetch_remote,
-    parse_csv,
-    serialize_csv,
-    sma,
-)
-from .preprocess import (
-    ScalerParams,
-    WindowedDataset,
-    bridge_test_windows,
-    fit_scaler,
-    inverse_transform,
-    make_windows,
-    transform,
-)
-from .lstm_core import (
-    NetworkConfig,
-    NetworkParams,
-    count_params,
-    init_params,
-    network_backward,
-    network_forward,
-)
-from .training import (
-    AdamState,
-    EpochLog,
-    PredictionSet,
-    TrainConfig,
-    adam_step,
-    finite_diff_gradcheck,
-    init_adam,
-    mse_grad,
-    mse_loss,
-    train,
-)
-from .evaluate import (
-    MetricsReport,
-    compute_metrics,
-    explained_variance,
-    mae,
-    mape,
-    predict_series,
-    r_squared,
-    rmse,
-)
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamState",
-    "Checkpoint",
-    "EpochLog",
-    "MetricsReport",
-    "NetworkConfig",
-    "NetworkParams",
-    "OhlcvBar",
-    "PredictionSet",
-    "PriceSeries",
-    "ScalerParams",
-    "SplitResult",
-    "TrainConfig",
-    "WindowedDataset",
-    "adam_step",
-    "bridge_test_windows",
-    "chronological_split",
-    "compute_metrics",
-    "count_params",
-    "drop_missing",
-    "explained_variance",
-    "fetch_remote",
-    "finite_diff_gradcheck",
-    "fit_scaler",
-    "init_adam",
-    "init_params",
-    "inverse_transform",
-    "load_checkpoint",
-    "mae",
-    "make_windows",
-    "mape",
-    "mse_grad",
-    "mse_loss",
-    "network_backward",
-    "network_forward",
-    "parse_csv",
-    "predict_series",
-    "r_squared",
-    "rmse",
-    "save_checkpoint",
-    "serialize_csv",
-    "sma",
-    "train",
-    "transform",
-]

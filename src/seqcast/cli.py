@@ -81,6 +81,8 @@ class RunConfig:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
         object.__setattr__(self, "dropout_rates", tuple(float(r) for r in self.dropout_rates))
+        if not self.symbols:
+            raise RunConfigError("no symbols to run")
         if self.data_path and len(self.symbols) > 1:
             raise RunConfigError(
                 f"data file {self.data_path} holds one series; got {len(self.symbols)} symbols"
@@ -104,14 +106,6 @@ class RunConfig:
         )
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    doc = asdict(cfg)
-    doc["symbols"] = list(cfg.symbols)
-    doc["layer_units"] = list(cfg.layer_units)
-    doc["dropout_rates"] = list(cfg.dropout_rates)
-    return doc
-
-
 def config_from_dict(doc: dict) -> RunConfig:
     known = {f for f in RunConfig.__dataclass_fields__}
     unknown = set(doc) - known
@@ -124,12 +118,8 @@ def load_config_file(path: str | Path) -> RunConfig:
     return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def dump_config(cfg: RunConfig) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n"
-
-
 def config_hash(cfg: RunConfig) -> str:
-    canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:8]
 
 
@@ -365,31 +355,54 @@ def cmd_gradcheck(
     return 0
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(u) for u in text.split(","))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(r) for r in text.split(","))
+
+
+def _symbols(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# Each value flag once: flag, the RunConfig field it sets, the parser that
+# build_run_config applies to its text, and its help.
+_VALUE_FLAGS = (
+    ("--symbols", "symbols", _symbols, "comma-separated tickers"),
+    ("--data", "data_path", str, "explicit CSV file (single-symbol runs)"),
+    ("--endpoint", "endpoint", str, "HTTP CSV template with {symbol}/{start}/{end}"),
+    ("--start", "start", str, "first date, YYYY-MM-DD"),
+    ("--end", "end", str, "last date, YYYY-MM-DD"),
+    ("--split-ratio", "split_ratio", float, "share of the series used for training"),
+    ("--window", "window", int, "input days per sample"),
+    (
+        "--units",
+        "layer_units",
+        _ints,
+        "comma-separated LSTM layer sizes "
+        "(dropout resets to 0 when the layer count changes, unless --dropout given)",
+    ),
+    ("--dropout", "dropout_rates", _floats, "comma-separated dropout rates"),
+    ("--epochs", "epochs", int, "training epochs"),
+    ("--batch-size", "batch_size", int, "training batch size"),
+    ("--learning-rate", "learning_rate", float, "Adam learning rate"),
+    ("--seed", "seed", int, "seed of the weights, shuffles and dropout masks"),
+    ("--out-dir", "out_dir", str, "directory for every output file"),
+)
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="seqcast", description="close-price forecasting pipeline"
     )
     parser.add_argument("--config", help="JSON run config file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out-dir")
-    parser.add_argument("--endpoint", help="HTTP CSV template with {symbol}/{start}/{end}")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--window", type=int)
     parser.add_argument(
         "--log-out", help="also write every symbol's training log to one JSON-lines file"
     )
-    parser.add_argument("--symbols", help="comma-separated tickers")
-    parser.add_argument("--data", help="explicit CSV file (single-symbol runs)")
-    parser.add_argument("--start")
-    parser.add_argument("--end")
-    parser.add_argument("--split-ratio", type=float)
-    parser.add_argument(
-        "--units",
-        help="comma-separated LSTM layer sizes (dropout resets to 0 unless --dropout given)",
-    )
-    parser.add_argument("--dropout", help="comma-separated dropout rates")
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--learning-rate", type=float)
+    for flag, field, _, help_text in _VALUE_FLAGS:
+        parser.add_argument(flag, dest=field, help=help_text)
     parser.add_argument("--use-adj-close", action="store_true", default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -408,36 +421,16 @@ def _parse_args(argv):
 
 
 def build_run_config(args) -> RunConfig:
+    """The --config file's values, or the defaults, overridden by the given flags."""
     cfg = load_config_file(args.config) if args.config else RunConfig()
     overrides: dict = {}
-    if args.symbols is not None:
-        overrides["symbols"] = tuple(s.strip() for s in args.symbols.split(",") if s.strip())
-    if args.data is not None:
-        overrides["data_path"] = args.data
-    if args.endpoint is not None:
-        overrides["endpoint"] = args.endpoint
-    if args.start is not None:
-        overrides["start"] = args.start
-    if args.end is not None:
-        overrides["end"] = args.end
-    if args.split_ratio is not None:
-        overrides["split_ratio"] = args.split_ratio
-    if args.window is not None:
-        overrides["window"] = args.window
-    if getattr(args, "units", None) is not None:
-        overrides["layer_units"] = tuple(int(u) for u in args.units.split(","))
-    if args.dropout is not None:
-        overrides["dropout_rates"] = tuple(float(r) for r in args.dropout.split(","))
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.learning_rate is not None:
-        overrides["learning_rate"] = args.learning_rate
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
+    for flag, field, parse, _ in _VALUE_FLAGS:
+        text = getattr(args, field)
+        if text is not None:
+            try:
+                overrides[field] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{flag} {text}: {exc}") from None
     if args.use_adj_close is not None:
         overrides["use_adj_close"] = args.use_adj_close
     if overrides:

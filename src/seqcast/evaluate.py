@@ -8,7 +8,7 @@ percentages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 
 import numpy as np
@@ -102,17 +102,7 @@ def compute_metrics(p: PredictionSet, mape_threshold: float = 1e-8) -> MetricsRe
 
 def report_as_dict(report: MetricsReport, symbol: str, window: int, config_hash: str) -> dict:
     """JSON-ready report: the six metric fields plus run identity."""
-    return {
-        "symbol": symbol,
-        "window": window,
-        "config_hash": config_hash,
-        "rmse": report.rmse,
-        "mae": report.mae,
-        "r_squared": report.r_squared,
-        "mape": report.mape,
-        "explained_variance": report.explained_variance,
-        "mape_excluded_count": report.mape_excluded_count,
-    }
+    return {"symbol": symbol, "window": window, "config_hash": config_hash, **asdict(report)}
 
 
 def predict_series(

@@ -61,8 +61,9 @@ to the next layer; the last layer emits only its final hidden state,
 which the dense head maps to one scalar. Dropout (inverted: survivors
 scaled by 1/(1-rate) at train time, identity at inference) is applied
 to each layer's output, including the last hidden state before the head.
-Masks are drawn batch-major, [T, B, hidden] per layer and [B, hidden] for
-the last state, in layer order.
+network_forward draws each mask itself, from the rng it is given:
+batch-major, [T, B, hidden] per layer and [B, hidden] for the last
+state, in layer order. NetworkConfig has already checked the rates.
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ class ShapeMismatchError(ValueError):
 
 class EmptySequenceError(ValueError):
     """Forward pass needs at least one timestep."""
-
-
-class BadRateError(ValueError):
-    """Dropout rate outside [0, 1)."""
 
 
 class StaleCacheError(ValueError):
@@ -345,49 +342,6 @@ def _layer_forward(
     return (h if sequence else z[T % 2, :hid]), None
 
 
-def lstm_layer_forward(
-    params: LstmLayerParams, sequence, return_sequences: bool = True
-) -> tuple[np.ndarray, LayerCache]:
-    """Unroll one layer left to right from zero initial state.
-
-    sequence is [T, in] or [B, T, in]; output is all hidden states when
-    return_sequences is set, else the final hidden state only.
-    """
-    arr = np.asarray(sequence, dtype=np.float64)
-    single = arr.ndim == 2
-    if single:
-        arr = arr[np.newaxis]
-    if arr.ndim != 3 or arr.shape[2] != params.input_size:
-        raise ShapeMismatchError(
-            f"expected [B, T, {params.input_size}] sequence, got shape {arr.shape}"
-        )
-    if arr.shape[1] == 0:
-        raise EmptySequenceError("sequence has zero timesteps")
-
-    x = arr.transpose(1, 2, 0)  # feature-major [T, in, B]
-    h, cache = _layer_forward(params, x, keep=True, sequence=return_sequences)
-    out = h.transpose(2, 0, 1) if return_sequences else h.T
-    return (out[0] if single else out), cache
-
-
-def dropout_apply(
-    values, rate: float, mode: str = "train", rng: np.random.Generator | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted dropout: train mode zeroes with probability `rate` and scales
-    survivors by 1/(1-rate); inference is the identity. Returns (output, mask)."""
-    if not 0.0 <= rate < 1.0:
-        raise BadRateError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "inference"):
-        raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
-    arr = np.asarray(values, dtype=np.float64)
-    if mode == "inference" or rate == 0.0:
-        return arr, np.ones_like(arr)
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    mask = (rng.random(arr.shape) >= rate) / (1.0 - rate)
-    return arr * mask, mask
-
-
 def network_forward(
     params: NetworkParams,
     config: NetworkConfig,
@@ -428,7 +382,8 @@ def network_forward(
         out = h.swapaxes(-1, -2)  # batch-major view: [T, B, hidden] or [B, hidden]
         mask = None
         if train and rate > 0.0:
-            out, mask = dropout_apply(out, rate, "train", rng)
+            mask = (rng.random(out.shape) >= rate) / (1.0 - rate)
+            out = out * mask
         if train:
             layer_caches.append(cache)
         masks.append(mask)

@@ -62,10 +62,6 @@ class InsufficientDataWarning(UserWarning):
     """Series shorter than the requested moving-average window."""
 
 
-# Cell contents treated as a missing value. Vendor CSVs are inconsistent, so
-# empty/whitespace cells, "null", and the IEEE not-a-number literal all count.
-_MISSING_TOKENS = {"", "null", "nan"}
-
 # canonical header names after lowercasing and stripping separators
 _COLUMN_ALIASES = {
     "date": "date",
@@ -142,13 +138,8 @@ def _normalize_column(name: str) -> str:
     return name.strip().lower().replace(" ", "").replace("_", "").replace("-", "")
 
 
-def _is_missing(cell: str) -> bool:
-    return cell.strip().lower() in _MISSING_TOKENS
-
-
 def _parse_price(cell: str) -> float | None:
-    if _is_missing(cell):
-        return None
+    """A cell's value, or None for an empty, non-numeric or not-a-number cell."""
     try:
         value = float(cell)
     except ValueError:

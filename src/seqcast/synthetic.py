@@ -93,18 +93,6 @@ def synthetic_series(
     return PriceSeries(symbol=symbol, bars=tuple(bars))
 
 
-def sine_trend_series(
-    n: int,
-    period: float = 25.0,
-    amplitude: float = 2.0,
-    trend: float = 0.002,
-    level: float = 10.0,
-) -> np.ndarray:
-    """Noiseless sine plus linear trend; the overfit-capacity test signal."""
-    t = np.arange(n, dtype=np.float64)
-    return level + amplitude * np.sin(2.0 * math.pi * t / period) + trend * t
-
-
 def write_fixtures(out_dir: str | Path, start: date = DEFAULT_START, end: date = DEFAULT_END) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

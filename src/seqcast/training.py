@@ -32,6 +32,12 @@ class DivergedError(ArithmeticError):
     """Training produced a non-finite loss or parameter."""
 
 
+# Adam's moment decay rates and denominator guard: Kingma & Ba's defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class PredictionSet:
     """Aligned actual/predicted value pairs."""
@@ -73,27 +79,10 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_adam(
-    params: NetworkParams,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
-    return AdamState(
-        m=np.zeros_like(params.flat),
-        v=np.zeros_like(params.flat),
-        t=0,
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
+def init_adam(params: NetworkParams, lr: float = 1e-3) -> AdamState:
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
 
 
 def adam_step(
@@ -104,13 +93,13 @@ def adam_step(
     if p.shape != g.shape or p.shape != m.shape:
         raise ShapeMismatchError(f"param {p.shape}, grad {g.shape}, state {m.shape}")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
     return params, state
 
 
@@ -127,6 +116,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate > 0:  # also refuses NaN
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
 

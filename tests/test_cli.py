@@ -88,3 +88,114 @@ def test_module_runs_gradcheck_without_installing():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("max_relative_error=")
+
+
+# ------------------------------------------------------ run-config resolution
+
+
+def _resolve(argv):
+    return cli_module.build_run_config(cli_module._parse_args(argv))
+
+
+def test_default_config_hash_is_pinned():
+    assert cli_module.config_hash(cli_module.RunConfig()) == "87126208"
+
+
+def test_every_flag_resolves_into_the_run_config():
+    argv = [
+        "--symbols", " VNQ ,",
+        "--data", "prices.csv",
+        "--endpoint", "http://host/{symbol}/{start}/{end}",
+        "--start", "2013-01-01",
+        "--end", "2020-06-30",
+        "--split-ratio", "0.7",
+        "--window", "30",
+        "--units", "4,3",
+        "--dropout", "0.1,0.25",
+        "--epochs", "3",
+        "--batch-size", "16",
+        "--learning-rate", "0.01",
+        "--seed", "7",
+        "--out-dir", "elsewhere",
+        "--use-adj-close",
+        "train",
+    ]
+    assert _resolve(argv) == cli_module.RunConfig(
+        symbols=("VNQ",),
+        data_path="prices.csv",
+        endpoint="http://host/{symbol}/{start}/{end}",
+        start="2013-01-01",
+        end="2020-06-30",
+        split_ratio=0.7,
+        window=30,
+        use_adj_close=True,
+        layer_units=(4, 3),
+        dropout_rates=(0.1, 0.25),
+        epochs=3,
+        batch_size=16,
+        learning_rate=0.01,
+        clip_norm=None,
+        seed=7,
+        out_dir="elsewhere",
+    )
+
+
+def test_flags_override_the_config_file(tmp_path):
+    path = tmp_path / "run.json"
+    doc = {"window": 30, "epochs": 5, "seed": 3, "symbols": ["VGT", "VDE"]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = _resolve(["--config", str(path), "--epochs", "2", "--symbols", "VNQ", "train"])
+    assert (cfg.window, cfg.epochs, cfg.seed, cfg.symbols) == (30, 2, 3, ("VNQ",))
+
+
+def test_units_alone_resets_dropout_to_zeros():
+    cfg = _resolve(["--units", "4,4", "train"])
+    assert (cfg.layer_units, cfg.dropout_rates) == ((4, 4), (0.0, 0.0))
+    cfg = _resolve(["--units", "4,4", "--dropout", "0.1,0.2", "train"])
+    assert cfg.dropout_rates == (0.1, 0.2)
+
+
+def test_bad_flag_value_is_an_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--units", "4,x", "--out-dir", str(out), "train"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+# --------------------------------------------------------------------- ingest
+
+
+def test_ingest_writes_closes_and_moving_averages(tmp_path, monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    assert main(["--symbols", "VNQ", "--out-dir", str(tmp_path), "ingest"]) == 0
+    lines = (tmp_path / "VNQ-cleaned.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "date,close,sma100,sma200"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 2863
+    assert all(len(row) == 4 and float(row[1]) > 0 for row in rows)
+    sma100 = [row[2] for row in rows]
+    sma200 = [row[3] for row in rows]
+    assert sma100[:99] == [""] * 99 and all(sma100[99:])
+    assert sma200[:199] == [""] * 199 and all(sma200[199:])
+
+
+# ------------------------------------------------------------------ refusals
+
+
+def test_sweep_without_symbols_is_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--symbols", ",", "--out-dir", str(out), "sweep"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "no symbols" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["-0.001", "0", "nan"])
+def test_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, monkeypatch, capsys, rate):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    out = tmp_path / "out"
+    argv = TINY + ["--learning-rate", rate, "--symbols", "VNQ", "--out-dir", str(out)]
+    assert main(argv + ["train"]) == 1
+    assert capsys.readouterr().err.startswith("error: learning_rate must be positive")
+    assert not out.exists()

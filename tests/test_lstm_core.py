@@ -9,7 +9,6 @@ import pytest
 
 from seqcast import lstm_core
 from seqcast.lstm_core import (
-    BadRateError,
     EmptySequenceError,
     InvalidConfigError,
     LstmLayerParams,
@@ -17,9 +16,7 @@ from seqcast.lstm_core import (
     ShapeMismatchError,
     StaleCacheError,
     count_params,
-    dropout_apply,
     init_params,
-    lstm_layer_forward,
     network_backward,
     network_forward,
     param_blocks,
@@ -39,6 +36,19 @@ def random_layer(hidden, inputs, seed, scale=0.5):
     rng = make_rng(seed)
     r = lambda *shape: rng.normal(scale=scale, size=shape)
     return LstmLayerParams(w=r(4 * hidden, hidden + inputs), b=r(4 * hidden))
+
+
+def layer_forward(layer, sequence, return_sequences=True):
+    """One layer through the kernel on a batch-major [B, T, in] or [T, in] sequence.
+
+    Returns the hidden states in the input's layout and the layer's BPTT cache.
+    """
+    arr = np.asarray(sequence, dtype=np.float64)
+    single = arr.ndim == 2
+    x = (arr[np.newaxis] if single else arr).transpose(1, 2, 0)  # [T, in, B]
+    h, cache = lstm_core._layer_forward(layer, x, keep=True, sequence=return_sequences)
+    out = h.transpose(2, 0, 1) if return_sequences else h.T
+    return (out[0] if single else out), cache
 
 
 # ----------------------------------------------------------------- cell math
@@ -95,37 +105,31 @@ def test_cell_batch_matches_per_sample():
 def test_layer_t1_flag_equivalence():
     layer = random_layer(3, 1, seed=7)
     seq = np.array([[0.4]])
-    seq_out, _ = lstm_layer_forward(layer, seq, return_sequences=True)
-    last_out, _ = lstm_layer_forward(layer, seq, return_sequences=False)
+    seq_out, _ = layer_forward(layer, seq, return_sequences=True)
+    last_out, _ = layer_forward(layer, seq, return_sequences=False)
     np.testing.assert_array_equal(seq_out[0], last_out)
 
 
 def test_layer_zero_params_zero_outputs():
     layer = zero_layer(4, 1)
-    out, _ = lstm_layer_forward(layer, make_rng(8).normal(size=(6, 1)))
+    out, _ = layer_forward(layer, make_rng(8).normal(size=(6, 1)))
     np.testing.assert_array_equal(out, 0.0)
 
 
 def test_layer_matches_cell_composition():
     layer = random_layer(2, 1, seed=9)
     seq = make_rng(10).normal(size=(3, 1))
-    out, _ = lstm_layer_forward(layer, seq, return_sequences=True)
+    out, _ = layer_forward(layer, seq, return_sequences=True)
     state = None
     for t in range(3):
         state, _ = lstm_cell_forward(layer, seq[t], prev=state)
         np.testing.assert_allclose(out[t], state.h, rtol=1e-12, atol=1e-15)
 
 
-def test_layer_empty_sequence():
-    layer = zero_layer(2, 1)
-    with pytest.raises(EmptySequenceError):
-        lstm_layer_forward(layer, np.empty((0, 1)))
-
-
 def test_gate_ranges_and_hidden_bound():
     layer = random_layer(4, 1, seed=11, scale=1.5)
     seq = make_rng(12).normal(size=(5, 20, 1)) * 2.0
-    out, cache = lstm_layer_forward(layer, seq)
+    out, cache = layer_forward(layer, seq)
     f, i, candidate, o = np.split(cache.g, 4, axis=1)
     for arr in (f, i, o):
         assert np.all(arr > 0.0) and np.all(arr < 1.0)
@@ -136,7 +140,7 @@ def test_gate_ranges_and_hidden_bound():
 def test_cell_state_growth_bound():
     layer = random_layer(3, 1, seed=13, scale=2.0)
     seq = make_rng(14).normal(size=(2, 30, 1)) * 3.0
-    _, cache = lstm_layer_forward(layer, seq)
+    _, cache = layer_forward(layer, seq)
     prev = np.zeros_like(cache.c[0])
     for t in range(cache.c.shape[0]):
         assert np.all(np.abs(cache.c[t]) <= np.abs(prev) + 1.0 + 1e-12)
@@ -146,34 +150,46 @@ def test_cell_state_growth_bound():
 # ------------------------------------------------------------------- dropout
 
 
+DROPOUT_CFG = NetworkConfig(layer_units=(6, 5, 4), dropout_rates=(0.3, 0.5, 0.25), seed=18)
+
+
 def test_dropout_rate_zero_is_identity():
-    values = make_rng(15).normal(size=100)
-    out, mask = dropout_apply(values, 0.0, "train", make_rng(0))
-    np.testing.assert_array_equal(out, values)
-    np.testing.assert_array_equal(mask, 1.0)
+    cfg = NetworkConfig(layer_units=(3, 2), dropout_rates=(0.0, 0.0), seed=15)
+    batch = make_rng(15).normal(size=(4, 6, 1))
+    rng = make_rng(0)
+    _, cache = network_forward(init_params(cfg), cfg, batch, mode="train", rng=rng)
+    assert cache.dropout_masks == [None, None]
+    assert rng.random() == make_rng(0).random()  # no mask was drawn
 
 
 def test_dropout_inference_identity():
-    values = make_rng(16).normal(size=100)
-    out, _ = dropout_apply(values, 0.9, "inference")
-    np.testing.assert_array_equal(out, values)
+    params = init_params(DROPOUT_CFG)
+    undropped = NetworkConfig(layer_units=DROPOUT_CFG.layer_units, dropout_rates=(0.0,) * 3)
+    batch = make_rng(16).normal(size=(5, 7, 1))
+    pred, _ = network_forward(params, DROPOUT_CFG, batch, mode="inference")
+    expected, _ = network_forward(params, undropped, batch, mode="inference")
+    np.testing.assert_array_equal(pred, expected)
 
 
 def test_dropout_train_frequency_and_scaling():
-    values = np.ones(10_000)
-    out, mask = dropout_apply(values, 0.5, "train", make_rng(17))
-    zero_fraction = np.mean(out == 0.0)
-    assert abs(zero_fraction - 0.5) < 0.02
-    survivors = out[out != 0.0]
-    np.testing.assert_array_equal(survivors, 2.0)
-    np.testing.assert_array_equal(out, values * mask)
+    params = init_params(DROPOUT_CFG)
+    batch_size, steps = 400, 30
+    batch = make_rng(17).normal(size=(batch_size, steps, 1))
+    _, cache = network_forward(params, DROPOUT_CFG, batch, mode="train", rng=make_rng(17))
+    masks = cache.dropout_masks
+    assert [m.shape for m in masks] == [(steps, batch_size, 6), (steps, batch_size, 5), (batch_size, 4)]
+    for mask, rate in zip(masks, DROPOUT_CFG.dropout_rates):
+        survivor = 1.0 / (1.0 - rate)
+        assert set(np.unique(mask)) == {0.0, survivor}
+        assert abs(np.mean(mask == 0.0) - rate) < 0.05
+    # the head reads the last layer's output through its mask
+    assert np.all(cache.final_hidden[masks[-1] == 0.0] == 0.0)
 
 
 def test_dropout_bad_rate():
-    with pytest.raises(BadRateError):
-        dropout_apply(np.ones(3), 1.0, "train", make_rng(0))
-    with pytest.raises(BadRateError):
-        dropout_apply(np.ones(3), -0.1, "train", make_rng(0))
+    for rate in (1.0, -0.1):
+        with pytest.raises(InvalidConfigError):
+            NetworkConfig(layer_units=(3,), dropout_rates=(rate,))
 
 
 # ---------------------------------------------------------------------- init
@@ -253,7 +269,7 @@ def test_network_forward_single_layer_matches_manual_composition():
     params = init_params(cfg)
     batch = make_rng(21).normal(size=(3, 5, 1))
     pred, _ = network_forward(params, cfg, batch, mode="inference")
-    h_last, _ = lstm_layer_forward(params.layers[0], batch, return_sequences=False)
+    h_last, _ = layer_forward(params.layers[0], batch, return_sequences=False)
     manual = h_last @ params.dense.w + params.dense.b[0]
     np.testing.assert_allclose(pred[:, 0], manual, rtol=1e-12)
 
@@ -389,7 +405,7 @@ def test_saturated_gates_are_exact_and_silent():
     seq = make_rng(35).normal(size=(2, 4, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, cache = lstm_layer_forward(layer, seq)
+        out, cache = layer_forward(layer, seq)
     f, i, candidate, o = np.split(cache.g, 4, axis=1)
     np.testing.assert_array_equal(f, 1.0)
     np.testing.assert_array_equal(i, 0.0)

@@ -74,10 +74,23 @@ def test_parse_csv_empty_close_cell_becomes_missing():
     assert series.bars[0].open == 1.0
 
 
-@pytest.mark.parametrize("cell", ["  ", "null", "NULL", "nan", "NaN", "n/a"])
+# float() plus a NaN check decides every cell form; no list of tokens is needed
+@pytest.mark.parametrize(
+    "cell",
+    ["  ", "null", "NULL", "nan", "NaN", "n/a"]
+    + ["", "\t", " Null ", "None", " NAN ", "-nan", "+nan", "abc"],
+)
 def test_parse_csv_missing_tokens_and_junk(cell):
     text = "\n".join([HEADER, f"2020-01-02,{cell},2.0,0.5,1.5,1.4,1000"])
     assert parse_csv(text).bars[0].open is None
+
+
+@pytest.mark.parametrize(
+    "cell, value", [("inf", math.inf), ("-Infinity", -math.inf), (" 1.5 ", 1.5), ("1e3", 1000.0)]
+)
+def test_parse_csv_reads_every_numeric_form(cell, value):
+    text = "\n".join([HEADER, f"2020-01-02,{cell},2.0,0.5,1.5,1.4,1000"])
+    assert parse_csv(text).bars[0].open == value
 
 
 def test_parse_csv_sorts_descending_rows_ascending():

@@ -8,7 +8,6 @@ from seqcast.market_data import drop_missing, parse_csv, serialize_csv
 from seqcast.synthetic import (
     ETF_PROFILES,
     business_days,
-    sine_trend_series,
     synthetic_series,
     write_fixtures,
 )
@@ -55,10 +54,3 @@ def test_bundled_fixtures_match_generator():
 
     bundled = resources.files("seqcast").joinpath("fixtures/VNQ.csv").read_text()
     assert bundled == serialize_csv(synthetic_series("VNQ"))
-
-
-def test_sine_trend_series_shape():
-    series = sine_trend_series(100)
-    assert series.shape == (100,)
-    flat = sine_trend_series(100, amplitude=0.0, trend=0.0, level=3.0)
-    np.testing.assert_array_equal(flat, 3.0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,6 @@ from seqcast.lstm_core import (
 )
 from seqcast.preprocess import fit_scaler, make_windows, transform
 from seqcast.rng import make_rng
-from seqcast.synthetic import sine_trend_series
 from seqcast.preprocess import WindowedDataset
 from seqcast.training import (
     AdamState,
@@ -287,6 +287,25 @@ def test_train_empty_dataset():
         empty = make_windows([1.0, 2.0], 2)
     with pytest.raises(EmptyDatasetError):
         train(init_params(cfg), cfg, empty, TrainConfig(epochs=1))
+
+
+def sine_trend_series(
+    n: int,
+    period: float = 25.0,
+    amplitude: float = 2.0,
+    trend: float = 0.002,
+    level: float = 10.0,
+) -> np.ndarray:
+    """Noiseless sine plus linear trend; the overfit-capacity test signal."""
+    t = np.arange(n, dtype=np.float64)
+    return level + amplitude * np.sin(2.0 * math.pi * t / period) + trend * t
+
+
+def test_sine_trend_series_shape():
+    series = sine_trend_series(100)
+    assert series.shape == (100,)
+    flat = sine_trend_series(100, amplitude=0.0, trend=0.0, level=3.0)
+    np.testing.assert_array_equal(flat, 3.0)
 
 
 def test_train_overfits_noiseless_sine():
