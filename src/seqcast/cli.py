@@ -35,6 +35,7 @@ from .lstm_core import (
     network_forward,
 )
 from .market_data import (
+    EmptySeriesError,
     PriceSeries,
     SplitResult,
     chronological_split,
@@ -78,6 +79,8 @@ class RunConfig:
     mape_threshold: float = 1e-8
 
     def __post_init__(self) -> None:
+        if isinstance(self.symbols, str):
+            raise RunConfigError(f"symbols must be a list of tickers, not {self.symbols!r}")
         object.__setattr__(self, "symbols", tuple(self.symbols))
         object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
         object.__setattr__(self, "dropout_rates", tuple(float(r) for r in self.dropout_rates))
@@ -140,9 +143,20 @@ def load_series(cfg: RunConfig, symbol: str) -> PriceSeries:
     else:
         text = _fixture_text(symbol)
     series = parse_csv(text, symbol)
-    lo, hi = date.fromisoformat(cfg.start), date.fromisoformat(cfg.end)
-    bars = tuple(b for b in series.bars if lo <= b.date <= hi)
-    return PriceSeries(symbol=symbol, bars=bars)
+    lo = np.datetime64(date.fromisoformat(cfg.start))
+    hi = np.datetime64(date.fromisoformat(cfg.end))
+    return series[(series.days >= lo) & (series.days <= hi)]
+
+
+def _clean_series(cfg: RunConfig, symbol: str) -> tuple[PriceSeries, int]:
+    """The symbol's rows that have a value in the run's channel, and how many were dropped."""
+    cleaned, dropped = drop_missing(load_series(cfg, symbol), adjusted=cfg.use_adj_close)
+    if len(cleaned) == 0:
+        channel = "adjusted close" if cfg.use_adj_close else "close"
+        raise EmptySeriesError(
+            f"{symbol}: no row from {cfg.start} to {cfg.end} has a {channel} value"
+        )
+    return cleaned, dropped
 
 
 def _out_path(cfg: RunConfig, symbol: str, suffix: str) -> Path:
@@ -154,25 +168,21 @@ def _out_path(cfg: RunConfig, symbol: str, suffix: str) -> Path:
 def cmd_ingest(cfg: RunConfig, stdout=sys.stdout) -> int:
     """Clean each symbol and write date,close,sma100,sma200 CSVs."""
     for symbol in cfg.symbols:
-        series = load_series(cfg, symbol)
-        cleaned, dropped = drop_missing(series)
+        cleaned, dropped = _clean_series(cfg, symbol)
         closes = cleaned.closes(adjusted=cfg.use_adj_close)
-        columns = {}
+        averages = []
         for n in SMA_WINDOWS:
             values = sma(closes, n) if len(cleaned) >= n else np.empty(0)
             # first n-1 rows have no defined average: empty cells, never zeros
-            columns[n] = [""] * (len(cleaned) - len(values)) + [repr(v) for v in values]
+            averages.append([""] * (len(cleaned) - len(values)) + [repr(float(v)) for v in values])
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"{symbol}-cleaned.csv"
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["date", "close"] + [f"sma{n}" for n in SMA_WINDOWS])
-        for k, bar in enumerate(cleaned.bars):
-            writer.writerow(
-                [bar.date.isoformat(), repr(float(closes[k]))]
-                + [columns[n][k] for n in SMA_WINDOWS]
-            )
+        for day, close, *cells in zip(cleaned.dates(), closes, *averages):
+            writer.writerow([day.isoformat(), repr(float(close)), *cells])
         path.write_text(buf.getvalue(), encoding="utf-8")
         print(
             f"symbol={symbol} rows_kept={len(cleaned)} rows_dropped={dropped} wrote={path}",
@@ -188,7 +198,7 @@ def _open_log(log_out: str | None):
 
 def _load_split(cfg: RunConfig, symbol: str) -> SplitResult:
     """The symbol's cleaned series, split chronologically into train and test."""
-    cleaned, _ = drop_missing(load_series(cfg, symbol))
+    cleaned, _ = _clean_series(cfg, symbol)
     return chronological_split(cleaned, cfg.split_ratio)
 
 

@@ -1,8 +1,11 @@
-"""OHLCV acquisition, cleaning, chronological splitting, and moving averages.
+"""Daily close acquisition, cleaning, chronological splitting, and moving averages.
 
-CSV ingestion is vendor-agnostic: column names are matched case-insensitively,
-unparseable numeric cells become missing markers, and rows are sorted by date.
-Cleaning and splitting never reorder bars.
+A series is close-only and columnar: one array of days plus one float64
+array each for the close and the adjusted close, with NaN as the missing
+marker. CSV ingestion is vendor-agnostic: column names are matched
+case-insensitively, columns other than the date and the two closes are
+ignored, unparseable numeric cells become NaN, and rows are sorted by date.
+Cleaning and splitting select rows and never reorder them.
 """
 
 from __future__ import annotations
@@ -65,66 +68,47 @@ class InsufficientDataWarning(UserWarning):
 # canonical header names after lowercasing and stripping separators
 _COLUMN_ALIASES = {
     "date": "date",
-    "open": "open",
-    "high": "high",
-    "low": "low",
     "close": "close",
     "adjclose": "adj_close",
     "adjustedclose": "adj_close",
-    "volume": "volume",
 }
 
-_CSV_HEADER = ("Date", "Open", "High", "Low", "Close", "Adj Close", "Volume")
 
-
-@dataclass(frozen=True, slots=True)
-class OhlcvBar:
-    """One daily bar; any field other than the date may be missing (None)."""
-
-    date: date
-    open: float | None = None
-    high: float | None = None
-    low: float | None = None
-    close: float | None = None
-    adj_close: float | None = None
-    volume: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.volume is not None and self.volume < 0:
-            raise ValueError(f"volume must be non-negative, got {self.volume}")
-
-    def has_all_prices(self) -> bool:
-        return None not in (self.open, self.high, self.low, self.close, self.adj_close)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PriceSeries:
-    """Date-ordered bars for one ticker; dates strictly increasing."""
+    """One ticker's daily closes as columns; days strictly increasing.
+
+    `days` is a datetime64[D] array; `close` and `adj_close` are float64
+    arrays of the same length with NaN for a missing value. Arrays do not
+    compare by value, so neither does a series.
+    """
 
     symbol: str
-    bars: tuple[OhlcvBar, ...]
+    days: np.ndarray
+    close: np.ndarray
+    adj_close: np.ndarray
 
     def __post_init__(self) -> None:
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date == prev.date:
-                raise DuplicateDateError(f"duplicate date {cur.date} in {self.symbol!r}")
-            if cur.date < prev.date:
-                raise ValueError(f"bars out of order at {cur.date}")
+        steps = np.flatnonzero(np.diff(self.days) <= np.timedelta64(0, "D"))
+        if steps.size:
+            day = self.days[steps[0] + 1]
+            if day == self.days[steps[0]]:
+                raise DuplicateDateError(f"duplicate date {day} in {self.symbol!r}")
+            raise ValueError(f"rows out of order at {day}")
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self.days)
+
+    def __getitem__(self, rows: slice | np.ndarray) -> PriceSeries:
+        """The rows a slice or a boolean mask selects, in order."""
+        return PriceSeries(self.symbol, self.days[rows], self.close[rows], self.adj_close[rows])
 
     def dates(self) -> list[date]:
-        return [bar.date for bar in self.bars]
+        return self.days.tolist()
 
     def closes(self, adjusted: bool = False) -> np.ndarray:
-        """Close (or adjusted-close) channel as float64; missing becomes NaN."""
-        values = [
-            (bar.adj_close if adjusted else bar.close) for bar in self.bars
-        ]
-        return np.array(
-            [float(v) if v is not None else np.nan for v in values], dtype=np.float64
-        )
+        """A copy of the close (or adjusted-close) channel; missing is NaN."""
+        return (self.adj_close if adjusted else self.close).copy()
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,28 +122,21 @@ def _normalize_column(name: str) -> str:
     return name.strip().lower().replace(" ", "").replace("_", "").replace("-", "")
 
 
-def _parse_price(cell: str) -> float | None:
-    """A cell's value, or None for an empty, non-numeric or not-a-number cell."""
+def _parse_price(cell: str) -> float:
+    """A cell's value; NaN for an empty, non-numeric or not-a-number cell."""
     try:
-        value = float(cell)
+        return float(cell)
     except ValueError:
-        return None
-    return None if math.isnan(value) else value
-
-
-def _parse_volume(cell: str) -> int | None:
-    value = _parse_price(cell)
-    if value is None or value < 0:
-        return None
-    return int(value)
+        return math.nan
 
 
 def parse_csv(text: str, symbol: str = "") -> PriceSeries:
     """Parse vendor CSV into a PriceSeries sorted ascending by date.
 
     Header columns are matched case-insensitively in any order; Date and Close
-    are required. Unparseable numeric cells become missing markers rather than
-    errors; an unparseable date is an error because the row cannot be placed.
+    are required, Adj Close is read when present, and every other column is
+    ignored. Unparseable numeric cells become NaN rather than errors; an
+    unparseable date is an error because the row cannot be placed.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -182,53 +159,26 @@ def parse_csv(text: str, symbol: str = "") -> PriceSeries:
             return ""
         return row[idx]
 
-    bars = []
+    days, close, adj_close = [], [], []
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         raw_date = cell(row, "date").strip()
         try:
-            day = date.fromisoformat(raw_date)
+            days.append(date.fromisoformat(raw_date))
         except ValueError:
             raise BadDateError(f"line {line_no}: unparseable date {raw_date!r}") from None
-        bars.append(
-            OhlcvBar(
-                date=day,
-                open=_parse_price(cell(row, "open")),
-                high=_parse_price(cell(row, "high")),
-                low=_parse_price(cell(row, "low")),
-                close=_parse_price(cell(row, "close")),
-                adj_close=_parse_price(cell(row, "adj_close")),
-                volume=_parse_volume(cell(row, "volume")),
-            )
-        )
+        close.append(_parse_price(cell(row, "close")))
+        adj_close.append(_parse_price(cell(row, "adj_close")))
 
-    bars.sort(key=lambda bar: bar.date)
-    return PriceSeries(symbol=symbol, bars=tuple(bars))
-
-
-def serialize_csv(series: PriceSeries) -> str:
-    """Inverse of parse_csv: canonical header, repr-exact floats, '' for missing."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-
-    def fmt(value: float | int | None) -> str:
-        return "" if value is None else repr(value) if isinstance(value, float) else str(value)
-
-    for bar in series.bars:
-        writer.writerow(
-            [
-                bar.date.isoformat(),
-                fmt(bar.open),
-                fmt(bar.high),
-                fmt(bar.low),
-                fmt(bar.close),
-                fmt(bar.adj_close),
-                fmt(bar.volume),
-            ]
-        )
-    return out.getvalue()
+    day_array = np.array(days, dtype="datetime64[D]")
+    order = np.argsort(day_array, kind="stable")
+    return PriceSeries(
+        symbol,
+        day_array[order],
+        np.array(close, dtype=np.float64)[order],
+        np.array(adj_close, dtype=np.float64)[order],
+    )
 
 
 def fetch_remote(
@@ -265,15 +215,14 @@ def fetch_remote(
     return body.decode(charset)
 
 
-def drop_missing(series: PriceSeries) -> tuple[PriceSeries, int]:
-    """Remove bars with any missing price field, preserving order.
+def drop_missing(series: PriceSeries, adjusted: bool = False) -> tuple[PriceSeries, int]:
+    """Remove the rows whose close (or adjusted close) is NaN, preserving order.
 
-    Volume may stay missing; only the five price channels are required.
-    Idempotent. Returns the cleaned series and the number of bars dropped.
+    The other channel may stay missing. Idempotent. Returns the cleaned
+    series and the number of rows dropped.
     """
-    kept = tuple(bar for bar in series.bars if bar.has_all_prices())
-    dropped = len(series.bars) - len(kept)
-    return PriceSeries(symbol=series.symbol, bars=kept), dropped
+    cleaned = series[~np.isnan(series.adj_close if adjusted else series.close)]
+    return cleaned, len(series) - len(cleaned)
 
 
 def sma(values, n: int) -> np.ndarray:
@@ -303,12 +252,10 @@ def sma(values, n: int) -> np.ndarray:
 
 
 def chronological_split(series: PriceSeries, ratio: float) -> SplitResult:
-    """First floor(ratio * len) bars become train, the rest test. No shuffling."""
+    """First floor(ratio * len) rows become train, the rest test. No shuffling."""
     if len(series) == 0:
         raise EmptySeriesError("cannot split an empty series")
     if not 0.0 < ratio < 1.0:
         raise BadRatioError(f"ratio must be in (0, 1), got {ratio}")
     cut = math.floor(ratio * len(series))
-    train = PriceSeries(symbol=series.symbol, bars=series.bars[:cut])
-    test = PriceSeries(symbol=series.symbol, bars=series.bars[cut:])
-    return SplitResult(train=train, test=test, ratio=ratio)
+    return SplitResult(train=series[:cut], test=series[cut:], ratio=ratio)

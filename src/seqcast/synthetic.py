@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .market_data import OhlcvBar, PriceSeries, serialize_csv
 from .rng import make_rng
 
 DEFAULT_START = date(2012, 1, 2)
@@ -60,10 +59,8 @@ def gbm_closes(
     return start_price * np.exp(log_path)
 
 
-def synthetic_series(
-    symbol: str, start: date = DEFAULT_START, end: date = DEFAULT_END
-) -> PriceSeries:
-    """Full OHLCV walk for one symbol, seeded from the symbol name."""
+def synthetic_csv(symbol: str, start: date = DEFAULT_START, end: date = DEFAULT_END) -> str:
+    """Full OHLCV walk for one symbol as CSV text, seeded from the symbol name."""
     start_price, drift, vol = ETF_PROFILES.get(symbol, (50.0, 0.08, 0.20))
     rng = make_rng(zlib.crc32(symbol.encode("ascii")))
     days = business_days(start, end)
@@ -71,26 +68,18 @@ def synthetic_series(
     intraday = rng.uniform(0.0, 0.01, size=(len(days), 2))
     volumes = rng.integers(200_000, 3_000_000, size=len(days))
 
-    bars = []
+    lines = ["Date,Open,High,Low,Close,Adj Close,Volume\n"]
     prev_close = closes[0]
     for k, day in enumerate(days):
         close = round(float(closes[k]), 4)
         open_ = round(float(prev_close), 4)
         high = round(max(open_, close) * (1.0 + float(intraday[k, 0])), 4)
         low = round(min(open_, close) * (1.0 - float(intraday[k, 1])), 4)
-        bars.append(
-            OhlcvBar(
-                date=day,
-                open=open_,
-                high=high,
-                low=low,
-                close=close,
-                adj_close=close,
-                volume=int(volumes[k]),
-            )
+        lines.append(
+            f"{day.isoformat()},{open_!r},{high!r},{low!r},{close!r},{close!r},{volumes[k]}\n"
         )
         prev_close = closes[k]
-    return PriceSeries(symbol=symbol, bars=tuple(bars))
+    return "".join(lines)
 
 
 def write_fixtures(out_dir: str | Path, start: date = DEFAULT_START, end: date = DEFAULT_END) -> list[Path]:
@@ -99,7 +88,7 @@ def write_fixtures(out_dir: str | Path, start: date = DEFAULT_START, end: date =
     written = []
     for symbol in ETF_PROFILES:
         path = out / f"{symbol}.csv"
-        path.write_text(serialize_csv(synthetic_series(symbol, start, end)), encoding="utf-8")
+        path.write_text(synthetic_csv(symbol, start, end), encoding="utf-8")
         written.append(path)
     return written
 

@@ -177,6 +177,44 @@ def test_ingest_writes_closes_and_moving_averages(tmp_path, monkeypatch):
     sma200 = [row[3] for row in rows]
     assert sma100[:99] == [""] * 99 and all(sma100[99:])
     assert sma200[:199] == [""] * 199 and all(sma200[199:])
+    # every non-empty cell is a plain number
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:] if cell)
+
+
+def _close_only_file(tmp_path) -> Path:
+    """VNQ's fixture reduced to its Date and Close columns."""
+    fixture = (Path(seqcast.__file__).parent / "fixtures" / "VNQ.csv").read_text(encoding="utf-8")
+    rows = [line.split(",") for line in fixture.splitlines()]
+    data = tmp_path / "close-only.csv"
+    data.write_text("".join(f"{row[0]},{row[4]}\n" for row in rows), encoding="utf-8")
+    return data
+
+
+def test_close_only_file_sweeps(tmp_path):
+    out = tmp_path / "out"
+    argv = TINY + ["--symbols", "VNQ", "--data", str(_close_only_file(tmp_path))]
+    assert main(argv + ["--out-dir", str(out), "sweep"]) == 0
+    (sweep,) = out.glob("sweep-*.json")
+    doc = json.loads(sweep.read_text(encoding="utf-8"))
+    assert [r["symbol"] for r in doc["reports"]] == ["VNQ"] and doc["failures"] == {}
+
+
+@pytest.mark.parametrize("channel", ["close", "adjusted close"])
+def test_ingest_refuses_a_channel_with_no_values(tmp_path, capsys, channel):
+    data = tmp_path / "prices.csv"
+    if channel == "close":
+        rows = "Date,Close,Adj Close\n2020-01-02,,1.0\n2020-01-03,n/a,1.1\n"
+        data.write_text(rows, encoding="utf-8")
+        flags = []
+    else:
+        data = _close_only_file(tmp_path)
+        flags = ["--use-adj-close"]
+    out = tmp_path / "out"
+    argv = ["--symbols", "VNQ", "--data", str(data), "--out-dir", str(out), *flags, "ingest"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: VNQ: no row from 2012-01-01 to 2022-12-21 has a " + channel)
+    assert not list(tmp_path.rglob("*-cleaned.csv"))
 
 
 # ------------------------------------------------------------------ refusals
@@ -188,6 +226,15 @@ def test_sweep_without_symbols_is_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "no symbols" in captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+def test_config_file_with_a_string_of_symbols_is_refused(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"symbols": "VNQ"}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(TINY + ["--config", str(path), "--out-dir", str(out), "sweep"]) == 1
+    assert capsys.readouterr().err.startswith("error: symbols must be a list of tickers")
     assert not out.exists()
 
 

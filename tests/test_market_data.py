@@ -14,12 +14,10 @@ from seqcast.market_data import (
     InsufficientDataWarning,
     InvalidWindowError,
     MissingColumnError,
-    OhlcvBar,
     PriceSeries,
     chronological_split,
     drop_missing,
     parse_csv,
-    serialize_csv,
     sma,
 )
 from seqcast.rng import make_rng
@@ -27,20 +25,18 @@ from seqcast.rng import make_rng
 HEADER = "Date,Open,High,Low,Close,Adj Close,Volume"
 
 
-def make_series(closes, symbol="TST", start_ordinal=738155):
-    bars = tuple(
-        OhlcvBar(
-            date=date.fromordinal(start_ordinal + k),
-            open=c,
-            high=c + 1.0,
-            low=c - 1.0,
-            close=c,
-            adj_close=c,
-            volume=100,
-        )
-        for k, c in enumerate(closes)
-    )
-    return PriceSeries(symbol=symbol, bars=bars)
+def make_series(closes, symbol="TST", start_ordinal=738155, adj_closes=None):
+    closes = np.asarray(closes, dtype=np.float64)
+    days = np.datetime64(date.fromordinal(start_ordinal)) + np.arange(closes.size)
+    adj = closes if adj_closes is None else np.asarray(adj_closes, dtype=np.float64)
+    return PriceSeries(symbol, days, closes.copy(), adj.copy())
+
+
+def assert_same_series(a: PriceSeries, b: PriceSeries) -> None:
+    assert a.symbol == b.symbol
+    np.testing.assert_array_equal(a.days, b.days)
+    np.testing.assert_array_equal(a.close, b.close)
+    np.testing.assert_array_equal(a.adj_close, b.adj_close)
 
 
 # ---------------------------------------------------------------- parse_csv
@@ -57,64 +53,61 @@ def test_parse_csv_maps_fields_by_column_name():
     series = parse_csv(text, "AAA")
     assert series.symbol == "AAA"
     assert len(series) == 2
-    first = series.bars[0]
-    assert first.date == date(2020, 1, 2)
-    assert first.open == 1.0
-    assert first.high == 2.0
-    assert first.low == 0.5
-    assert first.close == 1.5
-    assert first.adj_close == 1.4
-    assert first.volume == 1000
+    assert series.days.dtype == np.dtype("datetime64[D]")
+    assert series.dates() == [date(2020, 1, 2), date(2020, 1, 3)]
+    np.testing.assert_array_equal(series.close, [1.5, 2.0])
+    np.testing.assert_array_equal(series.adj_close, [1.4, 1.9])
+    np.testing.assert_array_equal(series.closes(adjusted=True), [1.4, 1.9])
 
 
 def test_parse_csv_empty_close_cell_becomes_missing():
     text = "\n".join([HEADER, "2020-01-02,1.0,2.0,0.5,,1.4,1000"])
     series = parse_csv(text)
-    assert series.bars[0].close is None
-    assert series.bars[0].open == 1.0
+    assert math.isnan(series.close[0])
+    assert series.adj_close[0] == 1.4
 
 
-# float() plus a NaN check decides every cell form; no list of tokens is needed
+# float() plus NaN as the marker decides every cell form; no list of tokens is needed
 @pytest.mark.parametrize(
     "cell",
     ["  ", "null", "NULL", "nan", "NaN", "n/a"]
     + ["", "\t", " Null ", "None", " NAN ", "-nan", "+nan", "abc"],
 )
 def test_parse_csv_missing_tokens_and_junk(cell):
-    text = "\n".join([HEADER, f"2020-01-02,{cell},2.0,0.5,1.5,1.4,1000"])
-    assert parse_csv(text).bars[0].open is None
+    text = "\n".join([HEADER, f"2020-01-02,1.0,2.0,0.5,{cell},1.4,1000"])
+    assert math.isnan(parse_csv(text).close[0])
 
 
 @pytest.mark.parametrize(
     "cell, value", [("inf", math.inf), ("-Infinity", -math.inf), (" 1.5 ", 1.5), ("1e3", 1000.0)]
 )
 def test_parse_csv_reads_every_numeric_form(cell, value):
-    text = "\n".join([HEADER, f"2020-01-02,{cell},2.0,0.5,1.5,1.4,1000"])
-    assert parse_csv(text).bars[0].open == value
+    text = "\n".join([HEADER, f"2020-01-02,1.0,2.0,0.5,{cell},1.4,1000"])
+    assert parse_csv(text).close[0] == value
 
 
 def test_parse_csv_sorts_descending_rows_ascending():
     days = [date(2020, 1, d) for d in (9, 8, 7, 6, 3)]
-    rows = [f"{d.isoformat()},1,1,1,{k + 1.0},1,10" for k, d in enumerate(days)]
+    rows = [f"{d.isoformat()},1,1,1,{k + 1.0},{k + 0.5},10" for k, d in enumerate(days)]
     series = parse_csv("\n".join([HEADER] + rows))
     assert series.dates() == sorted(days)
-    # closes follow their rows through the sort
-    assert series.bars[0].close == 5.0
-    assert series.bars[-1].close == 1.0
+    assert all(type(d) is date for d in series.dates())
+    # both closes follow their rows through the sort
+    np.testing.assert_array_equal(series.close, [5.0, 4.0, 3.0, 2.0, 1.0])
+    np.testing.assert_array_equal(series.adj_close, [4.5, 3.5, 2.5, 1.5, 0.5])
 
 
 def test_parse_csv_header_case_and_order_insensitive():
-    text = "\n".join(
-        [
-            "volume,CLOSE,date,ADJ close",
-            "5,10.5,2020-01-02,10.4",
-        ]
-    )
-    bar = parse_csv(text).bars[0]
-    assert bar.close == 10.5
-    assert bar.adj_close == 10.4
-    assert bar.volume == 5
-    assert bar.open is None
+    for adj_header in ("ADJ close", "adjusted_close", "Adj-Close"):
+        series = parse_csv(f"volume,CLOSE,date,{adj_header}\n5,10.5,2020-01-02,10.4")
+        assert series.close[0] == 10.5
+        assert series.adj_close[0] == 10.4
+
+
+def test_parse_csv_without_adj_close_column_reads_it_as_missing():
+    series = parse_csv("Date,Close\n2020-01-02,3.5\n2020-01-03,3.6\n")
+    np.testing.assert_array_equal(series.close, [3.5, 3.6])
+    assert np.isnan(series.adj_close).all()
 
 
 def test_parse_csv_missing_required_columns():
@@ -127,8 +120,9 @@ def test_parse_csv_missing_required_columns():
 
 
 def test_parse_csv_bad_date():
-    with pytest.raises(BadDateError):
-        parse_csv("\n".join([HEADER, "02/01/2020,1,1,1,1,1,1"]))
+    rows = ["2020-01-02,1,1,1,1,1,1", "02/01/2020,1,1,1,1,1,1"]
+    with pytest.raises(BadDateError, match="line 3"):
+        parse_csv("\n".join([HEADER] + rows))
 
 
 def test_parse_csv_duplicate_date():
@@ -137,30 +131,10 @@ def test_parse_csv_duplicate_date():
         parse_csv("\n".join([HEADER] + rows))
 
 
-def test_parse_csv_negative_volume_becomes_missing():
-    text = "\n".join([HEADER, "2020-01-02,1,1,1,1,1,-5"])
-    assert parse_csv(text).bars[0].volume is None
-
-
-def test_bar_rejects_negative_volume():
-    with pytest.raises(ValueError):
-        OhlcvBar(date=date(2020, 1, 2), volume=-1)
-
-
-def test_serialize_parse_roundtrip():
-    rng = make_rng(5)
-    closes = 50.0 + rng.random(37) * 10.0
-    series = make_series([round(float(c), 4) for c in closes])
-    assert parse_csv(serialize_csv(series), "TST") == series
-
-
-def test_serialize_parse_roundtrip_with_missing_cells():
-    bars = (
-        OhlcvBar(date=date(2020, 1, 2), close=1.5),
-        OhlcvBar(date=date(2020, 1, 3), open=1.0, high=2.0, low=0.5, close=2.0, adj_close=1.9, volume=7),
-    )
-    series = PriceSeries(symbol="AAA", bars=bars)
-    assert parse_csv(serialize_csv(series), "AAA") == series
+def test_series_refuses_days_out_of_order():
+    days = np.array(["2020-01-03", "2020-01-02"], dtype="datetime64[D]")
+    with pytest.raises(ValueError, match="out of order"):
+        PriceSeries("T", days, np.ones(2), np.ones(2))
 
 
 # ------------------------------------------------------------- drop_missing
@@ -169,34 +143,42 @@ def test_serialize_parse_roundtrip_with_missing_cells():
 def test_drop_missing_identity_when_clean():
     series = make_series([1.0, 2.0, 3.0])
     cleaned, dropped = drop_missing(series)
-    assert cleaned == series
+    assert_same_series(cleaned, series)
     assert dropped == 0
 
 
 def test_drop_missing_filters_and_preserves_order():
-    bars = []
-    for k in range(10):
-        close = None if k in (3, 7) else float(k)
-        bars.append(
-            OhlcvBar(
-                date=date.fromordinal(738155 + k),
-                open=1.0,
-                high=2.0,
-                low=0.5,
-                close=close,
-                adj_close=1.0,
-                volume=1,
-            )
-        )
-    cleaned, dropped = drop_missing(PriceSeries(symbol="T", bars=tuple(bars)))
+    closes = [math.nan if k in (3, 7) else float(k) for k in range(10)]
+    series = make_series(closes, adj_closes=[1.0] * 10)
+    cleaned, dropped = drop_missing(series)
     assert dropped == 2
     assert len(cleaned) == 8
-    assert [b.close for b in cleaned.bars] == [0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 8.0, 9.0]
+    np.testing.assert_array_equal(cleaned.close, [0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 8.0, 9.0])
+    np.testing.assert_array_equal(cleaned.days, np.delete(series.days, [3, 7]))
+
+
+def test_drop_missing_keeps_a_row_missing_only_other_columns():
+    text = "\n".join(
+        [
+            HEADER,
+            "2020-01-02,,,,1.5,1.4,",  # open, high, low and volume missing
+            "2020-01-03,1.0,2.0,0.5,1.6,,1000",  # adjusted close missing
+            "2020-01-06,1.0,2.0,0.5,inf,1.7,1000",  # an infinite close is a value
+        ]
+    )
+    series = parse_csv(text)
+    cleaned, dropped = drop_missing(series)
+    assert dropped == 0
+    np.testing.assert_array_equal(cleaned.close, [1.5, 1.6, math.inf])
+
+    adjusted, dropped = drop_missing(series, adjusted=True)
+    assert dropped == 1
+    assert adjusted.dates() == [date(2020, 1, 2), date(2020, 1, 6)]
+    np.testing.assert_array_equal(adjusted.closes(adjusted=True), [1.4, 1.7])
 
 
 def test_drop_missing_all_missing_gives_empty():
-    bars = tuple(OhlcvBar(date=date.fromordinal(738155 + k)) for k in range(4))
-    cleaned, dropped = drop_missing(PriceSeries(symbol="T", bars=bars))
+    cleaned, dropped = drop_missing(make_series([math.nan] * 4))
     assert len(cleaned) == 0
     assert dropped == 4
 
@@ -204,24 +186,15 @@ def test_drop_missing_all_missing_gives_empty():
 def test_drop_missing_idempotent():
     rng = make_rng(11)
     for _ in range(20):
-        bars = []
-        for k in range(int(rng.integers(0, 15))):
-            missing = rng.random() < 0.3
-            bars.append(
-                OhlcvBar(
-                    date=date.fromordinal(738155 + k),
-                    open=1.0,
-                    high=1.0,
-                    low=1.0,
-                    close=None if missing else 1.0,
-                    adj_close=1.0,
-                )
-            )
-        series = PriceSeries(symbol="T", bars=tuple(bars))
-        once, n1 = drop_missing(series)
-        twice, n2 = drop_missing(once)
-        assert twice == once
-        assert n2 == 0
+        n = int(rng.integers(0, 15))
+        closes = np.where(rng.random(n) < 0.3, math.nan, 1.0)
+        adj_closes = np.where(rng.random(n) < 0.3, math.nan, 1.0)
+        series = make_series(closes, adj_closes=adj_closes)
+        for adjusted in (False, True):
+            once, _ = drop_missing(series, adjusted=adjusted)
+            twice, n2 = drop_missing(once, adjusted=adjusted)
+            assert_same_series(twice, once)
+            assert n2 == 0
 
 
 # ---------------------------------------------------------------------- sma
@@ -279,9 +252,11 @@ def test_split_floor_rule():
 
 def test_split_reconstruction_identity():
     rng = make_rng(9)
-    series = make_series([float(v) for v in rng.random(37)])
+    series = make_series(rng.random(37), adj_closes=rng.random(37))
     result = chronological_split(series, 0.8)
-    assert result.train.bars + result.test.bars == series.bars
+    for field in ("days", "close", "adj_close"):
+        joined = np.concatenate([getattr(result.train, field), getattr(result.test, field)])
+        np.testing.assert_array_equal(joined, getattr(series, field))
 
 
 def test_split_preserves_chronology():
@@ -290,8 +265,8 @@ def test_split_preserves_chronology():
         n = int(rng.integers(2, 50))
         ratio = float(rng.uniform(0.05, 0.95))
         result = chronological_split(make_series([1.0] * n), ratio)
-        if result.train.bars and result.test.bars:
-            assert result.train.bars[-1].date < result.test.bars[0].date
+        if len(result.train) and len(result.test):
+            assert result.train.days[-1] < result.test.days[0]
         assert len(result.train) == math.floor(ratio * n)
 
 
@@ -301,4 +276,4 @@ def test_split_errors():
     with pytest.raises(BadRatioError):
         chronological_split(make_series([1, 2, 3]), 0.0)
     with pytest.raises(EmptySeriesError):
-        chronological_split(PriceSeries(symbol="T", bars=()), 0.8)
+        chronological_split(make_series([]), 0.8)

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import zlib
 from datetime import date
+from importlib import resources
 
 import numpy as np
 
-from seqcast.market_data import drop_missing, parse_csv, serialize_csv
+from seqcast.market_data import drop_missing, parse_csv
+from seqcast.rng import make_rng
 from seqcast.synthetic import (
     ETF_PROFILES,
     business_days,
-    synthetic_series,
+    gbm_closes,
+    synthetic_csv,
     write_fixtures,
 )
 
@@ -26,18 +30,27 @@ def test_business_days_skips_weekends():
 
 
 def test_synthetic_series_deterministic_and_clean():
-    a = synthetic_series("VNQ", date(2020, 1, 1), date(2020, 3, 1))
-    b = synthetic_series("VNQ", date(2020, 1, 1), date(2020, 3, 1))
+    a = synthetic_csv("VNQ", date(2020, 1, 1), date(2020, 3, 1))
+    b = synthetic_csv("VNQ", date(2020, 1, 1), date(2020, 3, 1))
     assert a == b
-    cleaned, dropped = drop_missing(a)
-    assert dropped == 0
-    closes = cleaned.closes()
-    assert np.all(closes > 0)
+    series = parse_csv(a, "VNQ")
+    for adjusted in (False, True):
+        _, dropped = drop_missing(series, adjusted=adjusted)
+        assert dropped == 0
+    assert np.all(series.closes() > 0)
 
 
 def test_synthetic_series_roundtrips_through_csv():
-    series = synthetic_series("VGT", date(2020, 1, 1), date(2020, 2, 1))
-    assert parse_csv(serialize_csv(series), "VGT") == series
+    # the text carries the generator's rounded walk exactly, in both close columns
+    start, end = date(2020, 1, 1), date(2020, 2, 1)
+    series = parse_csv(synthetic_csv("VGT", start, end), "VGT")
+    days = business_days(start, end)
+    start_price, drift, vol = ETF_PROFILES["VGT"]
+    rng = make_rng(zlib.crc32(b"VGT"))
+    walk = [round(float(c), 4) for c in gbm_closes(len(days), start_price, drift, vol, rng)]
+    assert series.dates() == days
+    np.testing.assert_array_equal(series.close, walk)
+    np.testing.assert_array_equal(series.adj_close, walk)
 
 
 def test_write_fixtures_covers_all_nine(tmp_path):
@@ -48,9 +61,12 @@ def test_write_fixtures_covers_all_nine(tmp_path):
         assert len(series) == len(business_days(date(2020, 1, 1), date(2020, 1, 20)))
 
 
-def test_bundled_fixtures_match_generator():
-    # the committed CSVs are exactly what the generator emits
-    from importlib import resources
-
-    bundled = resources.files("seqcast").joinpath("fixtures/VNQ.csv").read_text()
-    assert bundled == serialize_csv(synthetic_series("VNQ"))
+def test_bundled_fixtures_match_generator(tmp_path):
+    # the committed CSVs are exactly what the generator emits, all nine of them
+    written = write_fixtures(tmp_path)
+    bundled = resources.files("seqcast").joinpath("fixtures")
+    assert sorted(p.name for p in written) == sorted(
+        p.name for p in bundled.iterdir() if p.name.endswith(".csv")
+    )
+    for path in written:
+        assert path.read_bytes() == bundled.joinpath(path.name).read_bytes(), path.name
