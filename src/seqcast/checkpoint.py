@@ -80,40 +80,44 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != FORMAT_NAME:
+    """Read a v1 checkpoint; any defect raises CheckpointError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise CheckpointError(f"{path}: not a JSON file: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise CheckpointError(f"not a {FORMAT_NAME} file: {path}")
     if doc.get("version") != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {doc.get('version')}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {doc.get('version')}")
 
-    config = NetworkConfig(
-        layer_units=tuple(doc["config"]["layer_units"]),
-        dropout_rates=tuple(doc["config"]["dropout_rates"]),
-        input_features=doc["config"]["input_features"],
-        seed=doc["config"]["seed"],
-    )
-    tree = doc["params"]
-    if len(tree["layers"]) != len(config.layer_units):
-        raise CheckpointError(
-            f"{path}: {len(tree['layers'])} stored layers, config names {len(config.layer_units)}"
-        )
-    params = zeros_params(config)
-    for name, arr in param_blocks(params):
-        slot, key = _slot(tree, name)
-        block = np.array(slot.get(key), dtype=np.float64)
-        if block.shape != arr.shape:
-            raise CheckpointError(
-                f"{path}: block {name} is not a float array of shape {arr.shape}"
-            )
-        arr[...] = block
-    scaler = ScalerParams(
-        min_value=doc["scaler"]["min_value"], max_value=doc["scaler"]["max_value"]
-    )
+    def read(key: str, build=lambda value: value):
+        try:
+            return build(doc[key])
+        except CheckpointError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: missing or malformed {key!r}: {exc!r}") from exc
+
+    def build_params(tree: dict) -> NetworkParams:
+        stored, named = len(tree["layers"]), len(config.layer_units)
+        if stored != named:
+            raise CheckpointError(f"{path}: {stored} stored layers, config names {named}")
+        params = zeros_params(config)
+        for name, arr in param_blocks(params):
+            slot, key = _slot(tree, name)
+            block = np.array(slot.get(key), dtype=np.float64)
+            if block.shape != arr.shape:
+                raise CheckpointError(f"{path}: block {name} is not a float array of {arr.shape}")
+            arr[...] = block
+        return params
+
+    fields = ("layer_units", "dropout_rates", "input_features", "seed")
+    config = read("config", lambda c: NetworkConfig(*(c[f] for f in fields)))
     return Checkpoint(
-        params=params,
+        params=read("params", build_params),
         config=config,
-        scaler=scaler,
-        seed=doc["seed"],
-        window=doc["window"],
-        symbol=doc["symbol"],
+        scaler=read("scaler", lambda s: ScalerParams(s["min_value"], s["max_value"])),
+        seed=read("seed"),
+        window=read("window"),
+        symbol=read("symbol"),
     )

@@ -1,6 +1,6 @@
 """Stacked LSTM with inverted dropout and a one-unit dense head.
 
-Gate math over the concatenation z_t = [h_prev | x_t]:
+Gate math over z_t = [h_prev | x_t]:
 
     f_t = sigmoid(W_f z_t + b_f)        forget gate
     i_t = sigmoid(W_i z_t + b_i)        input gate
@@ -9,61 +9,57 @@ Gate math over the concatenation z_t = [h_prev | x_t]:
     o_t = sigmoid(W_o z_t + b_o)        output gate
     h_t = o_t * tanh(c_t)
 
-The backward pass is exact backpropagation through time over these
-equations; training.finite_diff_gradcheck validates it against central
-finite differences. All arithmetic is float64.
+Backward is exact backpropagation through time over these equations, all in
+float64; training.finite_diff_gradcheck checks it by central differences.
 
-Parameter layout, known only to this module: every trainable scalar lives
-in one contiguous buffer, NetworkParams.flat. Each layer holds a packed
-weight w [4*hidden, hidden + input] (rows W_f, W_i, W_c, W_o; columns
-[h_prev | x_t]) and a packed bias b [4*hidden] in the same f, i, c, o row
-order, so one GEMM per step computes all four gates. Layers follow each
-other in flat (w then b), then the dense head's w and b. Every array is a
-view into flat, gradients share the layout, and param_blocks names the
-per-gate row views in flat order.
+Parameter layout, known only to this module: every trainable scalar lives in
+NetworkParams.flat. Each layer holds a packed weight w [4*hidden, hidden +
+input] (rows W_f, W_i, W_c, W_o; columns [h_prev | x_t]) and bias b
+[4*hidden] in the same row order, so one GEMM per step computes all four
+gates. Layers follow each other in flat (w then b), then the dense head's w
+and b. Every array is a view into flat, gradients share the layout, and
+param_blocks names the per-gate row views in flat order.
 
-Activation layout: the recurrence runs feature-major, [T, features, B].
-Step t computes all four gates with one GEMM, w @ z_t -> [4*hidden, B], so
-each gate is a contiguous [hidden, B] row block and the gate math runs as
-in-place ufuncs on preallocated buffers. A train-mode forward keeps, per
-layer, z [T+1, hidden+input, B] (z[t] = [h_{t-1} | x_t], so z[t+1, :hidden]
-is h_t), the activated gates g [T, 4*hidden, B], the cell states
-c [T+1, hidden, B] (c[0] = 0) and tanh(c_t). An inference forward keeps no
-BPTT cache: two-deep rolling z and c buffers, one gate buffer, and only
-the hidden sequence the next layer reads.
+Activation layout: feature-major, [T, features, B], so each gate of the step
+GEMM w @ z_t -> [4*hidden, B] is a contiguous [hidden, B] row block and the
+gate math runs as in-place ufuncs. A train-mode forward stages x into
+z [T+1, hidden+input, B] once per layer (z[t] = [h_{t-1} | x_t]) and keeps
+g [T, 4*hidden, B] = [f, i, tanh c_t, o] and c [T+1, 2*hidden, B] with
+c[t] = [c_{t-1} | c~_t]: 7*hidden+input floats a step. As c[t] lines up with
+[f; i], the cell update is one multiply and one add of its halves. Inference
+keeps no BPTT cache: two-deep rolling z and c, one gate buffer and the
+hidden sequence the next layer reads.
 
-Backward keeps only the recurrent work in its time loop: the gate
-gradients, written over the cached gates, and dh = W_h^T da. After the
-loop it copies da and z into gate-major G [4*hidden, T*B] and
-Z [hidden+input, T*B], and takes dW = G Z^T and dX = W_x^T G as one GEMM
-each and db as the row sums of G.
+Backward first overwrites the spent cache, over time blocks, with the
+gate-derivative factors that do not depend on the incoming gradient:
+g[t] = [F, I, C, Bo] and c[t] = [f_{t+1} | A_t] (see _gate_factors). The
+time loop then keeps only the recurrence, six NumPy calls a step: dh += the
+gradient from above; dc_t = f_{t+1} dc_{t+1} + A_t dh_t (a multiply and an
+add); dc copied beside itself; da_t = [dc; dc; dc; dh] * g[t]; dh = W_h^T da.
+dW = G Z^T and dX = W_x^T G then take one GEMM each over gate-major copies
+G [4*hidden, T*B] of da and Z [hidden+input, T*B] of z.
 
-Buffer lifetime: a train-mode forward takes z, g, c and tanh_c from a
-module-private pool of float64 buffers keyed by shape, and backward takes
-its scratch from it too: one flat buffer for the loop temporaries and
-G and Z, and one for the input gradient. network_backward then gives the
-cache's buffers and its scratch back to the pool and drops every array the
-cache held, so a steady training step allocates almost nothing. The cache
-is single use: a consumed cache keeps only batch_size, seq_len and the
-consumed flag, and a second backward on it raises StaleCacheError.
-Recycled buffers are not cleared, so the kernel writes every element
-before it reads it. A forward whose cache is dropped without a backward
-leaves its buffers to the garbage collector. Inference never uses the pool.
+Numerics: the forward is bitwise that of the equations above. The backward
+multiplies each gate gradient's factors in another order than left to right
+(dc * ((1 - f) * (c_{t-1} * f)) for da_f): its gradients differ by rounding.
 
-The pool keeps, per shape, as many buffers as were live at once, for the
-life of the process: after training at the paper config (B = 32, T = 100)
-about 80 MB for the full batches plus 35 MB for a short last batch of 14.
-Taking and giving back are single list operations, so threads never share
-a buffer.
+Buffers: a train-mode forward takes z, g and c, and backward its scratch,
+from a module-private pool of float64 buffers keyed by shape. Once the
+cache is consumed, network_backward gives them back and drops every array
+the cache held (a second backward raises StaleCacheError), so a steady
+training step allocates almost nothing. Recycled buffers are not cleared:
+the kernel writes every element before it reads it. The pool keeps, per
+shape, as many buffers as were live at once, for the life of the process
+(at the paper config, B = 32, T = 100: about 80 MB, plus 35 MB for a short
+last batch of 14). Inference never uses it. Taking and giving back are
+single list operations, so threads never share a buffer.
 
-Layer stacking: every layer but the last feeds its full hidden sequence
-to the next layer; the last layer emits only its final hidden state,
-which the dense head maps to one scalar. Dropout (inverted: survivors
-scaled by 1/(1-rate) at train time, identity at inference) is applied
-to each layer's output, including the last hidden state before the head.
-network_forward draws each mask itself, from the rng it is given:
-batch-major, [T, B, hidden] per layer and [B, hidden] for the last
-state, in layer order. NetworkConfig has already checked the rates.
+Layer stacking: every layer but the last feeds its hidden sequence to the
+next; the last emits its final hidden state, which the dense head maps to
+one scalar. Inverted dropout (survivors scaled by 1/(1-rate) in training,
+identity at inference) follows each layer's output. network_forward draws
+each mask from its rng: batch-major, [T, B, hidden] per layer and
+[B, hidden] for the last state, in layer order.
 """
 
 from __future__ import annotations
@@ -114,6 +110,11 @@ def _recycle(buffers) -> None:
     """Give buffers back to the pool; no reference to them may remain in use."""
     for buf in buffers:
         _POOL.setdefault(buf.shape, []).append(buf)
+
+
+def _block_steps(hid: int, inp: int, T: int, B: int) -> int:
+    """Steps per _gate_factors block: 7 slabs within L2 and (T > 1) G and Z's scratch."""
+    return max(1, min(T, (1 << 14) // (hid * B), (5 * hid + inp) * T // (7 * hid)))
 
 
 def _sigmoid_(x: np.ndarray) -> None:
@@ -195,9 +196,8 @@ class LayerCache:
     """Feature-major forward intermediates one layer keeps for BPTT."""
 
     z: np.ndarray  # [T + 1, hidden + input, B]: z[t] = [h_{t-1} | x_t]
-    g: np.ndarray  # [T, 4 * hidden, B]: gates f, i, c~, o; gate gradients after backward
-    c: np.ndarray  # [T + 1, hidden, B]: c[t + 1] = c_t, c[0] = 0
-    tanh_c: np.ndarray  # [T, hidden, B]
+    g: np.ndarray  # [T, 4 * hidden, B]: f, i, tanh(c_t), o; gate gradients after backward
+    c: np.ndarray  # [T + 1, 2 * hidden, B]: c[t] = [c_{t-1} | c~_t], c_{-1} = 0
 
 
 @dataclass
@@ -308,37 +308,40 @@ def _layer_forward(
     depth = T + 1 if keep else 2  # z and c slots; step t reads slot t, writes t + 1
     alloc = _take if keep else np.empty
     z = alloc((depth, hid + params.input_size, B))
-    c = alloc((depth, hid, B))
+    c = alloc((depth, 2 * hid, B))
     g = alloc((T if keep else 1, 4 * hid, B))
-    tanh_c = alloc((len(g), hid, B))
     z[0, :hid] = 0.0
-    c[0] = 0.0
+    c[0, :hid] = 0.0
+    if keep:
+        z[:T, hid:] = x
     h = np.empty((T, hid, B)) if sequence and not keep else None
     bias = np.repeat(params.b[:, np.newaxis], B, axis=1)  # a broadcast add is ~3x slower
-    ic = np.empty((hid, B))
+    # [f c_prev | i c~]: into the next rolling c slot, or a buffer in training (cold slots)
+    scratch = np.empty((2 * hid, B)) if keep else None
 
     with np.errstate(over="ignore"):
         for t in range(T):
             now, nxt, k = t % depth, (t + 1) % depth, t % len(g)
-            zt, gt, tc, h_t = z[now], g[k], tanh_c[k], z[nxt, :hid]
-            zt[hid:] = x[t]
+            zt, gt, ct, h_t = z[now], g[k], c[now], z[nxt, :hid]
+            if not keep:
+                zt[hid:] = x[t]
             np.matmul(params.w, zt, out=gt)
             gt += bias
-            f, i, cand, o = gt[:hid], gt[hid : 2 * hid], gt[2 * hid : 3 * hid], gt[3 * hid :]
+            tc, o = gt[2 * hid : 3 * hid], gt[3 * hid :]
             _sigmoid_(gt[: 2 * hid])  # f and i
-            np.tanh(cand, out=cand)
+            np.tanh(tc, out=ct[hid:])  # c~ beside c_prev: ct = [c_prev | c~]
             _sigmoid_(o)
-            np.multiply(f, c[now], out=c[nxt])
-            np.multiply(i, cand, out=ic)
-            c[nxt] += ic
-            np.tanh(c[nxt], out=tc)
+            fc_ic = scratch if keep else c[nxt]
+            np.multiply(gt[: 2 * hid], ct, out=fc_ic)
+            np.add(fc_ic[:hid], fc_ic[hid:], out=c[nxt, :hid])
+            np.tanh(c[nxt, :hid], out=tc)  # tanh(c_t) over the spent c~ pre-activation
             np.multiply(o, tc, out=h_t)
             if h is not None:
                 h[t] = h_t
 
     if keep:
         out = z[1:, :hid] if sequence else z[T, :hid]
-        return out, LayerCache(z=z, g=g, c=c, tanh_c=tanh_c)
+        return out, LayerCache(z=z, g=g, c=c)
     return (h if sequence else z[T % 2, :hid]), None
 
 
@@ -403,6 +406,40 @@ def network_forward(
     return predictions, net_cache
 
 
+def _gate_factors(g: np.ndarray, c: np.ndarray, work: np.ndarray, block: int) -> None:
+    """Turn a layer's cache, g[t] = [f, i, tanh c, o] and c[t] = [c_{t-1} | c~], into
+    g[t] = [F, I, C, Bo] and c[t] = [f_{t+1} | A] (f_T = 0): F = c_{t-1} f (1-f),
+    I = c~ i (1-i), C = i (1-c~^2), Bo = tanh c o (1-o), A = o (1-tanh^2 c). Each
+    block is gathered gate-major into `work`: over a strided view, NumPy buffers."""
+    T, rows, B = g.shape
+    hid = rows // 4
+    for t0 in range(0, T, block):
+        n = min(block, T - t0)
+        gv = g[t0 : t0 + n].reshape(n, 4, hid, B).transpose(1, 0, 2, 3)
+        cv = c[t0 : t0 + n].reshape(n, 2, hid, B).transpose(1, 0, 2, 3)
+        s = work[: 7 * n * hid * B].reshape(7, n, hid, B)
+        np.copyto(s[:4], gv)
+        np.copyto(s[4:6], cv)
+        f, i, tc, o, _, cand, a = s
+        np.square(tc, out=a)
+        np.subtract(1.0, a, out=a)
+        a *= o
+        tc *= o
+        np.subtract(1.0, o, out=o)
+        o *= tc  # Bo; tc's slot is free from here on
+        np.square(cand, out=tc)
+        np.subtract(1.0, tc, out=tc)
+        tc *= i  # C
+        np.copyto(cv[1], a)
+        skip = 1 if t0 == 0 else 0  # f_0 is unused: c_{-1} is the zero state
+        np.copyto(c[t0 + skip - 1 : t0 + n - 1, :hid], f[skip:])
+        s[4:6] *= s[:2]
+        np.subtract(1.0, s[:2], out=s[:2])
+        s[:2] *= s[4:6]  # F, I
+        np.copyto(gv, s[:4])
+    c[T - 1, :hid] = 0.0
+
+
 def _layer_backward(
     params: LstmLayerParams,
     cache: LayerCache,
@@ -413,62 +450,40 @@ def _layer_backward(
 ) -> np.ndarray | None:
     """BPTT through one layer, overwriting cache.g with the gate gradients.
 
-    d_hidden is the loss gradient flowing into the layer's hidden outputs:
-    [T, hidden, B] for a whole-sequence consumer, or [hidden, B] into the
-    final step only. Writes the layer's parameter gradients into `grads`.
-    `work` is flat scratch of at least (5*hidden + input) * T * B floats.
-    When `d_inputs`, flat scratch of at least input * T * B floats apart
-    from `work`, is given, returns the gradient w.r.t. the input sequence
-    as a [T, in, B] view of it; else None. d_hidden may live in d_inputs:
-    the loop reads it before dX is written.
+    d_hidden is the loss gradient into the layer's hidden outputs: [T, hidden,
+    B] from a whole-sequence consumer, or [hidden, B] into the final step.
+    Writes the parameter gradients into `grads`; `work` is flat scratch sized
+    by network_backward. Given `d_inputs`, flat scratch of input * T * B floats
+    apart from `work`, returns the input gradient as a [T, in, B] view of it,
+    else None. d_hidden may live in d_inputs: it is read before dX is written.
     """
-    z, g, c, tanh_c = cache.z, cache.g, cache.c, cache.tanh_c
+    z, g, c = cache.z, cache.g, cache.c
     T, rows, B = g.shape
     width = z.shape[1]
     hid = params.hidden_size
+    _gate_factors(g, c, work, _block_steps(hid, width - hid, T, B))
     w_h = params.w[:, :hid].T  # [hidden, 4*hidden]: recurrent part of dz = w.T @ da
     sequence = d_hidden.ndim == 3
-    dh, dc, t1, t2, t3 = work[: 5 * hid * B].reshape(5, hid, B)
-    dh[...] = 0.0 if sequence else d_hidden
+    # [dc, dc, dc, dh]: da_t = dcdh * g[t], and [dc | dh] lines up with c[t]
+    dcdh = work[: 4 * hid * B].reshape(4 * hid, B)
+    prod = work[4 * hid * B : 6 * hid * B].reshape(2 * hid, B)
+    dc_gates, dc, dh = dcdh[: 2 * hid].reshape(2, hid, B), dcdh[2 * hid : 3 * hid], dcdh[3 * hid :]
     dc[...] = 0.0
+    dh[...] = 0.0 if sequence else d_hidden
 
     for t in reversed(range(T)):
-        gt, tc = g[t], tanh_c[t]
-        f, i, cand, o = gt[:hid], gt[hid : 2 * hid], gt[2 * hid : 3 * hid], gt[3 * hid :]
+        gt = g[t]
         if sequence:
             dh += d_hidden[t]
-        # dc = dh * o * (1 - tanh_c^2) + dc_next
-        np.multiply(tc, tc, out=t1)
-        np.subtract(1.0, t1, out=t1)
-        np.multiply(dh, o, out=t2)
-        t2 *= t1
-        dc += t2
-        # da_o = dh * tanh_c * o * (1 - o)
-        np.multiply(dh, tc, out=t1)
-        t1 *= o
-        np.subtract(1.0, o, out=o)
-        o *= t1
-        # da_f = dc * c_prev * f * (1 - f); da_i = dc * c~ * i * (1 - i);
-        # da_c = dc * i * (1 - c~^2); then dc_next = dc * f
-        np.multiply(dc, c[t], out=t1)
-        t1 *= f
-        np.multiply(dc, cand, out=t2)
-        t2 *= i
-        np.multiply(dc, i, out=t3)
-        dc *= f
-        np.subtract(1.0, f, out=f)
-        f *= t1
-        np.subtract(1.0, i, out=i)
-        i *= t2
-        np.multiply(cand, cand, out=cand)
-        np.subtract(1.0, cand, out=cand)
-        cand *= t3
-        # gt now holds da_t
+        # dc_t = f_{t+1} dc_{t+1} + A_t dh_t
+        np.multiply(dcdh[2 * hid :], c[t], out=prod)
+        np.add(prod[:hid], prod[hid:], out=dc)
+        np.copyto(dc_gates, dc)
+        np.multiply(dcdh, gt, out=gt)  # da_t = [dc F, dc I, dc C, dh Bo]
         if t:
             np.matmul(w_h, gt, out=dh)
 
-    # Everything left is time-independent: one whole-layer product each over
-    # gate-major copies G [4*hidden, T*B] of da and Z [hidden+input, T*B] of z.
+    # dW, db and dX over gate-major copies G of da and Z of z, one call each
     cols = T * B
     gm = work[: rows * cols].reshape(rows, cols)
     zm = work[rows * cols : (rows + width) * cols].reshape(width, cols)
@@ -521,9 +536,10 @@ def network_backward(
 
     d_hidden = d_out.T  # feature-major from here on
     sizes = _param_sizes(params)
-    cells = cache.seq_len * cache.batch_size
-    work = _take((max(5 * hid + inp for hid, inp in sizes) * cells,))
-    d_inputs = _take((max((inp for _, inp in sizes[1:]), default=0) * cells,))
+    T, B = cache.seq_len, cache.batch_size
+    span = max(max((5 * h + i) * T, 7 * h * _block_steps(h, i, T, B)) for h, i in sizes)
+    work = _take((span * B,))  # G and Z after the loop, or one _gate_factors block
+    d_inputs = _take((max((inp for _, inp in sizes[1:]), default=0) * T * B,))
     for idx in reversed(range(len(params.layers))):
         d_hidden = _layer_backward(
             params.layers[idx],
@@ -538,6 +554,6 @@ def network_backward(
             d_hidden *= mask.transpose(0, 2, 1)
 
     _recycle([work, d_inputs])
-    _recycle(a for lc in cache.layer_caches for a in (lc.z, lc.g, lc.c, lc.tanh_c))
+    _recycle(a for lc in cache.layer_caches for a in (lc.z, lc.g, lc.c))
     cache.layer_caches, cache.dropout_masks, cache.final_hidden = [], [], None
     return grads

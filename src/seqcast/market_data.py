@@ -16,6 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date
+from itertools import accumulate, islice, tee
 from urllib.error import HTTPError
 from urllib.parse import urlsplit
 from urllib.request import urlopen
@@ -243,12 +244,21 @@ def sma(values, n: int) -> np.ndarray:
             stacklevel=2,
         )
         return np.empty(0, dtype=np.float64)
-    # fsum gives correctly rounded window sums, keeping the rolling identity
-    # sma[t] - sma[t-1] == (P_t - P_{t-n})/n tight even at price scale 1e6
-    return np.array(
-        [math.fsum(vals[k : k + n]) / n for k in range(len(vals) - n + 1)],
-        dtype=np.float64,
-    )
+    # Every finite float is a whole multiple of 1/unit, a power of two, so exact
+    # integer prefix sums and one int / int division give math.fsum(window) in
+    # O(len), keeping sma[t] - sma[t-1] == (P_t - P_{t-n})/n tight at scale 1e6.
+    unit = max((v.as_integer_ratio()[1] for v in vals if math.isfinite(v)), default=1)
+    ratios = (v.as_integer_ratio() if math.isfinite(v) else (0, 1) for v in vals)
+    ahead, behind = tee(accumulate((p * (unit // q) for p, q in ratios), initial=0))
+    next(islice(ahead, n - 1, None))  # n sums in front; tee holds only those n
+    sums = ((hi - lo) / unit / n for hi, lo in zip(ahead, behind))
+    out = np.fromiter(sums, np.float64, count=len(vals) - n + 1)
+    # a window holding inf or nan gets fsum's inf, nan or ValueError (inf + -inf)
+    for j, v in enumerate(vals):
+        if not math.isfinite(v):
+            for k in range(max(0, j - n + 1), min(j + 1, out.size)):
+                out[k] = math.fsum(vals[k : k + n]) / n
+    return out
 
 
 def chronological_split(series: PriceSeries, ratio: float) -> SplitResult:

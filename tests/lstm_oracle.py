@@ -1,5 +1,5 @@
-"""Per-gate reference for one LSTM timestep and for the stacked network, the
-oracle the kernel tests compare against.
+"""Per-gate reference for one LSTM timestep and for the stacked network,
+forward and backward: the oracle the kernel tests compare against.
 
 It reads each gate's rows of the packed weight and bias separately and runs
 four small batch-major GEMMs per step, where seqcast.lstm_core runs one
@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seqcast.lstm_core import LstmLayerParams, NetworkConfig, NetworkParams, ShapeMismatchError
+from seqcast.lstm_core import (
+    LstmLayerParams,
+    NetworkConfig,
+    NetworkParams,
+    ShapeMismatchError,
+    zeros_like_params,
+)
 
 GATES = "fico"
 # sigmoid saturates to 0/1 long before +-500; the clamp only keeps exp finite
@@ -103,3 +109,79 @@ def network_forward(params: NetworkParams, config: NetworkConfig, batch, rng=Non
             out = out * ((rng.random(out.shape) >= rate) / (1.0 - rate))
         steps = list(out)
     return out @ params.dense.w + params.dense.b[0]
+
+
+def network_backward(
+    params: NetworkParams, config: NetworkConfig, batch, d_predictions, rng=None
+) -> NetworkParams:
+    """Exact BPTT through the stack of network_forward, per gate and per step.
+
+    Draws the same dropout masks as network_forward for the same rng, and
+    multiplies each gate gradient's factors left to right, e.g.
+    da_f = ((dc * c_prev) * f) * (1 - f). Returns the gradient of
+    sum(d_predictions * predictions) in params' layout.
+    """
+    grads = zeros_like_params(params)
+    x = np.asarray(batch, dtype=np.float64)
+    steps = [x[:, t] for t in range(x.shape[1])]
+    last = len(params.layers) - 1
+    tapes, masks = [], []
+    for idx, (layer, rate) in enumerate(zip(params.layers, config.dropout_rates)):
+        state, tape = None, []
+        for x_t in steps:
+            prev = state
+            state, gates = lstm_cell_forward(layer, x_t, prev=prev)
+            tape.append((x_t, prev, state, gates))
+        out = state.h if idx == last else np.stack([s.h for _, _, s, _ in tape])
+        mask = None
+        if rng is not None and rate > 0.0:
+            mask = (rng.random(out.shape) >= rate) / (1.0 - rate)
+            out = out * mask
+        tapes.append(tape)
+        masks.append(mask)
+        steps = list(out)
+
+    d_pred = np.asarray(d_predictions, dtype=np.float64).reshape(-1)
+    grads.dense.w[...] = out.T @ d_pred
+    grads.dense.b[0] = d_pred.sum()
+    d_out = np.outer(d_pred, params.dense.w)
+    for idx in reversed(range(len(params.layers))):
+        if masks[idx] is not None:
+            d_out = d_out * masks[idx]
+        layer, layer_grads, tape = params.layers[idx], grads.layers[idx], tapes[idx]
+        hid = layer.hidden_size
+        d_hidden = np.zeros((len(tape),) + tape[0][2].h.shape)
+        if idx == last:
+            d_hidden[-1] = d_out
+        else:
+            d_hidden[...] = d_out
+        d_x = []
+        dh_next = np.zeros_like(d_hidden[0])
+        dc_next = np.zeros_like(d_hidden[0])
+        for t in reversed(range(len(tape))):
+            x_t, prev, state, gates = tape[t]
+            f, i, o, cand = gates.f, gates.i, gates.o, gates.candidate
+            h_prev = np.zeros_like(state.h) if prev is None else prev.h
+            c_prev = np.zeros_like(state.c) if prev is None else prev.c
+            tanh_c = np.tanh(state.c)
+            dh = dh_next + d_hidden[t]
+            dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+            da = {
+                "f": dc * c_prev * f * (1.0 - f),
+                "i": dc * cand * i * (1.0 - i),
+                "c": dc * i * (1.0 - cand * cand),
+                "o": dh * tanh_c * o * (1.0 - o),
+            }
+            dc_next = dc * f
+            z = np.concatenate([h_prev, x_t], axis=1)
+            dz = np.zeros_like(z)
+            for name in GATES:
+                w, _ = gate(layer, name)
+                gw, gb = gate(layer_grads, name)
+                gw += da[name].T @ z
+                gb += da[name].sum(axis=0)
+                dz += da[name] @ w
+            dh_next = dz[:, :hid]
+            d_x.append(dz[:, hid:])
+        d_out = np.stack(d_x[::-1])
+    return grads

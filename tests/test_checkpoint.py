@@ -92,3 +92,42 @@ def test_refuses_to_write_non_finite_params(tmp_path):
     with pytest.raises(CheckpointError):
         save_checkpoint(tmp_path / "model.ckpt.json", ckpt)
     assert not (tmp_path / "model.ckpt.json").exists()
+
+
+def _saved_doc(tmp_path):
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(path, make_checkpoint())
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("key", ["config", "params", "scaler", "seed", "window", "symbol"])
+def test_missing_key_is_named_with_the_file(tmp_path, key):
+    path, doc = _saved_doc(tmp_path)
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=f"{path}.*'{key}'"):
+        load_checkpoint(path)
+
+
+MALFORMED = {
+    "config": lambda d: d["config"].update(layer_units="four"),
+    "params": lambda d: d["params"].update(layers=5),
+    "scaler": lambda d: d["scaler"].update(min_value=200.0),
+}
+
+
+@pytest.mark.parametrize("key", MALFORMED)
+def test_malformed_key_is_named_with_the_file(tmp_path, key):
+    path, doc = _saved_doc(tmp_path)
+    MALFORMED[key](doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=f"{path}.*'{key}'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '"seqcast-checkpoint"'])
+def test_non_checkpoint_json_names_the_file(tmp_path, text):
+    path = tmp_path / "model.ckpt.json"
+    path.write_text(text)
+    with pytest.raises(CheckpointError, match=str(path)):
+        load_checkpoint(path)

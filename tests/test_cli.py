@@ -37,6 +37,22 @@ def test_evaluate_refuses_checkpoint_of_another_symbol(tmp_path, vnq_checkpoint,
     assert not list(tmp_path.glob("VGT-*"))
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [('{"format":"seqcast-checkpoint","version":1}', "'config'"), ("not json", "not a JSON")],
+)
+def test_evaluate_reports_a_broken_checkpoint_by_name(tmp_path, monkeypatch, capsys, text, named):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    ckpt = tmp_path / "broken.ckpt.json"
+    ckpt.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(out)]
+    assert main(argv + ["evaluate", "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ckpt) in err and named in err
+    assert not out.exists()
+
+
 def _log_lines(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 

@@ -25,6 +25,7 @@ from seqcast.lstm_core import (
 from seqcast.rng import make_rng
 
 from lstm_oracle import LstmState, gate, lstm_cell_forward
+from lstm_oracle import network_backward as oracle_network_backward
 from lstm_oracle import network_forward as oracle_network_forward
 
 
@@ -130,10 +131,11 @@ def test_gate_ranges_and_hidden_bound():
     layer = random_layer(4, 1, seed=11, scale=1.5)
     seq = make_rng(12).normal(size=(5, 20, 1)) * 2.0
     out, cache = layer_forward(layer, seq)
-    f, i, candidate, o = np.split(cache.g, 4, axis=1)
+    f, i, tanh_c, o = np.split(cache.g, 4, axis=1)
+    candidate = cache.c[:-1, 4:]  # c[t] = [c_{t-1} | c~_t]
     for arr in (f, i, o):
         assert np.all(arr > 0.0) and np.all(arr < 1.0)
-    assert np.all(np.abs(candidate) < 1.0)
+    assert np.all(np.abs(candidate) < 1.0) and np.all(np.abs(tanh_c) < 1.0)
     assert np.all(np.abs(out) < 1.0)
 
 
@@ -141,10 +143,11 @@ def test_cell_state_growth_bound():
     layer = random_layer(3, 1, seed=13, scale=2.0)
     seq = make_rng(14).normal(size=(2, 30, 1)) * 3.0
     _, cache = layer_forward(layer, seq)
-    prev = np.zeros_like(cache.c[0])
-    for t in range(cache.c.shape[0]):
-        assert np.all(np.abs(cache.c[t]) <= np.abs(prev) + 1.0 + 1e-12)
-        prev = cache.c[t]
+    cells = cache.c[:, :3]  # c[t] = [c_{t-1} | c~_t]
+    prev = np.zeros_like(cells[0])
+    for t in range(cells.shape[0]):
+        assert np.all(np.abs(cells[t]) <= np.abs(prev) + 1.0 + 1e-12)
+        prev = cells[t]
 
 
 # ------------------------------------------------------------------- dropout
@@ -398,6 +401,22 @@ def test_forward_matches_oracle_in_both_modes(batch_size, steps):
     np.testing.assert_allclose(pred[:, 0], expected, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("batch_size", [1, 5])
+@pytest.mark.parametrize("steps", [1, 9])
+def test_backward_matches_exact_oracle(batch_size, steps):
+    params = init_params(ORACLE_CFG)
+    params.flat[...] += make_rng(37).normal(scale=0.3, size=params.flat.size)
+    batch = make_rng(38).normal(size=(batch_size, steps, 1))
+    d_pred = make_rng(39).normal(size=(batch_size, 1))
+
+    # same seed on both sides: the backward reuses the forward's dropout masks
+    _, cache = network_forward(params, ORACLE_CFG, batch, mode="train", rng=make_rng(40))
+    got = network_backward(params, ORACLE_CFG, cache, d_pred).flat
+    want = oracle_network_backward(params, ORACLE_CFG, batch, d_pred, rng=make_rng(40)).flat
+    assert np.abs(want).max() > 1e-2
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
 def test_saturated_gates_are_exact_and_silent():
     layer = zero_layer(3, 1)
     for name, value in zip("fico", (1e3, -1e3, 1e3, 1e3)):
@@ -406,11 +425,13 @@ def test_saturated_gates_are_exact_and_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out, cache = layer_forward(layer, seq)
-    f, i, candidate, o = np.split(cache.g, 4, axis=1)
+    f, i, tanh_c, o = np.split(cache.g, 4, axis=1)
+    candidate = cache.c[:-1, 3:]  # c[t] = [c_{t-1} | c~_t]
     np.testing.assert_array_equal(f, 1.0)
     np.testing.assert_array_equal(i, 0.0)
     np.testing.assert_array_equal(o, 1.0)
     np.testing.assert_array_equal(candidate, 1.0)
+    np.testing.assert_array_equal(tanh_c, 0.0)
     np.testing.assert_array_equal(out, 0.0)  # c stays 0: the input gate is shut
 
 
@@ -458,7 +479,7 @@ def _step(params, cfg, batch, seed):
 
 
 def _cache_buffers(cache):
-    return [a for lc in cache.layer_caches for a in (lc.z, lc.g, lc.c, lc.tanh_c)]
+    return [a for lc in cache.layer_caches for a in (lc.z, lc.g, lc.c)]
 
 
 def test_warm_pool_gives_bitwise_equal_gradients(cold_pool):
@@ -521,3 +542,19 @@ def test_warm_step_allocates_under_half_the_first(cold_pool):
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0] / 2
+
+
+def test_warm_step_allocates_little_beyond_the_gradients(cold_pool):
+    # a ufunc over a strided view allocates NumPy's iterator buffers: 64 KB
+    # per operand at these sizes
+    cfg = NetworkConfig(layer_units=(8, 8), dropout_rates=(0.0, 0.0), seed=51)
+    params = init_params(cfg)
+    batch = make_rng(52).normal(size=(32, 20, 1))
+    _step(params, cfg, batch, seed=53)
+    tracemalloc.start()
+    try:
+        _step(params, cfg, batch, seed=53)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= params.flat.nbytes + 16 * 1024

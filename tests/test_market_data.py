@@ -234,6 +234,48 @@ def test_sma_rolling_identity_at_large_scale():
             assert abs((out[k] - out[k - 1]) - expected) < 1e-9
 
 
+def _fsum_sma(values, n):
+    """The moving average window by window, each sum correctly rounded."""
+    return [math.fsum(values[k : k + n]) / n for k in range(len(values) - n + 1)]
+
+
+def test_sma_equals_fsum_windows_bitwise():
+    rng = make_rng(4)
+    cases = [
+        rng.random(500) * 1e6,
+        rng.random(400) * 100.0 + 20.0,
+        np.round(rng.random(300) * 1e6, 2),
+        rng.normal(size=300) * 10.0 ** rng.integers(-8, 9, size=300),  # mixed scales and signs
+    ]
+    for values in cases:
+        for n in (1, 2, 7, 100, len(values)):
+            expected = np.array(_fsum_sma(list(values), n))
+            assert sma(values, n).tobytes() == expected.tobytes(), n
+
+
+@pytest.mark.parametrize(
+    "bad", [[math.inf], [-math.inf], [math.nan], [math.inf, math.inf], [math.nan, math.inf]]
+)
+def test_sma_non_finite_windows_follow_fsum(bad):
+    values = list(make_rng(5).random(30) * 1e6)
+    for j, v in zip((9, 13), bad):
+        values[j] = v
+    n = 5
+    expected = _fsum_sma(values, n)
+    out = sma(values, n)
+    np.testing.assert_array_equal(out, expected)  # nan == nan here
+    assert np.isfinite(out).sum() == sum(math.isfinite(e) for e in expected) < len(out)
+
+
+def test_sma_window_with_both_infinities_raises_like_fsum():
+    values = [1.0, math.inf, 2.0, -math.inf, 3.0]
+    with pytest.raises(ValueError, match="inf"):
+        math.fsum(values[1:4])
+    with pytest.raises(ValueError, match="inf"):
+        sma(values, 3)
+    np.testing.assert_array_equal(sma(values, 2), [math.inf, math.inf, -math.inf, -math.inf])
+
+
 # -------------------------------------------------------- chronological_split
 
 
