@@ -290,6 +290,9 @@ def _evaluate_one(
 
 
 def cmd_evaluate(cfg: RunConfig, checkpoint_path: str | None = None, stdout=sys.stdout) -> int:
+    if checkpoint_path and len(cfg.symbols) > 1:
+        n = len(cfg.symbols)
+        raise RunConfigError(f"--checkpoint {checkpoint_path} holds one model; got {n} symbols")
     for symbol in cfg.symbols:
         path = Path(checkpoint_path) if checkpoint_path else _out_path(cfg, symbol, ".ckpt.json")
         if not path.exists():

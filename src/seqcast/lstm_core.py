@@ -27,8 +27,8 @@ z [T+1, hidden+input, B] once per layer (z[t] = [h_{t-1} | x_t]) and keeps
 g [T, 4*hidden, B] = [f, i, tanh c_t, o] and c [T+1, 2*hidden, B] with
 c[t] = [c_{t-1} | c~_t]: 7*hidden+input floats a step. As c[t] lines up with
 [f; i], the cell update is one multiply and one add of its halves. Inference
-keeps no BPTT cache: two-deep rolling z and c, one gate buffer and the
-hidden sequence the next layer reads.
+keeps no BPTT cache: two-deep rolling z and c, one gate buffer, and for the
+whole stack one [T, hidden, B] sequence that each layer reads and overwrites.
 
 Backward first overwrites the spent cache, over time blocks, with the
 gate-derivative factors that do not depend on the incoming gradient:
@@ -43,23 +43,25 @@ Numerics: the forward is bitwise that of the equations above. The backward
 multiplies each gate gradient's factors in another order than left to right
 (dc * ((1 - f) * (c_{t-1} * f)) for da_f): its gradients differ by rounding.
 
-Buffers: a train-mode forward takes z, g and c, and backward its scratch,
-from a module-private pool of float64 buffers keyed by shape. Once the
-cache is consumed, network_backward gives them back and drops every array
-the cache held (a second backward raises StaleCacheError), so a steady
-training step allocates almost nothing. Recycled buffers are not cleared:
-the kernel writes every element before it reads it. The pool keeps, per
-shape, as many buffers as were live at once, for the life of the process
-(at the paper config, B = 32, T = 100: about 80 MB, plus 35 MB for a short
-last batch of 14). Inference never uses it. Taking and giving back are
-single list operations, so threads never share a buffer.
+Buffers: a train-mode forward takes z, g, c and the dropout masks, and
+backward its scratch, from a module-private pool of float64 buffers keyed by
+shape. Once the cache is consumed, network_backward gives them back and
+drops every array the cache held (a second backward raises
+StaleCacheError), so a steady training step allocates little beyond the
+gradients it returns. Recycled buffers are not cleared: the kernel writes
+every element before it reads it. The pool keeps, per shape, as many
+buffers as were live at once, for the life of the process (at the paper
+config, B = 32, T = 100: about 85 MB, plus 37 MB for a short last batch of
+14). Inference never uses it. Taking and giving back are single list
+operations, so threads never share a buffer.
 
 Layer stacking: every layer but the last feeds its hidden sequence to the
 next; the last emits its final hidden state, which the dense head maps to
 one scalar. Inverted dropout (survivors scaled by 1/(1-rate) in training,
 identity at inference) follows each layer's output. network_forward draws
-each mask from its rng: batch-major, [T, B, hidden] per layer and
-[B, hidden] for the last state, in layer order.
+each mask from its rng, in place and in layer order: batch-major,
+[T, B, hidden] per layer and [B, hidden] for the last state. The next layer
+applies a mask as it stages its input into z.
 """
 
 from __future__ import annotations
@@ -295,13 +297,21 @@ def init_params(config: NetworkConfig) -> NetworkParams:
 
 
 def _layer_forward(
-    params: LstmLayerParams, x: np.ndarray, keep: bool, sequence: bool
+    params: LstmLayerParams,
+    x: np.ndarray,
+    keep: bool,
+    sequence: bool,
+    mask: np.ndarray | None = None,
+    seq: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LayerCache | None]:
     """Run the recurrence over a feature-major [T, in, B] input from zero state.
 
     Returns the hidden sequence [T, hidden, B] when `sequence` is set, else
     the final hidden state [hidden, B]; and the BPTT cache when `keep` is
-    set, else None, with only rolling buffers allocated.
+    set, else None, with only rolling buffers allocated. Training stages x
+    times `mask`, the batch-major [T, B, in] dropout on it, if given.
+    Inference writes the sequence into the first rows of `seq` [T, >= hidden,
+    B], which may hold x: step t stages x[t] before it writes h[t].
     """
     T, _, B = x.shape
     hid = params.hidden_size
@@ -312,9 +322,11 @@ def _layer_forward(
     g = alloc((T if keep else 1, 4 * hid, B))
     z[0, :hid] = 0.0
     c[0, :hid] = 0.0
-    if keep:
+    if keep and mask is not None:
+        np.multiply(x, mask.transpose(0, 2, 1), out=z[:T, hid:])
+    elif keep:
         z[:T, hid:] = x
-    h = np.empty((T, hid, B)) if sequence and not keep else None
+    h = seq[:, :hid] if sequence and not keep else None
     bias = np.repeat(params.b[:, np.newaxis], B, axis=1)  # a broadcast add is ~3x slower
     # [f c_prev | i c~]: into the next rolling c slot, or a buffer in training (cold slots)
     scratch = np.empty((2 * hid, B)) if keep else None
@@ -378,21 +390,24 @@ def network_forward(
     B, T, _ = arr.shape
     x = arr.transpose(1, 2, 0)  # feature-major [T, features, B]
     last = len(params.layers) - 1
+    width = max((layer.hidden_size for layer in params.layers[:-1]), default=0)
+    seq = None if train else np.empty((T, width, B))
     layer_caches: list[LayerCache] = []
     masks: list[np.ndarray | None] = []
+    mask = None
     for idx, (layer, rate) in enumerate(zip(params.layers, config.dropout_rates)):
-        h, cache = _layer_forward(layer, x, keep=train, sequence=idx != last)
-        out = h.swapaxes(-1, -2)  # batch-major view: [T, B, hidden] or [B, hidden]
+        x, cache = _layer_forward(layer, x, keep=train, sequence=idx != last, mask=mask, seq=seq)
         mask = None
-        if train and rate > 0.0:
-            mask = (rng.random(out.shape) >= rate) / (1.0 - rate)
-            out = out * mask
+        if train and rate > 0.0:  # batch-major [T, B, hidden] or [B, hidden], drawn in place
+            mask = _take(x.swapaxes(-1, -2).shape)
+            rng.random(out=mask)
+            np.greater_equal(mask, rate, out=mask)
+            np.divide(mask, 1.0 - rate, out=mask)
         if train:
             layer_caches.append(cache)
         masks.append(mask)
-        x = out.swapaxes(-1, -2)
 
-    final_hidden = out  # [B, hidden_last]
+    final_hidden = x.T if mask is None else x.T * mask  # [B, hidden_last]
     predictions = (final_hidden @ params.dense.w + params.dense.b[0])[:, np.newaxis]
     if not train:
         return predictions, None
@@ -555,5 +570,6 @@ def network_backward(
 
     _recycle([work, d_inputs])
     _recycle(a for lc in cache.layer_caches for a in (lc.z, lc.g, lc.c))
+    _recycle(m for m in cache.dropout_masks if m is not None)
     cache.layer_caches, cache.dropout_masks, cache.final_hidden = [], [], None
     return grads

@@ -73,6 +73,7 @@ _COLUMN_ALIASES = {
     "adjclose": "adj_close",
     "adjustedclose": "adj_close",
 }
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -166,13 +167,14 @@ def parse_csv(text: str, symbol: str = "") -> PriceSeries:
             continue
         raw_date = cell(row, "date").strip()
         try:
-            days.append(date.fromisoformat(raw_date))
+            days.append(date.fromisoformat(raw_date).toordinal())
         except ValueError:
             raise BadDateError(f"line {line_no}: unparseable date {raw_date!r}") from None
         close.append(_parse_price(cell(row, "close")))
         adj_close.append(_parse_price(cell(row, "adj_close")))
 
-    day_array = np.array(days, dtype="datetime64[D]")
+    # from ordinals: numpy converts a list of date objects one by one, ~30x slower
+    day_array = (np.array(days, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
     order = np.argsort(day_array, kind="stable")
     return PriceSeries(
         symbol,

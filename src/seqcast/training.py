@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,12 +73,17 @@ def mse_grad(p: PredictionSet) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, shaped like params.flat."""
+    """First/second moment accumulators, shaped like params.flat, and `scratch`:
+    two more such buffers that take adam_step's temporaries, so it allocates nothing."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
     lr: float = 1e-3
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = np.empty((2,) + self.m.shape)
 
 
 def init_adam(params: NetworkParams, lr: float = 1e-3) -> AdamState:
@@ -95,11 +100,17 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
+    step, denom = state.scratch
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with its rounding, in place
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+    v += np.multiply(step, g, out=step)
+    np.multiply(np.divide(m, bc1, out=step), state.lr, out=step)
+    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+    denom += ADAM_EPSILON
+    p -= np.divide(step, denom, out=step)
     return params, state
 
 

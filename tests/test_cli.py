@@ -37,6 +37,15 @@ def test_evaluate_refuses_checkpoint_of_another_symbol(tmp_path, vnq_checkpoint,
     assert not list(tmp_path.glob("VGT-*"))
 
 
+def test_evaluate_refuses_one_checkpoint_for_several_symbols(tmp_path, vnq_checkpoint, capsys):
+    out = tmp_path / "out"
+    argv = TINY + ["--symbols", "VNQ,VDE", "--out-dir", str(out)]
+    assert main(argv + ["evaluate", "--checkpoint", str(vnq_checkpoint)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--checkpoint" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, named",
     [('{"format":"seqcast-checkpoint","version":1}', "'config'"), ("not json", "not a JSON")],

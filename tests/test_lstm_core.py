@@ -454,6 +454,18 @@ def test_inference_forward_keeps_no_bptt_cache():
     assert _forward_peak_bytes(params, cfg, batch, "train") > gate_buffer
 
 
+def test_inference_forward_keeps_one_sequence_buffer():
+    cfg = NetworkConfig(layer_units=(16, 24, 32), dropout_rates=(0.1, 0.1, 0.1), seed=4)
+    params = init_params(cfg)
+    steps, batch_size = 100, 64
+    batch = make_rng(37).normal(size=(batch_size, steps, 1))
+    hid, inp = cfg.layer_units[-1], cfg.layer_units[-2]
+    sequence = steps * max(cfg.layer_units[:-1]) * batch_size
+    rolling = (2 * (hid + inp) + 2 * 2 * hid + 4 * hid + 4 * hid) * batch_size  # z, c, g, bias
+    bound = 8 * (sequence + rolling) + 64 * 1024
+    assert _forward_peak_bytes(params, cfg, batch, "inference") <= bound
+
+
 # ------------------------------------------------------------- buffer pool
 
 
@@ -479,7 +491,8 @@ def _step(params, cfg, batch, seed):
 
 
 def _cache_buffers(cache):
-    return [a for lc in cache.layer_caches for a in (lc.z, lc.g, lc.c)]
+    masks = [m for m in cache.dropout_masks if m is not None]
+    return [a for lc in cache.layer_caches for a in (lc.z, lc.g, lc.c)] + masks
 
 
 def test_warm_pool_gives_bitwise_equal_gradients(cold_pool):
@@ -558,3 +571,20 @@ def test_warm_step_allocates_little_beyond_the_gradients(cold_pool):
     finally:
         tracemalloc.stop()
     assert peak <= params.flat.nbytes + 16 * 1024
+
+
+def test_warm_dropout_step_allocates_under_half_a_mask_beyond_the_gradients(cold_pool):
+    # the masks come from the pool and scale the next layer's input as it is staged
+    cfg = NetworkConfig(layer_units=(32, 32), dropout_rates=(0.2, 0.3), seed=54)
+    params = init_params(cfg)
+    steps, batch_size = 50, 64
+    batch = make_rng(55).normal(size=(batch_size, steps, 1))
+    _step(params, cfg, batch, seed=56)
+    tracemalloc.start()
+    try:
+        _step(params, cfg, batch, seed=56)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mask = steps * batch_size * cfg.layer_units[0] * 8
+    assert peak < params.flat.nbytes + mask // 2

@@ -97,6 +97,13 @@ def test_parse_csv_sorts_descending_rows_ascending():
     np.testing.assert_array_equal(series.adj_close, [4.5, 3.5, 2.5, 1.5, 0.5])
 
 
+def test_parse_csv_days_match_numpy_dates_across_the_calendar():
+    ordinals = make_rng(12).choice(date.max.toordinal(), size=500, replace=False) + 1
+    days = [date.fromordinal(int(k)) for k in ordinals] + [date.min, date.max]
+    series = parse_csv("\n".join(["Date,Close"] + [f"{d.isoformat()},1" for d in days]))
+    np.testing.assert_array_equal(series.days, np.array(sorted(set(days)), dtype="datetime64[D]"))
+
+
 def test_parse_csv_header_case_and_order_insensitive():
     for adj_header in ("ADJ close", "adjusted_close", "Adj-Close"):
         series = parse_csv(f"volume,CLOSE,date,{adj_header}\n5,10.5,2020-01-02,10.4")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,9 @@ from seqcast.preprocess import fit_scaler, make_windows, transform
 from seqcast.rng import make_rng
 from seqcast.preprocess import WindowedDataset
 from seqcast.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     DivergedError,
     EmptyDatasetError,
@@ -168,6 +172,45 @@ def test_adam_constant_gradient_matches_scalar_recurrence():
     for expected in trajectory:
         params, state = adam_step(state, params, grads)
         assert abs(float(params.dense.b[0]) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("clip", [None, 0.5])
+def test_adam_matches_the_textbook_expression_bitwise(clip):
+    cfg = NetworkConfig(layer_units=(6, 4), dropout_rates=(0.0, 0.0), seed=8)
+    params = init_params(cfg)
+    state = init_adam(params, lr=3e-3)
+    p, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, 3e-3
+    rng = make_rng(9)
+    for t in range(1, 6):
+        grads = zeros_like_params(params)
+        grads.flat[...] = rng.normal(scale=2.0, size=grads.flat.shape)
+        if clip is not None:
+            _clip_global_norm(grads, clip)
+        g = grads.flat.copy()
+        params, state = adam_step(state, params, grads)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        p = p - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
+        np.testing.assert_array_equal(params.flat, p)
+
+
+def test_warm_adam_step_allocates_nothing():
+    cfg = NetworkConfig(layer_units=(8, 8), dropout_rates=(0.0, 0.0), seed=10)
+    params = init_params(cfg)
+    grads = zeros_like_params(params)
+    grads.flat[...] = make_rng(10).normal(size=grads.flat.shape)
+    state = init_adam(params)
+    adam_step(state, params, grads)
+    tracemalloc.start()
+    try:
+        adam_step(state, params, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096  # one temporary the size of params.flat would be 6.8 KB
 
 
 def test_adam_shape_mismatch():
