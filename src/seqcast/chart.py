@@ -11,6 +11,8 @@ from xml.sax.saxutils import escape
 ACTUAL_COLOR = "green"
 PREDICTED_COLOR = "red"
 
+_WIDTH = 900
+_HEIGHT = 480
 _MARGIN_LEFT = 70
 _MARGIN_RIGHT = 20
 _MARGIN_TOP = 40
@@ -22,18 +24,11 @@ def _ticks(lo: float, hi: float, count: int) -> list[float]:
     return [lo + span * k / (count - 1) for k in range(count)]
 
 
-def render_price_chart(
-    dates,
-    actual,
-    predicted,
-    title: str = "",
-    width: int = 900,
-    height: int = 480,
-) -> str:
+def render_price_chart(dates, actual, predicted, title: str = "") -> str:
     """Two-polyline comparison chart with axes and a legend.
 
-    dates may be None (indices are used for x labels); actual and predicted
-    must be equal-length sequences of at least one point.
+    dates label the x axis; dates, actual and predicted must be equal-length
+    sequences of at least one point.
     """
     actual = [float(v) for v in actual]
     predicted = [float(v) for v in predicted]
@@ -41,7 +36,7 @@ def render_price_chart(
         raise ValueError(f"length mismatch: {len(actual)} actual, {len(predicted)} predicted")
     if not actual:
         raise ValueError("nothing to plot")
-    labels = [str(d) for d in dates] if dates is not None else [str(k) for k in range(len(actual))]
+    labels = [str(d) for d in dates]
     if len(labels) != len(actual):
         raise ValueError(f"length mismatch: {len(labels)} dates, {len(actual)} points")
 
@@ -50,8 +45,8 @@ def render_price_chart(
     pad = (hi - lo) * 0.05 or 1.0
     lo, hi = lo - pad, hi + pad
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     n = len(actual)
 
     def x_at(k: int) -> float:
@@ -64,13 +59,13 @@ def render_price_chart(
         return " ".join(f"{x_at(k):.2f},{y_at(v):.2f}" for k, v in enumerate(series))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" font-size="16">'
+            f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="16">'
             f"{escape(title)}</text>"
         )
 

@@ -1,10 +1,10 @@
 """Batch CLI: ingest -> train -> evaluate -> sweep, plus a gradcheck diagnostic.
 
 A run is described by a JSON config file; command-line flags override file
-values, and every output filename embeds the symbol plus a hash of the
-resolved config so runs cannot mix. Re-running a command with the same
-config and seed rewrites identical outputs (modulo wall-clock fields in the
-training log).
+values. Every output filename embeds the symbol; all but ingest's
+`<symbol>-cleaned.csv` also embed a hash of the resolved config, so training
+runs cannot mix. Re-running a command with the same config and seed rewrites
+identical outputs (modulo wall-clock fields in the training log).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .market_data import (
 )
 from .preprocess import bridge_test_windows, fit_scaler, make_windows, transform
 from .rng import make_rng
-from .training import EpochLog, TrainConfig, finite_diff_gradcheck, train
+from .training import GRADCHECK_STEP, EpochLog, TrainConfig, finite_diff_gradcheck, train
 
 DATA_DIR_ENV = "SEQCAST_DATA_DIR"
 SMA_WINDOWS = (100, 200)
@@ -86,10 +86,16 @@ class RunConfig:
         object.__setattr__(self, "dropout_rates", tuple(float(r) for r in self.dropout_rates))
         if not self.symbols:
             raise RunConfigError("no symbols to run")
+        repeated = sorted({s for s in self.symbols if self.symbols.count(s) > 1})
+        if repeated:
+            raise RunConfigError(f"symbols repeated: {', '.join(repeated)}")
         if self.data_path and len(self.symbols) > 1:
             raise RunConfigError(
                 f"data file {self.data_path} holds one series; got {len(self.symbols)} symbols"
             )
+        # refuse a network or training setting that no symbol could train with
+        self.network_config()
+        self.train_config()
 
     def network_config(self) -> NetworkConfig:
         return NetworkConfig(
@@ -172,7 +178,7 @@ def cmd_ingest(cfg: RunConfig, stdout=sys.stdout) -> int:
         closes = cleaned.closes(adjusted=cfg.use_adj_close)
         averages = []
         for n in SMA_WINDOWS:
-            values = sma(closes, n) if len(cleaned) >= n else np.empty(0)
+            values = sma(closes, n)
             # first n-1 rows have no defined average: empty cells, never zeros
             averages.append([""] * (len(cleaned) - len(values)) + [repr(float(v)) for v in values])
         out = Path(cfg.out_dir)
@@ -202,9 +208,7 @@ def _load_split(cfg: RunConfig, symbol: str) -> SplitResult:
     return chronological_split(cleaned, cfg.split_ratio)
 
 
-def _train_one(
-    cfg: RunConfig, symbol: str, split: SplitResult, stdout, log_file
-) -> tuple[Checkpoint, list[EpochLog]]:
+def _train_one(cfg: RunConfig, symbol: str, split: SplitResult, stdout, log_file) -> Checkpoint:
     train_close = split.train.closes(adjusted=cfg.use_adj_close)
     scaler = fit_scaler(train_close)
     dataset = make_windows(transform(scaler, train_close), cfg.window)
@@ -222,8 +226,8 @@ def _train_one(
             log_file.write(json.dumps({"symbol": symbol, **record}) + "\n")
             log_file.flush()
 
-    params, logs = train(params, net_cfg, dataset, cfg.train_config(), progress=progress)
-    ckpt = Checkpoint(
+    params, _ = train(params, net_cfg, dataset, cfg.train_config(), progress=progress)
+    return Checkpoint(
         params=params,
         config=net_cfg,
         scaler=scaler,
@@ -231,13 +235,12 @@ def _train_one(
         window=cfg.window,
         symbol=symbol,
     )
-    return ckpt, logs
 
 
 def cmd_train(cfg: RunConfig, stdout=sys.stdout, log_out: str | None = None) -> int:
     with _open_log(log_out) as log_file:
         for symbol in cfg.symbols:
-            ckpt, _ = _train_one(cfg, symbol, _load_split(cfg, symbol), stdout, log_file)
+            ckpt = _train_one(cfg, symbol, _load_split(cfg, symbol), stdout, log_file)
             path = _out_path(cfg, symbol, ".ckpt.json")
             save_checkpoint(path, ckpt)
             print(f"symbol={symbol} checkpoint={path}", file=stdout)
@@ -271,9 +274,8 @@ def _evaluate_one(
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["date", "actual", "predicted"])
-    labels = dates if dates is not None else range(pset.n)
-    for label, actual, predicted in zip(labels, pset.y, pset.y_hat):
-        writer.writerow([str(label), repr(float(actual)), repr(float(predicted))])
+    for day, actual, predicted in zip(dates, pset.y, pset.y_hat):
+        writer.writerow([str(day), repr(float(actual)), repr(float(predicted))])
     pred_path.write_text(buf.getvalue(), encoding="utf-8")
 
     chart_path = _out_path(cfg, symbol, ".svg")
@@ -311,7 +313,7 @@ def cmd_sweep(cfg: RunConfig, stdout=sys.stdout, log_out: str | None = None) -> 
         for symbol in cfg.symbols:
             try:
                 split = _load_split(cfg, symbol)
-                ckpt, _ = _train_one(cfg, symbol, split, stdout, log_file)
+                ckpt = _train_one(cfg, symbol, split, stdout, log_file)
                 save_checkpoint(_out_path(cfg, symbol, ".ckpt.json"), ckpt)
                 rows.append(_evaluate_one(cfg, symbol, ckpt, split, stdout))
             except Exception as exc:  # isolate per-symbol failures
@@ -343,25 +345,17 @@ def cmd_sweep(cfg: RunConfig, stdout=sys.stdout, log_out: str | None = None) -> 
 
 
 def cmd_gradcheck(
-    cfg: RunConfig,
-    probes: int = 50,
-    step: float = 1e-5,
-    batch_size: int = 2,
-    timesteps: int = 5,
-    tolerance: float | None = None,
-    stdout=sys.stdout,
+    cfg: RunConfig, probes: int = 50, tolerance: float | None = None, stdout=sys.stdout
 ) -> int:
-    """Finite-difference audit of the BPTT gradients at the configured architecture."""
+    """Finite-difference audit of the BPTT gradients on 2 random series of 5 steps."""
     net_cfg = cfg.network_config()
     params = init_params(net_cfg)
     rng = make_rng(cfg.seed)
-    x = rng.normal(size=(batch_size, timesteps, 1))
+    x = rng.normal(size=(2, 5, 1))
     pred, _ = network_forward(params, net_cfg, x, mode="inference")
-    y = pred[:, 0] + 0.1 * rng.standard_normal(batch_size)
-    err = finite_diff_gradcheck(
-        params, net_cfg, x, y, probe_count=probes, step=step, seed=cfg.seed
-    )
-    print(f"max_relative_error={err:.3e} probes={probes} step={step:g}", file=stdout)
+    y = pred[:, 0] + 0.1 * rng.standard_normal(2)
+    err = finite_diff_gradcheck(params, net_cfg, x, y, probe_count=probes, seed=cfg.seed)
+    print(f"max_relative_error={err:.3e} probes={probes} step={GRADCHECK_STEP:g}", file=stdout)
     if tolerance is not None and err >= tolerance:
         print(f"error: gradient check failed tolerance {tolerance:g}", file=sys.stderr)
         return 1
@@ -426,9 +420,6 @@ def _parse_args(argv):
     sub.add_parser("sweep", help="train + evaluate every symbol and tabulate")
     grad_parser = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     grad_parser.add_argument("--probes", type=int, default=50)
-    grad_parser.add_argument("--step", type=float, default=1e-5)
-    grad_parser.add_argument("--batch-size-check", type=int, default=2)
-    grad_parser.add_argument("--timesteps", type=int, default=5)
     grad_parser.add_argument("--tolerance", type=float)
     return parser.parse_args(argv)
 
@@ -446,13 +437,12 @@ def build_run_config(args) -> RunConfig:
                 raise ValueError(f"{flag} {text}: {exc}") from None
     if args.use_adj_close is not None:
         overrides["use_adj_close"] = args.use_adj_close
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    if "layer_units" in overrides and "dropout_rates" not in overrides:
+    units = overrides.get("layer_units")
+    if units is not None and "dropout_rates" not in overrides:
         # keep the config valid when only the stack size changes
-        if len(cfg.layer_units) != len(cfg.dropout_rates):
-            cfg = replace(cfg, dropout_rates=(0.0,) * len(cfg.layer_units))
-    return cfg
+        if len(units) != len(cfg.dropout_rates):
+            overrides["dropout_rates"] = (0.0,) * len(units)
+    return replace(cfg, **overrides)
 
 
 def main(argv=None) -> int:
@@ -468,14 +458,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, log_out=args.log_out)
         if args.command == "gradcheck":
-            return cmd_gradcheck(
-                cfg,
-                probes=args.probes,
-                step=args.step,
-                batch_size=args.batch_size_check,
-                timesteps=args.timesteps,
-                tolerance=args.tolerance,
-            )
+            return cmd_gradcheck(cfg, probes=args.probes, tolerance=args.tolerance)
         raise AssertionError(f"unhandled command {args.command}")
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

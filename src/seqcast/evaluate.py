@@ -17,6 +17,8 @@ from .lstm_core import NetworkConfig, NetworkParams, network_forward
 from .preprocess import ScalerParams, WindowedDataset, inverse_transform
 from .training import EmptySetError, PredictionSet, mse_loss
 
+_PREDICT_BATCH = 256  # windows per inference forward
+
 
 class ZeroVarianceError(ValueError):
     """Actuals are constant (or fewer than two): R2 and EVS are undefined."""
@@ -24,10 +26,6 @@ class ZeroVarianceError(ValueError):
 
 class AllExcludedError(ValueError):
     """Every actual fell below the MAPE threshold."""
-
-
-class ScalerMismatchError(ValueError):
-    """Prediction asked for without a usable scaler."""
 
 
 def rmse(p: PredictionSet) -> float:
@@ -110,21 +108,18 @@ def predict_series(
     config: NetworkConfig,
     scaler: ScalerParams,
     windows: WindowedDataset,
-    batch_size: int = 256,
 ) -> tuple[PredictionSet, tuple[date, ...] | None]:
     """Inference over test windows, inverse-scaled to price units.
 
     One (actual, predicted) pair per test day; windows come from
     bridge_test_windows so every target has a full history.
     """
-    if not isinstance(scaler, ScalerParams):
-        raise ScalerMismatchError(f"need ScalerParams to unscale predictions, got {scaler!r}")
     if windows.n_samples == 0:
         raise EmptySetError("no windows to predict")
     chunks = []
-    for lo in range(0, windows.n_samples, batch_size):
+    for lo in range(0, windows.n_samples, _PREDICT_BATCH):
         pred, _ = network_forward(
-            params, config, windows.inputs[lo : lo + batch_size], mode="inference"
+            params, config, windows.inputs[lo : lo + _PREDICT_BATCH], mode="inference"
         )
         chunks.append(pred[:, 0])
     scaled_pred = np.concatenate(chunks)

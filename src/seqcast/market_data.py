@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from dataclasses import dataclass
 from datetime import date
 from itertools import accumulate, islice, tee
@@ -60,10 +59,6 @@ class HttpStatusError(RuntimeError):
     def __init__(self, status: int):
         super().__init__(f"unexpected HTTP status {status}")
         self.status = status
-
-
-class InsufficientDataWarning(UserWarning):
-    """Series shorter than the requested moving-average window."""
 
 
 # canonical header names after lowercasing and stripping separators
@@ -233,18 +228,12 @@ def sma(values, n: int) -> np.ndarray:
 
     out[k] is the average ending at input index k + n - 1; the first n - 1
     input positions have no defined average, so the output is shorter than
-    the input by n - 1. A series shorter than n yields an empty array and an
-    InsufficientDataWarning.
+    the input by n - 1. A series shorter than n yields an empty array.
     """
     if n < 1:
         raise InvalidWindowError(f"window must be >= 1, got {n}")
     vals = [float(v) for v in values]
     if len(vals) < n:
-        warnings.warn(
-            f"series of length {len(vals)} shorter than window {n}",
-            InsufficientDataWarning,
-            stacklevel=2,
-        )
         return np.empty(0, dtype=np.float64)
     # Every finite float is a whole multiple of 1/unit, a power of two, so exact
     # integer prefix sums and one int / int division give math.fsum(window) in

@@ -87,13 +87,11 @@ def _window_arrays(arr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray
     return inputs[:, :, np.newaxis].astype(np.float64, copy=True), arr[window:].copy()
 
 
-def make_windows(values, window: int, dates=None) -> WindowedDataset:
+def make_windows(values, window: int) -> WindowedDataset:
     """Slide a length-`window` history over the series; horizon is one step."""
     if window < 1:
         raise InvalidWindowError(f"window must be >= 1, got {window}")
     arr = np.asarray(values, dtype=np.float64)
-    if dates is not None and len(dates) != arr.size:
-        raise ValueError(f"got {len(dates)} dates for {arr.size} values")
     inputs, targets = _window_arrays(arr, window)
     if inputs.shape[0] == 0:
         warnings.warn(
@@ -101,8 +99,7 @@ def make_windows(values, window: int, dates=None) -> WindowedDataset:
             WindowTooLargeWarning,
             stacklevel=2,
         )
-    target_dates = tuple(dates[window:]) if dates is not None else None
-    return WindowedDataset(inputs=inputs, targets=targets, window=window, target_dates=target_dates)
+    return WindowedDataset(inputs=inputs, targets=targets, window=window)
 
 
 def bridge_test_windows(train_tail, test_values, window: int, dates=None) -> WindowedDataset:

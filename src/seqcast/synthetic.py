@@ -59,11 +59,11 @@ def gbm_closes(
     return start_price * np.exp(log_path)
 
 
-def synthetic_csv(symbol: str, start: date = DEFAULT_START, end: date = DEFAULT_END) -> str:
-    """Full OHLCV walk for one symbol as CSV text, seeded from the symbol name."""
+def synthetic_csv(symbol: str) -> str:
+    """One symbol's OHLCV walk over the fixture range as CSV text, seeded from its name."""
     start_price, drift, vol = ETF_PROFILES.get(symbol, (50.0, 0.08, 0.20))
     rng = make_rng(zlib.crc32(symbol.encode("ascii")))
-    days = business_days(start, end)
+    days = business_days(DEFAULT_START, DEFAULT_END)
     closes = gbm_closes(len(days), start_price, drift, vol, rng)
     intraday = rng.uniform(0.0, 0.01, size=(len(days), 2))
     volumes = rng.integers(200_000, 3_000_000, size=len(days))
@@ -82,13 +82,13 @@ def synthetic_csv(symbol: str, start: date = DEFAULT_START, end: date = DEFAULT_
     return "".join(lines)
 
 
-def write_fixtures(out_dir: str | Path, start: date = DEFAULT_START, end: date = DEFAULT_END) -> list[Path]:
+def write_fixtures(out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for symbol in ETF_PROFILES:
         path = out / f"{symbol}.csv"
-        path.write_text(synthetic_csv(symbol, start, end), encoding="utf-8")
+        path.write_text(synthetic_csv(symbol), encoding="utf-8")
         written.append(path)
     return written
 

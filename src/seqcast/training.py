@@ -37,6 +37,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
+# finite_diff_gradcheck's central-difference step, near float64's optimum cbrt(eps) ≈ 6e-6.
+GRADCHECK_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class PredictionSet:
@@ -200,14 +203,14 @@ def finite_diff_gradcheck(
     inputs,
     targets,
     probe_count: int = 50,
-    step: float = 1e-5,
     seed: int = 0,
 ) -> float:
     """Compare analytic BPTT gradients against central finite differences.
 
     Dropout rates are forced to zero (random masks would break the
-    comparison). For each probed scalar the relative error is
-    |a - fd| / max(|a|, |fd|, 1e-8); returns the max over the probes.
+    comparison). Each probed scalar moves by ±GRADCHECK_STEP, and its
+    relative error is |a - fd| / max(|a|, |fd|, 1e-8); returns the max
+    over the probes.
     """
     if probe_count <= 0:
         return 0.0
@@ -229,12 +232,12 @@ def finite_diff_gradcheck(
     worst = 0.0
     for k in picks:
         saved = float(params.flat[k])
-        params.flat[k] = saved + step
+        params.flat[k] = saved + GRADCHECK_STEP
         loss_plus = batch_loss()
-        params.flat[k] = saved - step
+        params.flat[k] = saved - GRADCHECK_STEP
         loss_minus = batch_loss()
         params.flat[k] = saved
-        fd = (loss_plus - loss_minus) / (2.0 * step)
+        fd = (loss_plus - loss_minus) / (2.0 * GRADCHECK_STEP)
         a = float(analytic.flat[k])
         worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-8))
     return worst

@@ -41,12 +41,15 @@ def test_chart_point_counts_match_series():
 
 
 def test_chart_handles_constant_series():
-    svg = render_price_chart(None, [5.0, 5.0], [5.0, 5.0])
+    svg = render_price_chart([date(2022, 1, 3), date(2022, 1, 4)], [5.0, 5.0], [5.0, 5.0])
     ET.fromstring(svg)
 
 
 def test_chart_rejects_mismatched_lengths():
+    days = [date(2022, 1, 3), date(2022, 1, 4)]
     with pytest.raises(ValueError):
-        render_price_chart(None, [1.0, 2.0], [1.0])
+        render_price_chart(days, [1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
-        render_price_chart(None, [], [])
+        render_price_chart(days[:1], [1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        render_price_chart([], [], [])

@@ -271,3 +271,23 @@ def test_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, monkeypatc
     assert main(argv + ["train"]) == 1
     assert capsys.readouterr().err.startswith("error: learning_rate must be positive")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "sweep"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--dropout", "0.1", "--symbols", "VNQ,VGT"], "4 layers but 1 dropout rates"),
+        (TINY + ["--symbols", "VNQ,VGT,VNQ"], "symbols repeated: VNQ"),
+    ],
+)
+def test_a_config_no_symbol_can_run_is_refused_before_any_symbol(
+    tmp_path, monkeypatch, capsys, flags, message, command
+):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    out = tmp_path / "out"
+    assert main(flags + ["--out-dir", str(out), command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()

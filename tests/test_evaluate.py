@@ -9,7 +9,6 @@ import pytest
 import seqcast.evaluate as evaluate_module
 from seqcast.evaluate import (
     AllExcludedError,
-    ScalerMismatchError,
     ZeroVarianceError,
     compute_metrics,
     explained_variance,
@@ -21,7 +20,7 @@ from seqcast.evaluate import (
     rmse,
 )
 from seqcast.lstm_core import NetworkConfig, init_params
-from seqcast.preprocess import bridge_test_windows, fit_scaler, transform
+from seqcast.preprocess import bridge_test_windows, fit_scaler, inverse_transform, transform
 from seqcast.rng import make_rng
 from seqcast.training import PredictionSet, mse_loss
 
@@ -194,19 +193,25 @@ def test_predict_series_count_contract():
 def test_predict_series_persistence_stub(monkeypatch):
     # stub model: scaled prediction = last input value -> unscaled prediction
     # equals the previous day's close
+    batch_sizes = []
+
     def stub_forward(params, config, batch, mode="inference", rng=None):
         arr = np.asarray(batch)
+        batch_sizes.append(arr.shape[0])
         return arr[:, -1, 0][:, np.newaxis], None
 
     monkeypatch.setattr(evaluate_module, "network_forward", stub_forward)
     rng = make_rng(107)
-    prices = np.cumsum(rng.normal(size=50)) + 100.0
+    prices = np.cumsum(rng.normal(size=600)) + 100.0
     scaler = fit_scaler(prices[:30])
     scaled = transform(scaler, prices)
     windows = bridge_test_windows(scaled[25:30], scaled[30:], 5)
     cfg = NetworkConfig(layer_units=(3,), dropout_rates=(0.0,), seed=3)
     params = init_params(cfg)
     pset_out, _ = predict_series(params, cfg, scaler, windows)
+    # 570 windows run as two full chunks and a short one, concatenated in order
+    assert batch_sizes == [256, 256, 58]
+    np.testing.assert_array_equal(pset_out.y_hat, inverse_transform(scaler, scaled[29:-1]))
     np.testing.assert_allclose(pset_out.y_hat, prices[29:-1], rtol=1e-12)
 
     # r_squared then equals the independently computed persistence baseline
@@ -215,11 +220,3 @@ def test_predict_series_persistence_stub(monkeypatch):
     ss_res = float(np.sum((actual - persistence) ** 2))
     ss_tot = float(np.sum((actual - actual.mean()) ** 2))
     assert abs(r_squared(pset_out) - (1.0 - ss_res / ss_tot)) < 1e-9
-
-
-def test_predict_series_requires_scaler():
-    cfg = NetworkConfig(layer_units=(2,), dropout_rates=(0.0,), seed=1)
-    params = init_params(cfg)
-    windows = bridge_test_windows([0.1, 0.2], [0.3], 2)
-    with pytest.raises(ScalerMismatchError):
-        predict_series(params, cfg, None, windows)

@@ -11,7 +11,6 @@ from seqcast.market_data import (
     BadRatioError,
     DuplicateDateError,
     EmptySeriesError,
-    InsufficientDataWarning,
     InvalidWindowError,
     MissingColumnError,
     PriceSeries,
@@ -218,10 +217,9 @@ def test_sma_hand_case():
     np.testing.assert_array_equal(out, [1.5, 2.5, 3.5])
 
 
-def test_sma_short_series_warns_and_returns_empty():
-    with pytest.warns(InsufficientDataWarning):
-        out = sma([1.0, 2.0, 3.0], 200)
-    assert out.size == 0
+def test_sma_short_series_returns_empty():
+    out = sma([1.0, 2.0, 3.0], 200)
+    assert out.shape == (0,) and out.dtype == np.float64
 
 
 def test_sma_invalid_window():

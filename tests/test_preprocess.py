@@ -134,13 +134,6 @@ def test_make_windows_shift_property():
         np.testing.assert_array_equal(ds.inputs[i, 1:, 0], ds.inputs[i + 1, :-1, 0])
 
 
-def test_make_windows_target_dates():
-    values = [1.0, 2.0, 3.0, 4.0, 5.0]
-    days = [date(2020, 1, d) for d in (2, 3, 6, 7, 8)]
-    ds = make_windows(values, 3, dates=days)
-    assert ds.target_dates == (date(2020, 1, 7), date(2020, 1, 8))
-
-
 # ------------------------------------------------------- bridge_test_windows
 
 

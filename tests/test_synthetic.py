@@ -9,6 +9,8 @@ import numpy as np
 from seqcast.market_data import drop_missing, parse_csv
 from seqcast.rng import make_rng
 from seqcast.synthetic import (
+    DEFAULT_END,
+    DEFAULT_START,
     ETF_PROFILES,
     business_days,
     gbm_closes,
@@ -30,8 +32,8 @@ def test_business_days_skips_weekends():
 
 
 def test_synthetic_series_deterministic_and_clean():
-    a = synthetic_csv("VNQ", date(2020, 1, 1), date(2020, 3, 1))
-    b = synthetic_csv("VNQ", date(2020, 1, 1), date(2020, 3, 1))
+    a = synthetic_csv("VNQ")
+    b = synthetic_csv("VNQ")
     assert a == b
     series = parse_csv(a, "VNQ")
     for adjusted in (False, True):
@@ -42,9 +44,8 @@ def test_synthetic_series_deterministic_and_clean():
 
 def test_synthetic_series_roundtrips_through_csv():
     # the text carries the generator's rounded walk exactly, in both close columns
-    start, end = date(2020, 1, 1), date(2020, 2, 1)
-    series = parse_csv(synthetic_csv("VGT", start, end), "VGT")
-    days = business_days(start, end)
+    series = parse_csv(synthetic_csv("VGT"), "VGT")
+    days = business_days(DEFAULT_START, DEFAULT_END)
     start_price, drift, vol = ETF_PROFILES["VGT"]
     rng = make_rng(zlib.crc32(b"VGT"))
     walk = [round(float(c), 4) for c in gbm_closes(len(days), start_price, drift, vol, rng)]
@@ -54,11 +55,11 @@ def test_synthetic_series_roundtrips_through_csv():
 
 
 def test_write_fixtures_covers_all_nine(tmp_path):
-    paths = write_fixtures(tmp_path, date(2020, 1, 1), date(2020, 1, 20))
+    paths = write_fixtures(tmp_path)
     assert {p.stem for p in paths} == set(ETF_PROFILES)
     for path in paths:
         series = parse_csv(path.read_text(), path.stem)
-        assert len(series) == len(business_days(date(2020, 1, 1), date(2020, 1, 20)))
+        assert len(series) == len(business_days(DEFAULT_START, DEFAULT_END))
 
 
 def test_bundled_fixtures_match_generator(tmp_path):

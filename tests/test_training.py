@@ -419,7 +419,7 @@ def test_gradcheck_linear_region_tiny_net():
     x = rng.normal(size=(2, 3, 1)) * 0.01
     pred, _ = network_forward(params, cfg, x, mode="inference")
     y = pred[:, 0] + 0.01 * rng.standard_normal(2)
-    err = finite_diff_gradcheck(params, cfg, x, y, probe_count=30, step=1e-5, seed=0)
+    err = finite_diff_gradcheck(params, cfg, x, y, probe_count=30, seed=0)
     assert err < 1e-6
 
 
@@ -435,7 +435,7 @@ def test_gradcheck_random_tiny_nets():
         x = rng.normal(size=(2, int(rng.integers(1, 7)), 1))
         pred, _ = network_forward(params, cfg, x, mode="inference")
         y = pred[:, 0] + 0.1 * rng.standard_normal(2)
-        err = finite_diff_gradcheck(params, cfg, x, y, probe_count=40, step=1e-5, seed=trial)
+        err = finite_diff_gradcheck(params, cfg, x, y, probe_count=40, seed=trial)
         assert err < 1e-4
 
 
