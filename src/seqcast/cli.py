@@ -35,7 +35,9 @@ from .lstm_core import (
     network_forward,
 )
 from .market_data import (
+    BadRatioError,
     EmptySeriesError,
+    InvalidWindowError,
     PriceSeries,
     SplitResult,
     chronological_split,
@@ -93,6 +95,16 @@ class RunConfig:
             raise RunConfigError(
                 f"data file {self.data_path} holds one series; got {len(self.symbols)} symbols"
             )
+        for name in ("start", "end"):
+            try:
+                date.fromisoformat(getattr(self, name))
+            except (TypeError, ValueError) as exc:
+                raise RunConfigError(f"{name} {getattr(self, name)!r}: {exc}") from None
+        # the checks make_windows and chronological_split would make per symbol
+        if self.window < 1:
+            raise InvalidWindowError(f"window must be >= 1, got {self.window}")
+        if not 0.0 < self.split_ratio < 1.0:
+            raise BadRatioError(f"ratio must be in (0, 1), got {self.split_ratio}")
         # refuse a network or training setting that no symbol could train with
         self.network_config()
         self.train_config()
@@ -171,7 +183,15 @@ def _out_path(cfg: RunConfig, symbol: str, suffix: str) -> Path:
     return out / f"{symbol}-{config_hash(cfg)}{suffix}"
 
 
-def cmd_ingest(cfg: RunConfig, stdout=sys.stdout) -> int:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+
+
+def cmd_ingest(cfg: RunConfig, stdout=None) -> int:
     """Clean each symbol and write date,close,sma100,sma200 CSVs."""
     for symbol in cfg.symbols:
         cleaned, dropped = _clean_series(cfg, symbol)
@@ -184,12 +204,9 @@ def cmd_ingest(cfg: RunConfig, stdout=sys.stdout) -> int:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"{symbol}-cleaned.csv"
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["date", "close"] + [f"sma{n}" for n in SMA_WINDOWS])
-        for day, close, *cells in zip(cleaned.dates(), closes, *averages):
-            writer.writerow([day.isoformat(), repr(float(close)), *cells])
-        path.write_text(buf.getvalue(), encoding="utf-8")
+        days = (day.isoformat() for day in cleaned.dates())
+        header = ["date", "close", *(f"sma{n}" for n in SMA_WINDOWS)]
+        _write_csv(path, header, zip(days, map(repr, closes.tolist()), *averages))
         print(
             f"symbol={symbol} rows_kept={len(cleaned)} rows_dropped={dropped} wrote={path}",
             file=stdout,
@@ -226,7 +243,7 @@ def _train_one(cfg: RunConfig, symbol: str, split: SplitResult, stdout, log_file
             log_file.write(json.dumps({"symbol": symbol, **record}) + "\n")
             log_file.flush()
 
-    params, _ = train(params, net_cfg, dataset, cfg.train_config(), progress=progress)
+    params = train(params, net_cfg, dataset, cfg.train_config(), progress=progress)
     return Checkpoint(
         params=params,
         config=net_cfg,
@@ -237,7 +254,7 @@ def _train_one(cfg: RunConfig, symbol: str, split: SplitResult, stdout, log_file
     )
 
 
-def cmd_train(cfg: RunConfig, stdout=sys.stdout, log_out: str | None = None) -> int:
+def cmd_train(cfg: RunConfig, stdout=None, log_out: str | None = None) -> int:
     with _open_log(log_out) as log_file:
         for symbol in cfg.symbols:
             ckpt = _train_one(cfg, symbol, _load_split(cfg, symbol), stdout, log_file)
@@ -270,13 +287,8 @@ def _evaluate_one(
     metrics_path = _out_path(cfg, symbol, ".metrics.json")
     metrics_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
-    pred_path = _out_path(cfg, symbol, ".predictions.csv")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", "actual", "predicted"])
-    for day, actual, predicted in zip(dates, pset.y, pset.y_hat):
-        writer.writerow([str(day), repr(float(actual)), repr(float(predicted))])
-    pred_path.write_text(buf.getvalue(), encoding="utf-8")
+    rows = zip(map(str, dates), map(repr, pset.y.tolist()), map(repr, pset.y_hat.tolist()))
+    _write_csv(_out_path(cfg, symbol, ".predictions.csv"), ["date", "actual", "predicted"], rows)
 
     chart_path = _out_path(cfg, symbol, ".svg")
     chart_path.write_text(
@@ -291,21 +303,20 @@ def _evaluate_one(
     return doc
 
 
-def cmd_evaluate(cfg: RunConfig, checkpoint_path: str | None = None, stdout=sys.stdout) -> int:
+def cmd_evaluate(cfg: RunConfig, checkpoint_path: str | None = None, stdout=None) -> int:
     if checkpoint_path and len(cfg.symbols) > 1:
         n = len(cfg.symbols)
         raise RunConfigError(f"--checkpoint {checkpoint_path} holds one model; got {n} symbols")
     for symbol in cfg.symbols:
         path = Path(checkpoint_path) if checkpoint_path else _out_path(cfg, symbol, ".ckpt.json")
         if not path.exists():
-            print(f"error: checkpoint not found: {path}", file=sys.stderr)
-            return 1
+            raise CheckpointError(f"checkpoint not found: {path}")
         ckpt = load_checkpoint(path)
         _evaluate_one(cfg, symbol, ckpt, _load_split(cfg, symbol), stdout)
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, stdout=sys.stdout, log_out: str | None = None) -> int:
+def cmd_sweep(cfg: RunConfig, stdout=None, log_out: str | None = None) -> int:
     """Train and evaluate every symbol independently; report the metric grid."""
     rows: list[dict] = []
     failures: dict[str, str] = {}
@@ -345,7 +356,7 @@ def cmd_sweep(cfg: RunConfig, stdout=sys.stdout, log_out: str | None = None) -> 
 
 
 def cmd_gradcheck(
-    cfg: RunConfig, probes: int = 50, tolerance: float | None = None, stdout=sys.stdout
+    cfg: RunConfig, probes: int = 50, tolerance: float | None = None, stdout=None
 ) -> int:
     """Finite-difference audit of the BPTT gradients on 2 random series of 5 steps."""
     net_cfg = cfg.network_config()

@@ -206,8 +206,6 @@ class LayerCache:
 class NetworkCache:
     """Per-layer caches plus dropout masks; retained only for training."""
 
-    batch_size: int
-    seq_len: int
     layer_caches: list[LayerCache]
     dropout_masks: list[np.ndarray | None]  # mask on each layer's output, None = identity
     final_hidden: np.ndarray | None  # [B, hidden_last] after dropout; input to the dense head
@@ -411,14 +409,7 @@ def network_forward(
     predictions = (final_hidden @ params.dense.w + params.dense.b[0])[:, np.newaxis]
     if not train:
         return predictions, None
-    net_cache = NetworkCache(
-        batch_size=B,
-        seq_len=T,
-        layer_caches=layer_caches,
-        dropout_masks=masks,
-        final_hidden=final_hidden,
-    )
-    return predictions, net_cache
+    return predictions, NetworkCache(layer_caches, masks, final_hidden)
 
 
 def _gate_factors(g: np.ndarray, c: np.ndarray, work: np.ndarray, block: int) -> None:
@@ -535,11 +526,10 @@ def network_backward(
         raise StaleCacheError(
             f"cache has {len(cache.layer_caches)} layers, params have {len(params.layers)}"
         )
+    T, _, B = cache.layer_caches[0].g.shape
     d_pred = np.asarray(d_predictions, dtype=np.float64).reshape(-1)
-    if d_pred.shape[0] != cache.batch_size:
-        raise StaleCacheError(
-            f"gradient batch {d_pred.shape[0]} does not match cache batch {cache.batch_size}"
-        )
+    if d_pred.shape[0] != B:
+        raise StaleCacheError(f"gradient batch {d_pred.shape[0]} does not match cache batch {B}")
     cache.consumed = True
 
     grads = zeros_like_params(params)
@@ -551,7 +541,6 @@ def network_backward(
 
     d_hidden = d_out.T  # feature-major from here on
     sizes = _param_sizes(params)
-    T, B = cache.seq_len, cache.batch_size
     span = max(max((5 * h + i) * T, 7 * h * _block_steps(h, i, T, B)) for h, i in sizes)
     work = _take((span * B,))  # G and Z after the loop, or one _gate_factors block
     d_inputs = _take((max((inp for _, inp in sizes[1:]), default=0) * T * B,))

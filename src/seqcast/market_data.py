@@ -44,7 +44,7 @@ class EmptySeriesError(ValueError):
 
 
 class InvalidWindowError(ValueError):
-    """Window length below 1."""
+    """Window length below 1, or not shorter than the series it slides over."""
 
 
 class NetworkError(RuntimeError):
@@ -112,7 +112,6 @@ class PriceSeries:
 class SplitResult:
     train: PriceSeries
     test: PriceSeries
-    ratio: float
 
 
 def _normalize_column(name: str) -> str:
@@ -259,4 +258,4 @@ def chronological_split(series: PriceSeries, ratio: float) -> SplitResult:
     if not 0.0 < ratio < 1.0:
         raise BadRatioError(f"ratio must be in (0, 1), got {ratio}")
     cut = math.floor(ratio * len(series))
-    return SplitResult(train=series[:cut], test=series[cut:], ratio=ratio)
+    return SplitResult(train=series[:cut], test=series[cut:])

@@ -6,7 +6,6 @@ The scaler is fit on the training split only; test values that land outside
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from datetime import date
 
@@ -25,10 +24,6 @@ class TooFewValuesError(ValueError):
 
 class TailTooShortError(ValueError):
     """Bridging requires exactly `window` trailing train values."""
-
-
-class WindowTooLargeWarning(UserWarning):
-    """Series too short for the window: the dataset has zero samples."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +66,6 @@ class WindowedDataset:
 
     inputs: np.ndarray  # [samples, window, 1]
     targets: np.ndarray  # [samples]
-    window: int
     target_dates: tuple[date, ...] | None = None
 
     @property
@@ -80,10 +74,7 @@ class WindowedDataset:
 
 
 def _window_arrays(arr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    samples = max(0, arr.size - window)
-    if samples == 0:
-        return np.empty((0, window, 1), dtype=np.float64), np.empty(0, dtype=np.float64)
-    inputs = np.lib.stride_tricks.sliding_window_view(arr, window)[:samples]
+    inputs = np.lib.stride_tricks.sliding_window_view(arr, window)[: arr.size - window]
     return inputs[:, :, np.newaxis].astype(np.float64, copy=True), arr[window:].copy()
 
 
@@ -92,14 +83,12 @@ def make_windows(values, window: int) -> WindowedDataset:
     if window < 1:
         raise InvalidWindowError(f"window must be >= 1, got {window}")
     arr = np.asarray(values, dtype=np.float64)
-    inputs, targets = _window_arrays(arr, window)
-    if inputs.shape[0] == 0:
-        warnings.warn(
-            f"series of length {arr.size} yields no samples at window {window}",
-            WindowTooLargeWarning,
-            stacklevel=2,
+    if arr.size <= window:
+        raise InvalidWindowError(
+            f"series of length {arr.size} yields no samples at window {window}"
         )
-    return WindowedDataset(inputs=inputs, targets=targets, window=window)
+    inputs, targets = _window_arrays(arr, window)
+    return WindowedDataset(inputs=inputs, targets=targets)
 
 
 def bridge_test_windows(train_tail, test_values, window: int, dates=None) -> WindowedDataset:
@@ -118,4 +107,4 @@ def bridge_test_windows(train_tail, test_values, window: int, dates=None) -> Win
         raise ValueError(f"got {len(dates)} dates for {test.size} test values")
     inputs, targets = _window_arrays(np.concatenate([tail, test]), window)
     target_dates = tuple(dates) if dates is not None else None
-    return WindowedDataset(inputs=inputs, targets=targets, window=window, target_dates=target_dates)
+    return WindowedDataset(inputs=inputs, targets=targets, target_dates=target_dates)

@@ -155,15 +155,15 @@ def train(
     dataset: WindowedDataset,
     tc: TrainConfig,
     progress=None,
-) -> tuple[NetworkParams, list[EpochLog]]:
+) -> NetworkParams:
     """Shuffled mini-batch training: forward, BPTT, Adam, once per batch.
 
-    Trains a copy of `params` and returns it; the caller's params are left
-    as they were. One seeded generator drives both the epoch shuffles and
-    the dropout masks, so a (seed, config, data) triple reproduces the
-    parameter trajectory bitwise. The final short batch is trained on, not
-    dropped. Raises DivergedError at the end of an epoch whose loss or
-    parameters are not finite.
+    Trains a copy of `params` and returns it, leaving the caller's as they
+    were; each epoch's EpochLog goes to `progress`. One seeded generator
+    drives both the epoch shuffles and the dropout masks, so a (seed, config,
+    data) triple reproduces the parameter trajectory bitwise. The final short
+    batch is trained on, not dropped. Raises DivergedError at the end of an
+    epoch whose loss or parameters are not finite.
     """
     n = dataset.n_samples
     if n == 0:
@@ -171,7 +171,6 @@ def train(
     params = copy_params(params)
     rng = make_rng(tc.shuffle_seed)
     state = init_adam(params, lr=tc.learning_rate)
-    logs: list[EpochLog] = []
     for epoch in range(1, tc.epochs + 1):
         started = time.perf_counter()
         order = rng.permutation(n)
@@ -191,10 +190,9 @@ def train(
         )
         if not (math.isfinite(log.loss) and np.isfinite(params.flat).all()):
             raise DivergedError(f"epoch {epoch}: non-finite loss or parameters (loss {log.loss})")
-        logs.append(log)
         if progress is not None:
             progress(log)
-    return params, logs
+    return params
 
 
 def finite_diff_gradcheck(

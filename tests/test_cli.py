@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,60 @@ def test_sweep_parses_each_symbol_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_module, "parse_csv", counting)
     assert main(TINY + ["--symbols", "VNQ,VGT", "--out-dir", str(tmp_path), "sweep"]) == 0
     assert parsed == ["VNQ", "VGT"]
+
+
+def test_evaluate_without_a_checkpoint_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    missing = tmp_path / "missing.ckpt.json"
+    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["evaluate", "--checkpoint", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: checkpoint not found: {missing}\n")
+
+
+def test_clip_norm_from_a_config_file_trains_under_its_own_hash(tmp_path, monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"clip_norm": 1e-3}), encoding="utf-8")
+    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path)]
+    assert main(argv + ["train"]) == 0
+    (default,) = tmp_path.glob("VNQ-*.ckpt.json")
+    assert main(["--config", str(path)] + argv + ["train"]) == 0
+    (clipped,) = set(tmp_path.glob("VNQ-*.ckpt.json")) - {default}
+    cfg = _resolve(["--config", str(path)] + argv + ["train"])
+    assert cfg.clip_norm == 1e-3
+    assert clipped.name == f"VNQ-{cli_module.config_hash(cfg)}.ckpt.json"
+    assert json.loads(clipped.read_text())["params"] != json.loads(default.read_text())["params"]
+
+
+def test_too_large_window_fails_the_symbol_with_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    argv = ["--units", "4", "--window", "5000", "--epochs", "1", "--symbols", "VNQ"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--out-dir", str(tmp_path), "sweep"]) == 1
+    assert caught == []
+    message = "series of length 2290 yields no samples at window 5000"
+    assert capsys.readouterr().err == f"symbol=VNQ FAILED: {message}\n"
+
+
+def test_data_dir_env_replaces_the_bundled_fixtures(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "VNQ.csv").write_text(
+        "Date,Close\n2020-01-03,11.25\n2020-01-02,10.5\n2020-01-06,\n2011-12-30,9.0\n",
+        encoding="utf-8",
+    )
+    (data / "VGT.csv").write_text("date,close\n2021-03-01,200.0\n", encoding="utf-8")
+    monkeypatch.setenv(DATA_DIR_ENV, str(data))
+    out = tmp_path / "out"
+    assert main(["--symbols", "VNQ,VGT", "--out-dir", str(out), "ingest"]) == 0
+    kept = [line.split()[1:3] for line in capsys.readouterr().out.splitlines()]
+    assert kept == [["rows_kept=2", "rows_dropped=1"], ["rows_kept=1", "rows_dropped=0"]]
+    cleaned = {s: (out / f"{s}-cleaned.csv").read_text(encoding="utf-8") for s in ("VNQ", "VGT")}
+    header = "date,close,sma100,sma200\n"
+    assert cleaned["VNQ"] == header + "2020-01-02,10.5,,\n2020-01-03,11.25,,\n"
+    assert cleaned["VGT"] == header + "2021-03-01,200.0,,\n"
 
 
 def test_data_file_refuses_several_symbols(tmp_path, capsys):
@@ -279,6 +334,19 @@ def test_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, monkeypatc
     [
         (["--dropout", "0.1", "--symbols", "VNQ,VGT"], "4 layers but 1 dropout rates"),
         (TINY + ["--symbols", "VNQ,VGT,VNQ"], "symbols repeated: VNQ"),
+        (TINY + ["--window", "0", "--symbols", "VNQ,VGT"], "window must be >= 1, got 0"),
+        (
+            TINY + ["--split-ratio", "1.5", "--symbols", "VNQ,VGT"],
+            "ratio must be in (0, 1), got 1.5",
+        ),
+        (
+            TINY + ["--start", "2012-13-01", "--symbols", "VNQ,VGT"],
+            "start '2012-13-01': month must be in 1..12",
+        ),
+        (
+            TINY + ["--end", "2022-12-32", "--symbols", "VNQ,VGT"],
+            "end '2022-12-32': day is out of range for month",
+        ),
     ],
 )
 def test_a_config_no_symbol_can_run_is_refused_before_any_symbol(

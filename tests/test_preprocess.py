@@ -10,7 +10,6 @@ from seqcast.preprocess import (
     DegenerateRangeError,
     TailTooShortError,
     TooFewValuesError,
-    WindowTooLargeWarning,
     bridge_test_windows,
     fit_scaler,
     inverse_transform,
@@ -114,11 +113,10 @@ def test_make_windows_count_formula():
     assert ds.n_samples == 3
 
 
-def test_make_windows_zero_samples_warns():
-    with pytest.warns(WindowTooLargeWarning):
-        ds = make_windows([1.0, 2.0, 3.0], 3)
-    assert ds.n_samples == 0
-    assert ds.inputs.shape == (0, 3, 1)
+def test_make_windows_zero_samples_raises():
+    message = "^series of length 3 yields no samples at window 3$"
+    with pytest.raises(InvalidWindowError, match=message):
+        make_windows([1.0, 2.0, 3.0], 3)
 
 
 def test_make_windows_invalid_window():

@@ -245,7 +245,8 @@ def test_train_logs_and_batch_count(monkeypatch):
         return original(state, params, grads)
 
     monkeypatch.setattr(training_module, "adam_step", counting)
-    params, logs = train(params, cfg, ds, TrainConfig(epochs=5, batch_size=32, shuffle_seed=5))
+    logs = []
+    train(params, cfg, ds, TrainConfig(epochs=5, batch_size=32, shuffle_seed=5), logs.append)
     assert len(logs) == 5
     assert [log.epoch for log in logs] == [1, 2, 3, 4, 5]
     # 80 samples at batch 32 -> ceil(80/32) = 3 batches per epoch, short one kept
@@ -261,9 +262,10 @@ from seqcast.lstm_core import NetworkConfig, init_params
 from seqcast.preprocess import WindowedDataset
 from seqcast.training import TrainConfig, train
 data = np.load(sys.argv[1])
-ds = WindowedDataset(inputs=data["inputs"], targets=data["targets"], window=6)
+ds = WindowedDataset(inputs=data["inputs"], targets=data["targets"])
 cfg = NetworkConfig(layer_units=(3, 4), dropout_rates=(0.2, 0.1), seed=6)
-params, logs = train(init_params(cfg), cfg, ds, TrainConfig(epochs=3, shuffle_seed=11))
+logs = []
+params = train(init_params(cfg), cfg, ds, TrainConfig(epochs=3, shuffle_seed=11), logs.append)
 print(json.dumps({"losses": [log.loss for log in logs], "flat": params.flat.tobytes().hex()}))
 """
 
@@ -273,8 +275,9 @@ def test_train_deterministic_for_seed(tmp_path):
     cfg = NetworkConfig(layer_units=(3, 4), dropout_rates=(0.2, 0.1), seed=6)
     runs = []
     for _ in range(2):
-        params, logs = train(
-            init_params(cfg), cfg, ds, TrainConfig(epochs=3, shuffle_seed=11)
+        logs = []
+        params = train(
+            init_params(cfg), cfg, ds, TrainConfig(epochs=3, shuffle_seed=11), logs.append
         )
         runs.append(([log.loss for log in logs], params.flat))
 
@@ -299,7 +302,7 @@ def test_train_leaves_callers_params_alone():
     cfg = NetworkConfig(layer_units=(3,), dropout_rates=(0.2,), seed=6)
     p = init_params(cfg)
     before = p.flat.copy()
-    out, _ = train(p, cfg, ds, TrainConfig(epochs=1, shuffle_seed=3))
+    out = train(p, cfg, ds, TrainConfig(epochs=1, shuffle_seed=3))
     assert out is not p
     assert not np.shares_memory(out.flat, p.flat)
     np.testing.assert_array_equal(p.flat, before)
@@ -326,8 +329,7 @@ def test_train_epoch_covers_every_sample_once(monkeypatch):
 
 def test_train_empty_dataset():
     cfg = NetworkConfig(layer_units=(2,), dropout_rates=(0.0,), seed=1)
-    with pytest.warns(UserWarning):
-        empty = make_windows([1.0, 2.0], 2)
+    empty = WindowedDataset(inputs=np.empty((0, 2, 1)), targets=np.empty(0))
     with pytest.raises(EmptyDatasetError):
         train(init_params(cfg), cfg, empty, TrainConfig(epochs=1))
 
@@ -357,17 +359,45 @@ def test_train_overfits_noiseless_sine():
     scaler = fit_scaler(values)
     ds = make_windows(transform(scaler, values), 10)
     cfg = NetworkConfig(layer_units=(8,), dropout_rates=(0.0,), seed=7)
-    params, logs = train(
-        init_params(cfg), cfg, ds, TrainConfig(epochs=30, shuffle_seed=7)
-    )
+    logs = []
+    train(init_params(cfg), cfg, ds, TrainConfig(epochs=30, shuffle_seed=7), logs.append)
     assert logs[-1].loss < logs[0].loss / 10.0
+
+
+def test_train_clips_every_gradient_to_clip_norm(monkeypatch):
+    ds = tiny_dataset()
+    cfg = NetworkConfig(layer_units=(3, 4), dropout_rates=(0.2, 0.1), seed=6)
+    norms: list[float] = []
+    original = training_module.adam_step
+
+    def recording(state, params, grads):
+        norms.append(math.sqrt(np.dot(grads.flat, grads.flat)))
+        return original(state, params, grads)
+
+    monkeypatch.setattr(training_module, "adam_step", recording)
+
+    def run(clip_norm):
+        norms.clear()
+        tc = TrainConfig(epochs=2, shuffle_seed=11, clip_norm=clip_norm)
+        return train(init_params(cfg), cfg, ds, tc).flat, list(norms)
+
+    free, free_norms = run(None)
+    clip = min(free_norms) / 2.0
+    clipped, clipped_norms = run(clip)
+    assert len(clipped_norms) == len(free_norms) == 2 * 3
+    # the first batch's gradient is the unclipped run's, scaled down to the threshold
+    assert clipped_norms[0] == pytest.approx(clip, rel=1e-12)
+    assert all(norm <= clip * (1 + 1e-12) for norm in clipped_norms)
+    again, _ = run(clip)
+    np.testing.assert_array_equal(again, clipped)
+    assert not np.array_equal(clipped, free)
 
 
 def test_train_raises_on_divergence():
     ds = tiny_dataset(n=40)
     targets = ds.targets.copy()
     targets[7] = np.nan
-    bad = WindowedDataset(inputs=ds.inputs, targets=targets, window=ds.window)
+    bad = WindowedDataset(inputs=ds.inputs, targets=targets)
     cfg = NetworkConfig(layer_units=(2,), dropout_rates=(0.0,), seed=1)
     with pytest.raises(DivergedError):
         train(init_params(cfg), cfg, bad, TrainConfig(epochs=2, shuffle_seed=1))
