@@ -92,27 +92,21 @@ def render_price_chart(dates, actual, predicted, title: str = "") -> str:
             f'<text x="{x:.2f}" y="{y0 + 18}" text-anchor="middle">{escape(labels[k])}</text>'
         )
 
-    parts.append(
-        f'<polyline fill="none" stroke="{ACTUAL_COLOR}" stroke-width="1.5" '
-        f'points="{points(actual)}"/>'
-    )
-    parts.append(
-        f'<polyline fill="none" stroke="{PREDICTED_COLOR}" stroke-width="1.5" '
-        f'points="{points(predicted)}"/>'
-    )
+    curves = (("actual", ACTUAL_COLOR, actual), ("predicted", PREDICTED_COLOR, predicted))
+    for _, color, series in curves:
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points(series)}"/>'
+        )
 
-    # legend
-    lx, ly = _MARGIN_LEFT + 12, _MARGIN_TOP + 8
-    parts.append(
-        f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" '
-        f'stroke="{ACTUAL_COLOR}" stroke-width="2"/>'
-    )
-    parts.append(f'<text x="{lx + 30}" y="{ly + 4}">actual</text>')
-    parts.append(
-        f'<line x1="{lx}" y1="{ly + 18}" x2="{lx + 24}" y2="{ly + 18}" '
-        f'stroke="{PREDICTED_COLOR}" stroke-width="2"/>'
-    )
-    parts.append(f'<text x="{lx + 30}" y="{ly + 22}">predicted</text>')
+    # legend, one entry a row
+    lx = _MARGIN_LEFT + 12
+    for row, (name, color, _) in enumerate(curves):
+        ly = _MARGIN_TOP + 8 + 18 * row
+        parts.append(
+            f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(f'<text x="{lx + 30}" y="{ly + 4}">{name}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

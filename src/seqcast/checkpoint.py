@@ -11,7 +11,7 @@ the shape the stored config implies on load.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,16 +56,8 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         "symbol": ckpt.symbol,
         "seed": ckpt.seed,
         "window": ckpt.window,
-        "scaler": {
-            "min_value": ckpt.scaler.min_value,
-            "max_value": ckpt.scaler.max_value,
-        },
-        "config": {
-            "layer_units": list(ckpt.config.layer_units),
-            "dropout_rates": list(ckpt.config.dropout_rates),
-            "input_features": ckpt.config.input_features,
-            "seed": ckpt.config.seed,
-        },
+        "scaler": asdict(ckpt.scaler),
+        "config": asdict(ckpt.config),
         "params": tree,
     }
     try:
@@ -76,6 +68,7 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_bytes(checkpoint_bytes(ckpt))
 
 
@@ -98,6 +91,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: missing or malformed {key!r}: {exc!r}") from exc
 
+    def from_fields(cls):
+        return lambda values: cls(*(values[f.name] for f in fields(cls)))
+
     def build_params(tree: dict) -> NetworkParams:
         stored, named = len(tree["layers"]), len(config.layer_units)
         if stored != named:
@@ -111,12 +107,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             arr[...] = block
         return params
 
-    fields = ("layer_units", "dropout_rates", "input_features", "seed")
-    config = read("config", lambda c: NetworkConfig(*(c[f] for f in fields)))
+    config = read("config", from_fields(NetworkConfig))
     return Checkpoint(
         params=read("params", build_params),
         config=config,
-        scaler=read("scaler", lambda s: ScalerParams(s["min_value"], s["max_value"])),
+        scaler=read("scaler", from_fields(ScalerParams)),
         seed=read("seed"),
         window=read("window"),
         symbol=read("symbol"),

@@ -1,9 +1,10 @@
 """Batch CLI: ingest -> train -> evaluate -> sweep, plus a gradcheck diagnostic.
 
 A run is described by a JSON config file; command-line flags override file
-values. Every output filename embeds the symbol; all but ingest's
-`<symbol>-cleaned.csv` also embed a hash of the resolved config, so training
-runs cannot mix. Re-running a command with the same config and seed rewrites
+values. Every output filename but the sweep summary's `sweep-<hash>.json`
+embeds the symbol; all but ingest's `<symbol>-cleaned.csv` embed a hash of the
+resolved config, so training runs cannot mix. The out-dir is created by the
+first file written. Re-running a command with the same config and seed rewrites
 identical outputs (modulo wall-clock fields in the training log).
 """
 
@@ -17,7 +18,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from importlib import resources
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 
 from .chart import render_price_chart
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .evaluate import compute_metrics, predict_series, report_as_dict
+from .evaluate import compute_metrics, predict_series
 from .lstm_core import (
     DEFAULT_DROPOUT_RATES,
     DEFAULT_LAYER_UNITS,
@@ -127,16 +128,18 @@ class RunConfig:
         )
 
 
-def config_from_dict(doc: dict) -> RunConfig:
-    known = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(doc) - known
+def load_config_file(path: str | Path) -> RunConfig:
+    """The RunConfig a JSON object file holds; any key it does not name keeps its default."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise RunConfigError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise RunConfigError(f"{path}: not a JSON object: {type(doc).__name__}")
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(**doc)
-
-
-def load_config_file(path: str | Path) -> RunConfig:
-    return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -177,18 +180,22 @@ def _clean_series(cfg: RunConfig, symbol: str) -> tuple[PriceSeries, int]:
     return cleaned, dropped
 
 
-def _out_path(cfg: RunConfig, symbol: str, suffix: str) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / f"{symbol}-{config_hash(cfg)}{suffix}"
+def _out_path(cfg: RunConfig, stem: str, suffix: str) -> Path:
+    return Path(cfg.out_dir) / f"{stem}-{config_hash(cfg)}{suffix}"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write(path: Path, text: str) -> None:
+    """Write one text output, creating its directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    return buf.getvalue()
 
 
 def cmd_ingest(cfg: RunConfig, stdout=None) -> int:
@@ -201,12 +208,10 @@ def cmd_ingest(cfg: RunConfig, stdout=None) -> int:
             values = sma(closes, n)
             # first n-1 rows have no defined average: empty cells, never zeros
             averages.append([""] * (len(cleaned) - len(values)) + [repr(float(v)) for v in values])
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{symbol}-cleaned.csv"
+        path = Path(cfg.out_dir) / f"{symbol}-cleaned.csv"
         days = (day.isoformat() for day in cleaned.dates())
         header = ["date", "close", *(f"sma{n}" for n in SMA_WINDOWS)]
-        _write_csv(path, header, zip(days, map(repr, closes.tolist()), *averages))
+        _write(path, _csv_text(header, zip(days, map(repr, closes.tolist()), *averages)))
         print(
             f"symbol={symbol} rows_kept={len(cleaned)} rows_dropped={dropped} wrote={path}",
             file=stdout,
@@ -239,8 +244,7 @@ def _train_one(cfg: RunConfig, symbol: str, split: SplitResult, stdout, log_file
             flush=True,
         )
         if log_file is not None:
-            record = {"epoch": log.epoch, "loss": log.loss, "seconds": log.seconds}
-            log_file.write(json.dumps({"symbol": symbol, **record}) + "\n")
+            log_file.write(json.dumps({"symbol": symbol, **asdict(log)}) + "\n")
             log_file.flush()
 
     params = train(params, net_cfg, dataset, cfg.train_config(), progress=progress)
@@ -282,19 +286,17 @@ def _evaluate_one(
     )
     pset, dates = predict_series(ckpt.params, ckpt.config, ckpt.scaler, windows)
     report = compute_metrics(pset, mape_threshold=cfg.mape_threshold)
-    doc = report_as_dict(report, symbol=symbol, window=cfg.window, config_hash=config_hash(cfg))
+    doc = dict(symbol=symbol, window=cfg.window, config_hash=config_hash(cfg), **asdict(report))
 
     metrics_path = _out_path(cfg, symbol, ".metrics.json")
-    metrics_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write(metrics_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
     rows = zip(map(str, dates), map(repr, pset.y.tolist()), map(repr, pset.y_hat.tolist()))
-    _write_csv(_out_path(cfg, symbol, ".predictions.csv"), ["date", "actual", "predicted"], rows)
+    predictions = _csv_text(["date", "actual", "predicted"], rows)
+    _write(_out_path(cfg, symbol, ".predictions.csv"), predictions)
 
-    chart_path = _out_path(cfg, symbol, ".svg")
-    chart_path.write_text(
-        render_price_chart(dates, pset.y, pset.y_hat, title=f"{symbol} actual vs predicted"),
-        encoding="utf-8",
-    )
+    chart = render_price_chart(dates, pset.y, pset.y_hat, title=f"{symbol} actual vs predicted")
+    _write(_out_path(cfg, symbol, ".svg"), chart)
     print(
         f"symbol={symbol} r_squared={report.r_squared:.4f} rmse={report.rmse:.4f} "
         f"metrics={metrics_path}",
@@ -349,8 +351,8 @@ def cmd_sweep(cfg: RunConfig, stdout=None, log_out: str | None = None) -> int:
             "reports": rows,
             "failures": failures,
         }
-        sweep_path = Path(cfg.out_dir) / f"sweep-{config_hash(cfg)}.json"
-        sweep_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        sweep_path = _out_path(cfg, "sweep", ".json")
+        _write(sweep_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
         print(f"sweep={sweep_path}", file=stdout)
     return 1 if failures else 0
 

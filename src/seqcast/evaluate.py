@@ -8,7 +8,7 @@ percentages.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
@@ -96,11 +96,6 @@ def compute_metrics(p: PredictionSet, mape_threshold: float = 1e-8) -> MetricsRe
         explained_variance=explained_variance(p),
         mape_excluded_count=excluded,
     )
-
-
-def report_as_dict(report: MetricsReport, symbol: str, window: int, config_hash: str) -> dict:
-    """JSON-ready report: the six metric fields plus run identity."""
-    return {"symbol": symbol, "window": window, "config_hash": config_hash, **asdict(report)}
 
 
 def predict_series(

@@ -94,6 +94,35 @@ def test_refuses_to_write_non_finite_params(tmp_path):
     assert not (tmp_path / "model.ckpt.json").exists()
 
 
+def test_save_creates_the_directory(tmp_path):
+    path = tmp_path / "not" / "yet" / "model.ckpt.json"
+    save_checkpoint(path, make_checkpoint())
+    assert checkpoint_bytes(load_checkpoint(path)) == path.read_bytes()
+    assert path.read_bytes() == checkpoint_bytes(make_checkpoint())
+
+
+def test_config_and_scaler_are_stored_under_their_field_names(tmp_path):
+    _, doc = _saved_doc(tmp_path)
+    assert doc["config"] == {
+        "layer_units": [4, 3],
+        "dropout_rates": [0.2, 0.3],
+        "input_features": 1,
+        "seed": 5,
+    }
+    assert doc["scaler"] == {"min_value": 12.5, "max_value": 99.875}
+
+
+@pytest.mark.parametrize(
+    "key, field", [("config", "input_features"), ("config", "seed"), ("scaler", "max_value")]
+)
+def test_missing_field_is_named_with_the_file(tmp_path, key, field):
+    path, doc = _saved_doc(tmp_path)
+    del doc[key][field]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=f"{path}.*'{key}'.*'{field}'"):
+        load_checkpoint(path)
+
+
 def _saved_doc(tmp_path):
     path = tmp_path / "model.ckpt.json"
     save_checkpoint(path, make_checkpoint())

@@ -28,7 +28,21 @@ def vnq_checkpoint(tmp_path, monkeypatch):
 def test_evaluate_scores_the_checkpoint_symbol(tmp_path, vnq_checkpoint):
     argv = TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path)]
     assert main(argv + ["evaluate", "--checkpoint", str(vnq_checkpoint)]) == 0
-    assert len(list(tmp_path.glob("VNQ-*.metrics.json"))) == 1
+    (metrics,) = tmp_path.glob("VNQ-*.metrics.json")
+    doc = json.loads(metrics.read_text(encoding="utf-8"))
+    assert set(doc) == {
+        "symbol",
+        "window",
+        "config_hash",
+        "rmse",
+        "mae",
+        "r_squared",
+        "mape",
+        "explained_variance",
+        "mape_excluded_count",
+    }
+    assert (doc["symbol"], doc["window"]) == ("VNQ", 5)
+    assert metrics.name == f"VNQ-{doc['config_hash']}.metrics.json"
 
 
 def test_evaluate_refuses_checkpoint_of_another_symbol(tmp_path, vnq_checkpoint, capsys):
@@ -102,6 +116,18 @@ def test_evaluate_without_a_checkpoint_is_an_error(tmp_path, monkeypatch, capsys
     assert (captured.out, captured.err) == ("", f"error: checkpoint not found: {missing}\n")
 
 
+def test_evaluate_without_its_default_checkpoint_leaves_no_out_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    out = tmp_path / "missing"
+    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(out)]
+    assert main(argv + ["evaluate"]) == 1
+    cfg = _resolve(argv + ["evaluate"])
+    missing = out / f"VNQ-{cli_module.config_hash(cfg)}.ckpt.json"
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: checkpoint not found: {missing}\n")
+    assert not out.exists()
+
+
 def test_clip_norm_from_a_config_file_trains_under_its_own_hash(tmp_path, monkeypatch):
     monkeypatch.delenv(DATA_DIR_ENV, raising=False)
     path = tmp_path / "run.json"
@@ -156,6 +182,13 @@ def test_data_file_refuses_several_symbols(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "2 symbols" in err
     assert not out.exists()
+
+
+def test_gradcheck_past_its_tolerance_fails(capsys):
+    assert main(["--units", "4", "gradcheck", "--probes", "5", "--tolerance", "1e-30"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("max_relative_error=")
+    assert captured.err == "error: gradient check failed tolerance 1e-30\n"
 
 
 def test_module_runs_gradcheck_without_installing():
@@ -306,6 +339,33 @@ def test_sweep_without_symbols_is_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "no symbols" in captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("5", "not a JSON object: int"),
+        ('["window"]', "not a JSON object: list"),
+        ('{"window": 20\n', "not a JSON file: Expecting ',' delimiter: line 2 column 1 (char 14)"),
+    ],
+)
+def test_config_file_that_is_not_a_json_object_is_refused(tmp_path, capsys, text, problem):
+    path = tmp_path / "c.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--symbols", "VNQ", "--out-dir", str(out), "ingest"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path}: {problem}\n")
+    assert not out.exists()
+
+
+def test_config_file_with_an_unknown_key_is_refused(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"windw": 20}', encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--symbols", "VNQ", "--out-dir", str(out), "ingest"]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: ['windw']\n"
     assert not out.exists()
 
 

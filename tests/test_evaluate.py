@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 from datetime import date
 
 import numpy as np
@@ -16,7 +17,6 @@ from seqcast.evaluate import (
     mape,
     predict_series,
     r_squared,
-    report_as_dict,
     rmse,
 )
 from seqcast.lstm_core import NetworkConfig, init_params
@@ -158,11 +158,7 @@ def test_compute_metrics_report_fields():
     assert report.rmse >= report.mae >= 0.0
     assert report.r_squared <= report.explained_variance + 1e-12
     assert report.mape_excluded_count == 0
-    doc = report_as_dict(report, symbol="VNQ", window=100, config_hash="abcd1234")
-    assert set(doc) == {
-        "symbol",
-        "window",
-        "config_hash",
+    assert set(asdict(report)) == {
         "rmse",
         "mae",
         "r_squared",
