@@ -221,7 +221,10 @@ def cmd_ingest(cfg: RunConfig, stdout=None) -> int:
 
 def _open_log(log_out: str | None):
     """The --log-out JSONL file, truncated once per command; a null context without one."""
-    return open(log_out, "w", encoding="utf-8") if log_out else contextlib.nullcontext()
+    if not log_out:
+        return contextlib.nullcontext()
+    Path(log_out).parent.mkdir(parents=True, exist_ok=True)
+    return open(log_out, "w", encoding="utf-8")
 
 
 def _load_split(cfg: RunConfig, symbol: str) -> SplitResult:
@@ -343,17 +346,13 @@ def cmd_sweep(cfg: RunConfig, stdout=None, log_out: str | None = None) -> int:
         )
     for symbol in failures:
         print(f"{symbol:<8}{'FAILED':>12}", file=stdout)
+    mean_r2 = sum(r["r_squared"] for r in rows) / len(rows) if rows else None
     if rows:
-        mean_r2 = sum(r["r_squared"] for r in rows) / len(rows)
         print(f"{'mean':<8}{'':>36}{mean_r2:>12.4f}", file=stdout)
-        summary = {
-            "mean_r_squared": mean_r2,
-            "reports": rows,
-            "failures": failures,
-        }
-        sweep_path = _out_path(cfg, "sweep", ".json")
-        _write(sweep_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
-        print(f"sweep={sweep_path}", file=stdout)
+    summary = {"mean_r_squared": mean_r2, "reports": rows, "failures": failures}
+    sweep_path = _out_path(cfg, "sweep", ".json")
+    _write(sweep_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    print(f"sweep={sweep_path}", file=stdout)
     return 1 if failures else 0
 
 

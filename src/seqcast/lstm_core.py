@@ -22,13 +22,15 @@ param_blocks names the per-gate row views in flat order.
 
 Activation layout: feature-major, [T, features, B], so each gate of the step
 GEMM w @ z_t -> [4*hidden, B] is a contiguous [hidden, B] row block and the
-gate math runs as in-place ufuncs. A train-mode forward stages x into
-z [T+1, hidden+input, B] once per layer (z[t] = [h_{t-1} | x_t]) and keeps
-g [T, 4*hidden, B] = [f, i, tanh c_t, o] and c [T+1, 2*hidden, B] with
-c[t] = [c_{t-1} | c~_t]: 7*hidden+input floats a step. As c[t] lines up with
-[f; i], the cell update is one multiply and one add of its halves. Inference
-keeps no BPTT cache: two-deep rolling z and c, one gate buffer, and for the
-whole stack one [T, hidden, B] sequence that each layer reads and overwrites.
+gate math runs as in-place ufuncs; _step is the one cell step of both modes.
+A train-mode forward stages x into z [T+1, hidden+input, B] once per layer
+(z[t] = [h_{t-1} | x_t]) and keeps g [T, 4*hidden, B] = [f, i, tanh c_t, o]
+and c [T+1, 2*hidden, B] with c[t] = [c_{t-1} | c~_t]: 7*hidden+input floats
+a step. As c[t] lines up with [f; i], the cell update is one multiply and one
+add of its halves. Inference keeps no BPTT cache and no sequence: it steps
+the whole stack a timestep at a time, each layer staging the new h_t of the
+layer below into its two-deep z. With a two-deep c and a bias per layer and
+one shared gate buffer, nothing it allocates has a T dimension.
 
 Backward first overwrites the spent cache, over time blocks, with the
 gate-derivative factors that do not depend on the incoming gradient:
@@ -55,7 +57,7 @@ config, B = 32, T = 100: about 85 MB, plus 37 MB for a short last batch of
 14). Inference never uses it. Taking and giving back are single list
 operations, so threads never share a buffer.
 
-Layer stacking: every layer but the last feeds its hidden sequence to the
+Layer stacking: every layer but the last feeds its hidden states to the
 next; the last emits its final hidden state, which the dense head maps to
 one scalar. Inverted dropout (survivors scaled by 1/(1-rate) in training,
 identity at inference) follows each layer's output. network_forward draws
@@ -294,65 +296,67 @@ def init_params(config: NetworkConfig) -> NetworkParams:
     return params
 
 
-def _layer_forward(
-    params: LstmLayerParams,
-    x: np.ndarray,
-    keep: bool,
-    sequence: bool,
-    mask: np.ndarray | None = None,
-    seq: np.ndarray | None = None,
-) -> tuple[np.ndarray, LayerCache | None]:
-    """Run the recurrence over a feature-major [T, in, B] input from zero state.
+def _step(w, bias, z_t, c_t, g_t, z_next, c_next, fc_ic) -> None:
+    """One cell step from z_t = [h_prev | x_t] and c_t = [c_prev | -]: writes g_t =
+    [f, i, tanh c_t, o], c~ into c_t, c_t into c_next[:hidden] and h_t into
+    z_next[:hidden]. fc_ic [2*hidden, B], which may be c_next, takes [f c_prev | i c~]."""
+    hid = len(c_t) // 2
+    np.matmul(w, z_t, out=g_t)
+    g_t += bias
+    tc, o = g_t[2 * hid : 3 * hid], g_t[3 * hid :]
+    _sigmoid_(g_t[: 2 * hid])  # f and i
+    np.tanh(tc, out=c_t[hid:])  # c~ beside c_prev: c_t = [c_prev | c~]
+    _sigmoid_(o)
+    np.multiply(g_t[: 2 * hid], c_t, out=fc_ic)
+    np.add(fc_ic[:hid], fc_ic[hid:], out=c_next[:hid])
+    np.tanh(c_next[:hid], out=tc)  # tanh(c_t) over the spent c~ pre-activation
+    np.multiply(o, tc, out=z_next[:hid])
 
-    Returns the hidden sequence [T, hidden, B] when `sequence` is set, else
-    the final hidden state [hidden, B]; and the BPTT cache when `keep` is
-    set, else None, with only rolling buffers allocated. Training stages x
-    times `mask`, the batch-major [T, B, in] dropout on it, if given.
-    Inference writes the sequence into the first rows of `seq` [T, >= hidden,
-    B], which may hold x: step t stages x[t] before it writes h[t].
+
+def _layer_forward(params: LstmLayerParams, x: np.ndarray, mask: np.ndarray | None) -> LayerCache:
+    """Train-mode recurrence over a feature-major [T, in, B] input from zero state.
+
+    Stages x, times `mask` (its batch-major [T, B, in] dropout) if given, into
+    pooled z and returns the BPTT cache; the hidden sequence is z[1:, :hidden].
     """
     T, _, B = x.shape
     hid = params.hidden_size
-    depth = T + 1 if keep else 2  # z and c slots; step t reads slot t, writes t + 1
-    alloc = _take if keep else np.empty
-    z = alloc((depth, hid + params.input_size, B))
-    c = alloc((depth, 2 * hid, B))
-    g = alloc((T if keep else 1, 4 * hid, B))
-    z[0, :hid] = 0.0
-    c[0, :hid] = 0.0
-    if keep and mask is not None:
-        np.multiply(x, mask.transpose(0, 2, 1), out=z[:T, hid:])
-    elif keep:
+    z = _take((T + 1, hid + params.input_size, B))
+    c = _take((T + 1, 2 * hid, B))
+    g = _take((T, 4 * hid, B))
+    z[0, :hid] = c[0, :hid] = 0.0
+    if mask is None:
         z[:T, hid:] = x
-    h = seq[:, :hid] if sequence and not keep else None
+    else:
+        np.multiply(x, mask.transpose(0, 2, 1), out=z[:T, hid:])
     bias = np.repeat(params.b[:, np.newaxis], B, axis=1)  # a broadcast add is ~3x slower
-    # [f c_prev | i c~]: into the next rolling c slot, or a buffer in training (cold slots)
-    scratch = np.empty((2 * hid, B)) if keep else None
-
+    scratch = np.empty((2 * hid, B))  # fc_ic; c[t + 1] in its place is 2-3% slower
     with np.errstate(over="ignore"):
         for t in range(T):
-            now, nxt, k = t % depth, (t + 1) % depth, t % len(g)
-            zt, gt, ct, h_t = z[now], g[k], c[now], z[nxt, :hid]
-            if not keep:
-                zt[hid:] = x[t]
-            np.matmul(params.w, zt, out=gt)
-            gt += bias
-            tc, o = gt[2 * hid : 3 * hid], gt[3 * hid :]
-            _sigmoid_(gt[: 2 * hid])  # f and i
-            np.tanh(tc, out=ct[hid:])  # c~ beside c_prev: ct = [c_prev | c~]
-            _sigmoid_(o)
-            fc_ic = scratch if keep else c[nxt]
-            np.multiply(gt[: 2 * hid], ct, out=fc_ic)
-            np.add(fc_ic[:hid], fc_ic[hid:], out=c[nxt, :hid])
-            np.tanh(c[nxt, :hid], out=tc)  # tanh(c_t) over the spent c~ pre-activation
-            np.multiply(o, tc, out=h_t)
-            if h is not None:
-                h[t] = h_t
+            _step(params.w, bias, z[t], c[t], g[t], z[t + 1], c[t + 1], scratch)
+    return LayerCache(z=z, g=g, c=c)
 
-    if keep:
-        out = z[1:, :hid] if sequence else z[T, :hid]
-        return out, LayerCache(z=z, g=g, c=c)
-    return (h if sequence else z[T % 2, :hid]), None
+
+def _infer(params: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """The stack's final hidden state [hidden_last, B], stepping every layer per timestep."""
+    T, _, B = x.shape
+    gates = np.empty((4 * max(layer.hidden_size for layer in params.layers), B))  # a prefix each
+    stack = []
+    for layer in params.layers:
+        hid = layer.hidden_size
+        z = np.zeros((2, hid + layer.input_size, B))  # rolling slots: step t reads t % 2
+        c = np.zeros((2, 2 * hid, B))
+        bias = np.repeat(layer.b[:, np.newaxis], B, axis=1)
+        stack.append((layer.w, bias, z, c, gates[: 4 * hid], hid))
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            now, nxt = t % 2, (t + 1) % 2
+            below = x[t]
+            for w, bias, z, c, g, hid in stack:
+                z[now, hid:] = below
+                _step(w, bias, z[now], c[now], g, z[nxt], c[nxt], c[nxt])
+                below = z[nxt, :hid]
+    return below
 
 
 def network_forward(
@@ -381,34 +385,29 @@ def network_forward(
         raise ShapeMismatchError(
             f"params have {len(params.layers)} layers, config names {len(config.layer_units)}"
         )
-    train = mode == "train"
-    if train and rng is None and any(r > 0.0 for r in config.dropout_rates):
+    x = arr.transpose(1, 2, 0)  # feature-major [T, features, B]
+    if mode == "inference":
+        return (_infer(params, x).T @ params.dense.w + params.dense.b[0])[:, np.newaxis], None
+    if rng is None and any(r > 0.0 for r in config.dropout_rates):
         raise ValueError("train-mode forward with nonzero dropout needs an rng")
 
     B, T, _ = arr.shape
-    x = arr.transpose(1, 2, 0)  # feature-major [T, features, B]
-    last = len(params.layers) - 1
-    width = max((layer.hidden_size for layer in params.layers[:-1]), default=0)
-    seq = None if train else np.empty((T, width, B))
-    layer_caches: list[LayerCache] = []
-    masks: list[np.ndarray | None] = []
-    mask = None
-    for idx, (layer, rate) in enumerate(zip(params.layers, config.dropout_rates)):
-        x, cache = _layer_forward(layer, x, keep=train, sequence=idx != last, mask=mask, seq=seq)
+    layer_caches, masks, mask = [], [], None
+    for layer, rate in zip(params.layers, config.dropout_rates):
+        cache = _layer_forward(layer, x, mask)
+        hid = layer.hidden_size
+        x = cache.z[1:, :hid]  # the hidden sequence [T, hidden, B]
         mask = None
-        if train and rate > 0.0:  # batch-major [T, B, hidden] or [B, hidden], drawn in place
-            mask = _take(x.swapaxes(-1, -2).shape)
+        if rate > 0.0:  # batch-major [T, B, hidden], or [B, hidden] on the last state
+            mask = _take((B, hid) if layer is params.layers[-1] else (T, B, hid))
             rng.random(out=mask)
             np.greater_equal(mask, rate, out=mask)
             np.divide(mask, 1.0 - rate, out=mask)
-        if train:
-            layer_caches.append(cache)
+        layer_caches.append(cache)
         masks.append(mask)
 
-    final_hidden = x.T if mask is None else x.T * mask  # [B, hidden_last]
+    final_hidden = x[-1].T if mask is None else x[-1].T * mask  # [B, hidden_last]
     predictions = (final_hidden @ params.dense.w + params.dense.b[0])[:, np.newaxis]
-    if not train:
-        return predictions, None
     return predictions, NetworkCache(layer_caches, masks, final_hidden)
 
 

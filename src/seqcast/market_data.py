@@ -4,8 +4,8 @@ A series is close-only and columnar: one array of days plus one float64
 array each for the close and the adjusted close, with NaN as the missing
 marker. CSV ingestion is vendor-agnostic: column names are matched
 case-insensitively, columns other than the date and the two closes are
-ignored, unparseable numeric cells become NaN, and rows are sorted by date.
-Cleaning and splitting select rows and never reorder them.
+ignored, unparseable or non-finite numeric cells become NaN, and rows are
+sorted by date. Cleaning and splitting select rows and never reorder them.
 """
 
 from __future__ import annotations
@@ -119,11 +119,12 @@ def _normalize_column(name: str) -> str:
 
 
 def _parse_price(cell: str) -> float:
-    """A cell's value; NaN for an empty, non-numeric or not-a-number cell."""
+    """A cell's value; NaN for an empty, non-numeric or non-finite cell."""
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         return math.nan
+    return value if math.isfinite(value) else math.nan
 
 
 def parse_csv(text: str, symbol: str = "") -> PriceSeries:
@@ -131,8 +132,8 @@ def parse_csv(text: str, symbol: str = "") -> PriceSeries:
 
     Header columns are matched case-insensitively in any order; Date and Close
     are required, Adj Close is read when present, and every other column is
-    ignored. Unparseable numeric cells become NaN rather than errors; an
-    unparseable date is an error because the row cannot be placed.
+    ignored. Unparseable or non-finite numeric cells become NaN rather than
+    errors; an unparseable date is an error because the row cannot be placed.
     """
     reader = csv.reader(io.StringIO(text))
     try:

@@ -154,6 +154,48 @@ def test_too_large_window_fails_the_symbol_with_one_line(tmp_path, monkeypatch, 
     assert capsys.readouterr().err == f"symbol=VNQ FAILED: {message}\n"
 
 
+def test_sweep_in_which_every_symbol_fails_still_writes_its_summary(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    out = tmp_path / "out"
+    argv = ["--units", "4", "--window", "5000", "--epochs", "1", "--symbols", "VNQ"]
+    argv += ["--out-dir", str(out), "sweep"]
+    assert main(argv) == 1
+    summary = out / f"sweep-{cli_module.config_hash(_resolve(argv))}.json"
+    message = "series of length 2290 yields no samples at window 5000"
+    assert json.loads(summary.read_text(encoding="utf-8")) == {
+        "mean_r_squared": None,
+        "reports": [],
+        "failures": {"VNQ": message},
+    }
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"{'VNQ':<8}{'FAILED':>12}", f"sweep={summary}"]  # no mean row
+
+
+def test_log_out_creates_its_directory(tmp_path, monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    log = tmp_path / "logs" / "nested" / "log.jsonl"
+    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path), "--log-out", str(log)]
+    assert main(argv + ["train"]) == 0
+    assert [(line["symbol"], line["epoch"]) for line in _log_lines(log)] == [("VNQ", 1)]
+
+
+def test_non_finite_prices_are_dropped_as_missing(tmp_path, monkeypatch, capsys):
+    lines = cli_module._fixture_text("VNQ").splitlines()
+    close = lines[0].split(",").index("Close")
+    for row, cell in zip((10, 500, 1500), ("inf", "-inf", "1e999")):
+        cells = lines[row].split(",")
+        cells[close] = cell
+        lines[row] = ",".join(cells)
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "VNQ.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setenv(DATA_DIR_ENV, str(data))
+    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["ingest"]) == 0
+    assert capsys.readouterr().out.split()[1:3] == [f"rows_kept={len(lines) - 4}", "rows_dropped=3"]
+    assert main(argv + ["sweep"]) == 0
+
+
 def test_data_dir_env_replaces_the_bundled_fixtures(tmp_path, monkeypatch, capsys):
     data = tmp_path / "data"
     data.mkdir()
