@@ -1,11 +1,14 @@
 """Batch CLI: ingest -> train -> evaluate -> sweep, plus a gradcheck diagnostic.
 
 A run is described by a JSON config file; command-line flags override file
-values. Every output filename but the sweep summary's `sweep-<hash>.json`
-embeds the symbol; all but ingest's `<symbol>-cleaned.csv` embed a hash of the
-resolved config, so training runs cannot mix. The out-dir is created by the
-first file written. Re-running a command with the same config and seed rewrites
-identical outputs (modulo wall-clock fields in the training log).
+values. A symbol's prices come from the `--data` CSV file or `<SYMBOL>.csv` in
+the `--data` directory, else from the `--endpoint`, else from the package's
+bundled `fixtures/` directory. Every output filename but the sweep summary's
+`sweep-<hash>.json` embeds the symbol; all but ingest's `<symbol>-cleaned.csv`
+embed a hash of the resolved config, data path included, so training runs
+cannot mix. The out-dir is created by the first file written. Re-running a
+command with the same config and seed rewrites identical outputs (modulo
+wall-clock fields in the training log).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
@@ -51,7 +53,6 @@ from .preprocess import bridge_test_windows, fit_scaler, make_windows, transform
 from .rng import make_rng
 from .training import GRADCHECK_STEP, EpochLog, TrainConfig, finite_diff_gradcheck, train
 
-DATA_DIR_ENV = "SEQCAST_DATA_DIR"
 SMA_WINDOWS = (100, 200)
 
 
@@ -64,7 +65,7 @@ class RunConfig:
     """Everything a run needs; serializable, hashable, overridable by flags."""
 
     symbols: tuple[str, ...] = ("VNQ",)
-    data_path: str | None = None  # explicit CSV file; bypasses fixtures/endpoint
+    data_path: str | None = None  # CSV file, or directory of <SYMBOL>.csv; bypasses endpoint
     endpoint: str | None = None  # HTTP template with {symbol}/{start}/{end}
     start: str = "2012-01-01"
     end: str = "2022-12-21"
@@ -89,10 +90,13 @@ class RunConfig:
         object.__setattr__(self, "dropout_rates", tuple(float(r) for r in self.dropout_rates))
         if not self.symbols:
             raise RunConfigError("no symbols to run")
+        for s in self.symbols:  # names files: <dir>/<s>.csv in, <out-dir>/<s>-* out
+            if not isinstance(s, str) or s in ("", ".", "..") or "/" in s or "\\" in s:
+                raise RunConfigError(f"symbol {s!r} is not a plain name")
         repeated = sorted({s for s in self.symbols if self.symbols.count(s) > 1})
         if repeated:
             raise RunConfigError(f"symbols repeated: {', '.join(repeated)}")
-        if self.data_path and len(self.symbols) > 1:
+        if self.data_path and len(self.symbols) > 1 and Path(self.data_path).is_file():
             raise RunConfigError(
                 f"data file {self.data_path} holds one series; got {len(self.symbols)} symbols"
             )
@@ -147,22 +151,15 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:8]
 
 
-def _fixture_text(symbol: str) -> str:
-    env_dir = os.environ.get(DATA_DIR_ENV)
-    if env_dir:
-        return (Path(env_dir) / f"{symbol}.csv").read_text(encoding="utf-8")
-    ref = resources.files("seqcast").joinpath(f"fixtures/{symbol}.csv")
-    return ref.read_text(encoding="utf-8")
-
-
 def load_series(cfg: RunConfig, symbol: str) -> PriceSeries:
-    """Resolve data: explicit file > remote endpoint > bundled/env fixtures."""
-    if cfg.data_path:
-        text = Path(cfg.data_path).read_text(encoding="utf-8")
-    elif cfg.endpoint:
+    """Resolve data: --data file or directory > remote endpoint > bundled fixtures."""
+    if cfg.endpoint and not cfg.data_path:
         text = fetch_remote(cfg.endpoint, symbol, cfg.start, cfg.end)
     else:
-        text = _fixture_text(symbol)
+        source = Path(cfg.data_path) if cfg.data_path else resources.files("seqcast") / "fixtures"
+        if source.is_dir():
+            source = source / f"{symbol}.csv"
+        text = source.read_text(encoding="utf-8")
     series = parse_csv(text, symbol)
     lo = np.datetime64(date.fromisoformat(cfg.start))
     hi = np.datetime64(date.fromisoformat(cfg.end))
@@ -274,14 +271,10 @@ def cmd_train(cfg: RunConfig, stdout=None, log_out: str | None = None) -> int:
 def _evaluate_one(
     cfg: RunConfig, symbol: str, ckpt: Checkpoint, split: SplitResult, stdout
 ) -> dict:
-    if ckpt.window != cfg.window:
-        raise CheckpointError(
-            f"checkpoint window {ckpt.window} does not match config window {cfg.window}"
-        )
-    if ckpt.symbol != symbol:
-        raise CheckpointError(
-            f"checkpoint was trained on {ckpt.symbol}, refusing to score {symbol} with it"
-        )
+    run = {"config": cfg.network_config(), "window": cfg.window, "symbol": symbol}
+    differ = [f"{k} {getattr(ckpt, k)} (run: {v})" for k, v in run.items() if getattr(ckpt, k) != v]
+    if differ:
+        raise CheckpointError(f"checkpoint does not match the run: {'; '.join(differ)}")
     scaled_train = transform(ckpt.scaler, split.train.closes(adjusted=cfg.use_adj_close))
     scaled_test = transform(ckpt.scaler, split.test.closes(adjusted=cfg.use_adj_close))
     windows = bridge_test_windows(
@@ -390,7 +383,13 @@ def _symbols(text: str) -> tuple[str, ...]:
 # build_run_config applies to its text, and its help.
 _VALUE_FLAGS = (
     ("--symbols", "symbols", _symbols, "comma-separated tickers"),
-    ("--data", "data_path", str, "explicit CSV file (single-symbol runs)"),
+    (
+        "--data",
+        "data_path",
+        str,
+        "CSV file (one symbol) or directory of <SYMBOL>.csv files; part of the config hash "
+        "(default: the --endpoint, else the bundled fixtures)",
+    ),
     ("--endpoint", "endpoint", str, "HTTP CSV template with {symbol}/{start}/{end}"),
     ("--start", "start", str, "first date, YYYY-MM-DD"),
     ("--end", "end", str, "last date, YYYY-MM-DD"),

@@ -154,6 +154,8 @@ class NetworkConfig:
             raise InvalidConfigError(f"dropout rates must be in [0, 1), got {self.dropout_rates}")
         if self.input_features < 1:
             raise InvalidConfigError(f"input_features must be >= 1, got {self.input_features}")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

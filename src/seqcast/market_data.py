@@ -69,6 +69,7 @@ _COLUMN_ALIASES = {
     "adjustedclose": "adj_close",
 }
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
+_FETCH_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -184,7 +185,6 @@ def fetch_remote(
     symbol: str,
     start: date | str,
     end: date | str,
-    timeout: float = 30.0,
 ) -> str:
     """GET a CSV body from a templated endpoint.
 
@@ -198,7 +198,7 @@ def fetch_remote(
     if urlsplit(url).scheme not in ("http", "https"):
         raise NetworkError(f"only http and https endpoints are fetched, not {url}")
     try:
-        with urlopen(url, timeout=timeout) as response:
+        with urlopen(url, timeout=_FETCH_TIMEOUT_S) as response:
             status = response.status
             charset = response.headers.get_content_charset() or "utf-8"
             body = response.read()
@@ -228,28 +228,26 @@ def sma(values, n: int) -> np.ndarray:
 
     out[k] is the average ending at input index k + n - 1; the first n - 1
     input positions have no defined average, so the output is shorter than
-    the input by n - 1. A series shorter than n yields an empty array.
+    the input by n - 1. A series shorter than n yields an empty array. Every
+    value must be finite.
     """
     if n < 1:
         raise InvalidWindowError(f"window must be >= 1, got {n}")
     vals = [float(v) for v in values]
+    bad = next((j for j, v in enumerate(vals) if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ValueError(f"moving average of a non-finite value: values[{bad}] is {vals[bad]}")
     if len(vals) < n:
         return np.empty(0, dtype=np.float64)
     # Every finite float is a whole multiple of 1/unit, a power of two, so exact
     # integer prefix sums and one int / int division give math.fsum(window) in
     # O(len), keeping sma[t] - sma[t-1] == (P_t - P_{t-n})/n tight at scale 1e6.
-    unit = max((v.as_integer_ratio()[1] for v in vals if math.isfinite(v)), default=1)
-    ratios = (v.as_integer_ratio() if math.isfinite(v) else (0, 1) for v in vals)
+    unit = max(v.as_integer_ratio()[1] for v in vals)
+    ratios = (v.as_integer_ratio() for v in vals)
     ahead, behind = tee(accumulate((p * (unit // q) for p, q in ratios), initial=0))
     next(islice(ahead, n - 1, None))  # n sums in front; tee holds only those n
     sums = ((hi - lo) / unit / n for hi, lo in zip(ahead, behind))
-    out = np.fromiter(sums, np.float64, count=len(vals) - n + 1)
-    # a window holding inf or nan gets fsum's inf, nan or ValueError (inf + -inf)
-    for j, v in enumerate(vals):
-        if not math.isfinite(v):
-            for k in range(max(0, j - n + 1), min(j + 1, out.size)):
-                out[k] = math.fsum(vals[k : k + n]) / n
-    return out
+    return np.fromiter(sums, np.float64, count=len(vals) - n + 1)
 
 
 def chronological_split(series: PriceSeries, ratio: float) -> SplitResult:

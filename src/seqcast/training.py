@@ -208,10 +208,10 @@ def finite_diff_gradcheck(
     Dropout rates are forced to zero (random masks would break the
     comparison). Each probed scalar moves by ±GRADCHECK_STEP, and its
     relative error is |a - fd| / max(|a|, |fd|, 1e-8); returns the max
-    over the probes.
+    over the probes, of which there must be at least one.
     """
-    if probe_count <= 0:
-        return 0.0
+    if probe_count < 1:
+        raise ValueError(f"probes must be >= 1, got {probe_count}")
     cfg = replace(config, dropout_rates=(0.0,) * len(config.layer_units))
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)

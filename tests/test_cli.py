@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -12,14 +11,14 @@ import pytest
 
 import seqcast
 import seqcast.cli as cli_module
-from seqcast.cli import DATA_DIR_ENV, main
+from seqcast.cli import main
 
 TINY = ["--units", "4", "--window", "5", "--epochs", "1"]
+FIXTURES = Path(seqcast.__file__).parent / "fixtures"
 
 
 @pytest.fixture
-def vnq_checkpoint(tmp_path, monkeypatch):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+def vnq_checkpoint(tmp_path):
     assert main(TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path), "train"]) == 0
     (path,) = tmp_path.glob("VNQ-*.ckpt.json")
     return path
@@ -52,6 +51,27 @@ def test_evaluate_refuses_checkpoint_of_another_symbol(tmp_path, vnq_checkpoint,
     assert not list(tmp_path.glob("VGT-*"))
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--units", "8,8", "--dropout", "0.1,0.1", "--seed", "7", "--window", "5"], ["config"]),
+        (["--units", "4", "--window", "6"], ["window"]),
+        (["--units", "4,4", "--window", "6", "--symbols", "VGT"], ["config", "window", "symbol"]),
+    ],
+)
+def test_evaluate_refuses_a_checkpoint_the_run_does_not_describe(
+    tmp_path, vnq_checkpoint, capsys, flags, named
+):
+    out = tmp_path / "out"
+    argv = ["--symbols", "VNQ", *flags, "--epochs", "1", "--out-dir", str(out)]
+    assert main(argv + ["evaluate", "--checkpoint", str(vnq_checkpoint)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: checkpoint does not match")
+    fields = ("config", "window", "symbol")
+    assert [f for f in fields if f" {f} " in captured.err] == named
+    assert not out.exists()
+
+
 def test_evaluate_refuses_one_checkpoint_for_several_symbols(tmp_path, vnq_checkpoint, capsys):
     out = tmp_path / "out"
     argv = TINY + ["--symbols", "VNQ,VDE", "--out-dir", str(out)]
@@ -65,8 +85,7 @@ def test_evaluate_refuses_one_checkpoint_for_several_symbols(tmp_path, vnq_check
     "text, named",
     [('{"format":"seqcast-checkpoint","version":1}', "'config'"), ("not json", "not a JSON")],
 )
-def test_evaluate_reports_a_broken_checkpoint_by_name(tmp_path, monkeypatch, capsys, text, named):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+def test_evaluate_reports_a_broken_checkpoint_by_name(tmp_path, capsys, text, named):
     ckpt = tmp_path / "broken.ckpt.json"
     ckpt.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
@@ -82,8 +101,7 @@ def _log_lines(path):
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
-def test_log_out_keeps_every_symbol(tmp_path, monkeypatch, command):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+def test_log_out_keeps_every_symbol(tmp_path, command):
     log = tmp_path / "log.jsonl"
     log.write_text("stale line from an earlier run\n", encoding="utf-8")
     argv = TINY + ["--symbols", "VNQ,VGT", "--out-dir", str(tmp_path), "--log-out", str(log)]
@@ -94,7 +112,6 @@ def test_log_out_keeps_every_symbol(tmp_path, monkeypatch, command):
 
 
 def test_sweep_parses_each_symbol_once(tmp_path, monkeypatch):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
     parsed = []
     original = cli_module.parse_csv
 
@@ -107,8 +124,7 @@ def test_sweep_parses_each_symbol_once(tmp_path, monkeypatch):
     assert parsed == ["VNQ", "VGT"]
 
 
-def test_evaluate_without_a_checkpoint_is_an_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+def test_evaluate_without_a_checkpoint_is_an_error(tmp_path, capsys):
     missing = tmp_path / "missing.ckpt.json"
     argv = TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path / "out")]
     assert main(argv + ["evaluate", "--checkpoint", str(missing)]) == 1
@@ -116,8 +132,7 @@ def test_evaluate_without_a_checkpoint_is_an_error(tmp_path, monkeypatch, capsys
     assert (captured.out, captured.err) == ("", f"error: checkpoint not found: {missing}\n")
 
 
-def test_evaluate_without_its_default_checkpoint_leaves_no_out_dir(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+def test_evaluate_without_its_default_checkpoint_leaves_no_out_dir(tmp_path, capsys):
     out = tmp_path / "missing"
     argv = TINY + ["--symbols", "VNQ", "--out-dir", str(out)]
     assert main(argv + ["evaluate"]) == 1
@@ -128,8 +143,7 @@ def test_evaluate_without_its_default_checkpoint_leaves_no_out_dir(tmp_path, mon
     assert not out.exists()
 
 
-def test_clip_norm_from_a_config_file_trains_under_its_own_hash(tmp_path, monkeypatch):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+def test_clip_norm_from_a_config_file_trains_under_its_own_hash(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"clip_norm": 1e-3}), encoding="utf-8")
     argv = TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path)]
@@ -143,8 +157,7 @@ def test_clip_norm_from_a_config_file_trains_under_its_own_hash(tmp_path, monkey
     assert json.loads(clipped.read_text())["params"] != json.loads(default.read_text())["params"]
 
 
-def test_too_large_window_fails_the_symbol_with_one_line(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+def test_too_large_window_fails_the_symbol_with_one_line(tmp_path, capsys):
     argv = ["--units", "4", "--window", "5000", "--epochs", "1", "--symbols", "VNQ"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -154,8 +167,7 @@ def test_too_large_window_fails_the_symbol_with_one_line(tmp_path, monkeypatch, 
     assert capsys.readouterr().err == f"symbol=VNQ FAILED: {message}\n"
 
 
-def test_sweep_in_which_every_symbol_fails_still_writes_its_summary(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+def test_sweep_in_which_every_symbol_fails_still_writes_its_summary(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["--units", "4", "--window", "5000", "--epochs", "1", "--symbols", "VNQ"]
     argv += ["--out-dir", str(out), "sweep"]
@@ -171,16 +183,15 @@ def test_sweep_in_which_every_symbol_fails_still_writes_its_summary(tmp_path, mo
     assert lines[1:] == [f"{'VNQ':<8}{'FAILED':>12}", f"sweep={summary}"]  # no mean row
 
 
-def test_log_out_creates_its_directory(tmp_path, monkeypatch):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+def test_log_out_creates_its_directory(tmp_path):
     log = tmp_path / "logs" / "nested" / "log.jsonl"
     argv = TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path), "--log-out", str(log)]
     assert main(argv + ["train"]) == 0
     assert [(line["symbol"], line["epoch"]) for line in _log_lines(log)] == [("VNQ", 1)]
 
 
-def test_non_finite_prices_are_dropped_as_missing(tmp_path, monkeypatch, capsys):
-    lines = cli_module._fixture_text("VNQ").splitlines()
+def test_non_finite_prices_are_dropped_as_missing(tmp_path, capsys):
+    lines = (FIXTURES / "VNQ.csv").read_text(encoding="utf-8").splitlines()
     close = lines[0].split(",").index("Close")
     for row, cell in zip((10, 500, 1500), ("inf", "-inf", "1e999")):
         cells = lines[row].split(",")
@@ -189,14 +200,13 @@ def test_non_finite_prices_are_dropped_as_missing(tmp_path, monkeypatch, capsys)
     data = tmp_path / "data"
     data.mkdir()
     (data / "VNQ.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    monkeypatch.setenv(DATA_DIR_ENV, str(data))
-    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path / "out")]
+    argv = TINY + ["--symbols", "VNQ", "--data", str(data), "--out-dir", str(tmp_path / "out")]
     assert main(argv + ["ingest"]) == 0
     assert capsys.readouterr().out.split()[1:3] == [f"rows_kept={len(lines) - 4}", "rows_dropped=3"]
     assert main(argv + ["sweep"]) == 0
 
 
-def test_data_dir_env_replaces_the_bundled_fixtures(tmp_path, monkeypatch, capsys):
+def test_data_dir_holds_one_csv_per_symbol(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
     (data / "VNQ.csv").write_text(
@@ -204,9 +214,8 @@ def test_data_dir_env_replaces_the_bundled_fixtures(tmp_path, monkeypatch, capsy
         encoding="utf-8",
     )
     (data / "VGT.csv").write_text("date,close\n2021-03-01,200.0\n", encoding="utf-8")
-    monkeypatch.setenv(DATA_DIR_ENV, str(data))
     out = tmp_path / "out"
-    assert main(["--symbols", "VNQ,VGT", "--out-dir", str(out), "ingest"]) == 0
+    assert main(["--symbols", "VNQ,VGT", "--data", str(data), "--out-dir", str(out), "ingest"]) == 0
     kept = [line.split()[1:3] for line in capsys.readouterr().out.splitlines()]
     assert kept == [["rows_kept=2", "rows_dropped=1"], ["rows_kept=1", "rows_dropped=0"]]
     cleaned = {s: (out / f"{s}-cleaned.csv").read_text(encoding="utf-8") for s in ("VNQ", "VGT")}
@@ -226,6 +235,78 @@ def test_data_file_refuses_several_symbols(tmp_path, capsys):
     assert not out.exists()
 
 
+def _fixture_copies(tmp_path, names) -> Path:
+    """A data directory holding VNQ's fixture under each of the given symbols."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in names:
+        (data / f"{name}.csv").write_bytes((FIXTURES / "VNQ.csv").read_bytes())
+    return data
+
+
+def test_sweep_reads_each_symbol_from_the_data_dir(tmp_path):
+    data = _fixture_copies(tmp_path, ["VNQ", "ABC"])
+    out = tmp_path / "out"
+    argv = TINY + ["--symbols", "ABC,VNQ", "--data", str(data), "--out-dir", str(out), "sweep"]
+    assert main(argv) == 0
+    (sweep,) = out.glob("sweep-*.json")
+    abc, vnq = json.loads(sweep.read_text(encoding="utf-8"))["reports"]
+    assert (abc.pop("symbol"), vnq.pop("symbol")) == ("ABC", "VNQ")
+    assert abc == vnq  # the same prices, seed and config hash
+    assert vnq["config_hash"] != cli_module.config_hash(_resolve(TINY + ["sweep"]))
+
+
+def test_a_symbol_missing_from_the_data_dir_fails_by_its_path(tmp_path, capsys):
+    data = _fixture_copies(tmp_path, ["VNQ"])
+    out = tmp_path / "out"
+    argv = TINY + ["--symbols", "VGT,VNQ", "--data", str(data), "--out-dir", str(out), "sweep"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("symbol=VGT FAILED: ")
+    assert str(data / "VGT.csv") in err[0]
+    assert [p.name.split("-")[0] for p in out.glob("*.metrics.json")] == ["VNQ"]
+
+
+def test_evaluate_without_the_data_dir_of_its_training_is_refused(tmp_path, capsys):
+    data = _fixture_copies(tmp_path, ["VNQ"])
+    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["--data", str(data), "train"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["evaluate"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: checkpoint not found: ")
+    assert not list(tmp_path.rglob("*.metrics.json"))
+
+
+@pytest.mark.parametrize(
+    "symbols",
+    [
+        ["--symbols", "../esc2/Y"],
+        ["--symbols", "..,VNQ"],
+        ["--symbols", "a\\b"],
+        ["--config", "empty-symbol.json"],  # only a config file can name an empty symbol
+    ],
+)
+def test_a_symbol_that_is_not_a_plain_name_is_refused(tmp_path, monkeypatch, capsys, symbols):
+    monkeypatch.chdir(tmp_path)
+    Path("esc").mkdir()
+    Path("esc/X.csv").write_text("date,close\n2020-01-02,1.0\n", encoding="utf-8")
+    Path("empty-symbol.json").write_text(json.dumps({"symbols": [""]}), encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(symbols + ["--data", "esc", "--out-dir", "o6", "ingest"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: symbol ") and captured.err.count("\n") == 1
+    assert "is not a plain name" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_gradcheck_refuses_zero_probes(capsys):
+    assert main(["--units", "4", "gradcheck", "--probes", "0", "--tolerance", "1e-3"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: probes must be >= 1, got 0\n")
+
+
 def test_gradcheck_past_its_tolerance_fails(capsys):
     assert main(["--units", "4", "gradcheck", "--probes", "5", "--tolerance", "1e-30"]) == 1
     captured = capsys.readouterr()
@@ -234,12 +315,11 @@ def test_gradcheck_past_its_tolerance_fails(capsys):
 
 
 def test_module_runs_gradcheck_without_installing():
-    src = str(Path(seqcast.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    src = Path(seqcast.__file__).parents[1]  # `-m` looks in the working directory first
     argv = ["--units", "4", "gradcheck", "--probes", "20", "--tolerance", "1e-3"]
     done = subprocess.run(
         [sys.executable, "-m", "seqcast", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        cwd=src, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("max_relative_error=")
@@ -320,8 +400,7 @@ def test_bad_flag_value_is_an_error(tmp_path, capsys):
 # --------------------------------------------------------------------- ingest
 
 
-def test_ingest_writes_closes_and_moving_averages(tmp_path, monkeypatch):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+def test_ingest_writes_closes_and_moving_averages(tmp_path):
     assert main(["--symbols", "VNQ", "--out-dir", str(tmp_path), "ingest"]) == 0
     lines = (tmp_path / "VNQ-cleaned.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "date,close,sma100,sma200"
@@ -338,7 +417,7 @@ def test_ingest_writes_closes_and_moving_averages(tmp_path, monkeypatch):
 
 def _close_only_file(tmp_path) -> Path:
     """VNQ's fixture reduced to its Date and Close columns."""
-    fixture = (Path(seqcast.__file__).parent / "fixtures" / "VNQ.csv").read_text(encoding="utf-8")
+    fixture = (FIXTURES / "VNQ.csv").read_text(encoding="utf-8")
     rows = [line.split(",") for line in fixture.splitlines()]
     data = tmp_path / "close-only.csv"
     data.write_text("".join(f"{row[0]},{row[4]}\n" for row in rows), encoding="utf-8")
@@ -421,8 +500,7 @@ def test_config_file_with_a_string_of_symbols_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rate", ["-0.001", "0", "nan"])
-def test_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, monkeypatch, capsys, rate):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+def test_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, capsys, rate):
     out = tmp_path / "out"
     argv = TINY + ["--learning-rate", rate, "--symbols", "VNQ", "--out-dir", str(out)]
     assert main(argv + ["train"]) == 1
@@ -449,12 +527,12 @@ def test_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, monkeypatc
             TINY + ["--end", "2022-12-32", "--symbols", "VNQ,VGT"],
             "end '2022-12-32': day is out of range for month",
         ),
+        (TINY + ["--seed", "-1", "--symbols", "VNQ,VGT"], "seed must be >= 0, got -1"),
     ],
 )
 def test_a_config_no_symbol_can_run_is_refused_before_any_symbol(
-    tmp_path, monkeypatch, capsys, flags, message, command
+    tmp_path, capsys, flags, message, command
 ):
-    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
     out = tmp_path / "out"
     assert main(flags + ["--out-dir", str(out), command]) == 1
     captured = capsys.readouterr()

@@ -75,7 +75,7 @@ def test_fetch_connection_failure_wraps_as_network_error():
     # nothing listens on this port
     template = "http://127.0.0.1:9/{symbol}/{start}/{end}"
     with pytest.raises(NetworkError):
-        fetch_remote(template, "VNQ", "2020-01-01", "2020-02-01", timeout=2.0)
+        fetch_remote(template, "VNQ", "2020-01-01", "2020-02-01")
 
 
 def test_fetch_rejects_incomplete_template():

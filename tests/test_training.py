@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -283,11 +282,10 @@ def test_train_deterministic_for_seed(tmp_path):
 
     data = tmp_path / "data.npz"
     np.savez(data, inputs=ds.inputs, targets=ds.targets)
-    src = str(Path(seqcast.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    src = Path(seqcast.__file__).parents[1]  # `-c` looks in the working directory first
     done = subprocess.run(
         [sys.executable, "-c", _FRESH_PROCESS_RUN, str(data)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        cwd=src, capture_output=True, text=True, timeout=120, check=True,
     )
     fresh = json.loads(done.stdout)
     runs.append((fresh["losses"], np.frombuffer(bytes.fromhex(fresh["flat"]))))
@@ -480,6 +478,7 @@ def test_gradcheck_ignores_dropout_rates():
     assert finite_diff_gradcheck(params, cfg, x, y, probe_count=20, seed=0) < 1e-4
 
 
-def test_gradcheck_zero_probes_vacuous():
+def test_gradcheck_refuses_zero_probes():
     cfg, params = scalar_net()
-    assert finite_diff_gradcheck(params, cfg, np.zeros((1, 2, 1)), np.zeros(1), probe_count=0) == 0.0
+    with pytest.raises(ValueError, match="probes must be >= 1, got 0"):
+        finite_diff_gradcheck(params, cfg, np.zeros((1, 2, 1)), np.zeros(1), probe_count=0)
