@@ -24,7 +24,7 @@ FORMAT_VERSION = 1
 
 
 class CheckpointError(ValueError):
-    """Checkpoint cannot be written, is not a well-formed v1 model, or does not fit the run."""
+    """Checkpoint is unreadable or unwritable, not a well-formed v1 model, or not the run's."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a v1 checkpoint; any defect raises CheckpointError naming the file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise CheckpointError(f"checkpoint not found: {path}") from None
+    except OSError as exc:  # a directory, no permission
+        raise CheckpointError(f"{path}: cannot read a checkpoint: {exc.strerror}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise CheckpointError(f"{path}: not a JSON file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:

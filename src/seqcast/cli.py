@@ -2,13 +2,13 @@
 
 A run is described by a JSON config file; command-line flags override file
 values. A symbol's prices come from the `--data` CSV file or `<SYMBOL>.csv` in
-the `--data` directory, else from the `--endpoint`, else from the package's
-bundled `fixtures/` directory. Every output filename but the sweep summary's
+the `--data` directory, or from the `--endpoint`, never both; with neither, from
+the package's bundled `fixtures/`. Every output filename but the sweep summary's
 `sweep-<hash>.json` embeds the symbol; all but ingest's `<symbol>-cleaned.csv`
-embed a hash of the resolved config, data path included, so training runs
-cannot mix. The out-dir is created by the first file written. Re-running a
-command with the same config and seed rewrites identical outputs (modulo
-wall-clock fields in the training log).
+embed a hash of the resolved config, data path included (`data/` and `./data`
+hash as `data`), so training runs cannot mix. The out-dir is created by the
+first file written. Re-running a command with the same config and seed
+rewrites identical outputs (modulo wall-clock fields in the training log).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class RunConfig:
     """Everything a run needs; serializable, hashable, overridable by flags."""
 
     symbols: tuple[str, ...] = ("VNQ",)
-    data_path: str | None = None  # CSV file, or directory of <SYMBOL>.csv; bypasses endpoint
+    data_path: str | None = None  # CSV file, or directory of <SYMBOL>.csv; never with endpoint
     endpoint: str | None = None  # HTTP template with {symbol}/{start}/{end}
     start: str = "2012-01-01"
     end: str = "2022-12-21"
@@ -96,6 +96,13 @@ class RunConfig:
         repeated = sorted({s for s in self.symbols if self.symbols.count(s) > 1})
         if repeated:
             raise RunConfigError(f"symbols repeated: {', '.join(repeated)}")
+        for name in ("data_path", "out_dir"):  # one spelling per path, so one config hash
+            if getattr(self, name):
+                object.__setattr__(self, name, str(Path(getattr(self, name))))
+        if self.data_path and self.endpoint:
+            raise RunConfigError(
+                f"data_path {self.data_path!r} and endpoint {self.endpoint!r}: give one, not both"
+            )
         if self.data_path and len(self.symbols) > 1 and Path(self.data_path).is_file():
             raise RunConfigError(
                 f"data file {self.data_path} holds one series; got {len(self.symbols)} symbols"
@@ -127,7 +134,6 @@ class RunConfig:
             epochs=self.epochs,
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,
-            shuffle_seed=self.seed,
             clip_norm=self.clip_norm,
         )
 
@@ -152,8 +158,8 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def load_series(cfg: RunConfig, symbol: str) -> PriceSeries:
-    """Resolve data: --data file or directory > remote endpoint > bundled fixtures."""
-    if cfg.endpoint and not cfg.data_path:
+    """The symbol's rows from start to end, from the endpoint, --data or the bundled fixtures."""
+    if cfg.endpoint:
         text = fetch_remote(cfg.endpoint, symbol, cfg.start, cfg.end)
     else:
         source = Path(cfg.data_path) if cfg.data_path else resources.files("seqcast") / "fixtures"
@@ -307,8 +313,6 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path: str | None = None, stdout=None
         raise RunConfigError(f"--checkpoint {checkpoint_path} holds one model; got {n} symbols")
     for symbol in cfg.symbols:
         path = Path(checkpoint_path) if checkpoint_path else _out_path(cfg, symbol, ".ckpt.json")
-        if not path.exists():
-            raise CheckpointError(f"checkpoint not found: {path}")
         ckpt = load_checkpoint(path)
         _evaluate_one(cfg, symbol, ckpt, _load_split(cfg, symbol), stdout)
     return 0
@@ -387,8 +391,7 @@ _VALUE_FLAGS = (
         "--data",
         "data_path",
         str,
-        "CSV file (one symbol) or directory of <SYMBOL>.csv files; part of the config hash "
-        "(default: the --endpoint, else the bundled fixtures)",
+        "CSV file (one symbol) or directory of <SYMBOL>.csv files; part of the config hash",
     ),
     ("--endpoint", "endpoint", str, "HTTP CSV template with {symbol}/{start}/{end}"),
     ("--start", "start", str, "first date, YYYY-MM-DD"),

@@ -81,11 +81,7 @@ class InvalidConfigError(ValueError):
 
 
 class ShapeMismatchError(ValueError):
-    """Array shapes inconsistent with the parameters or config."""
-
-
-class EmptySequenceError(ValueError):
-    """Forward pass needs at least one timestep."""
+    """Array shapes inconsistent with the parameters or config, or with no timestep."""
 
 
 class StaleCacheError(ValueError):
@@ -382,7 +378,7 @@ def network_forward(
             f"expected [B, T, {config.input_features}] batch, got shape {arr.shape}"
         )
     if arr.shape[1] == 0:
-        raise EmptySequenceError("batch has zero timesteps")
+        raise ShapeMismatchError("batch has zero timesteps")
     if len(params.layers) != len(config.layer_units):
         raise ShapeMismatchError(
             f"params have {len(params.layers)} layers, config names {len(config.layer_units)}"

@@ -28,11 +28,7 @@ class MissingColumnError(ValueError):
 
 
 class BadDateError(ValueError):
-    """A date cell could not be parsed as a calendar day."""
-
-
-class DuplicateDateError(ValueError):
-    """Two rows share the same date."""
+    """A date cell could not be parsed as a calendar day, or days do not strictly increase."""
 
 
 class BadRatioError(ValueError):
@@ -44,21 +40,12 @@ class EmptySeriesError(ValueError):
 
 
 class InvalidWindowError(ValueError):
-    """Window length below 1, or not shorter than the series it slides over."""
+    """Window length below 1, not shorter than the series it slides over, or not
+    the length of the train tail that bridges into the test values."""
 
 
 class NetworkError(RuntimeError):
-    """Transport-level failure while fetching remote data."""
-
-
-class EmptyBodyError(RuntimeError):
-    """Remote endpoint answered 200 with an empty body."""
-
-
-class HttpStatusError(RuntimeError):
-    def __init__(self, status: int):
-        super().__init__(f"unexpected HTTP status {status}")
-        self.status = status
+    """Fetching remote data failed: transport error, non-200 status or empty body."""
 
 
 # canonical header names after lowercasing and stripping separators
@@ -91,8 +78,8 @@ class PriceSeries:
         if steps.size:
             day = self.days[steps[0] + 1]
             if day == self.days[steps[0]]:
-                raise DuplicateDateError(f"duplicate date {day} in {self.symbol!r}")
-            raise ValueError(f"rows out of order at {day}")
+                raise BadDateError(f"duplicate date {day} in {self.symbol!r}")
+            raise BadDateError(f"rows out of order at {day}")
 
     def __len__(self) -> int:
         return len(self.days)
@@ -203,13 +190,13 @@ def fetch_remote(
             charset = response.headers.get_content_charset() or "utf-8"
             body = response.read()
     except HTTPError as exc:
-        raise HttpStatusError(exc.code) from exc
+        raise NetworkError(f"unexpected HTTP status {exc.code}") from exc
     except OSError as exc:  # URLError, refused connections and timeouts
         raise NetworkError(f"fetch failed for {url}: {exc}") from exc
     if status != 200:
-        raise HttpStatusError(status)
+        raise NetworkError(f"unexpected HTTP status {status}")
     if not body:
-        raise EmptyBodyError(f"empty body from {url}")
+        raise NetworkError(f"empty body from {url}")
     return body.decode(charset)
 
 

@@ -15,15 +15,7 @@ from .market_data import InvalidWindowError
 
 
 class DegenerateRangeError(ValueError):
-    """All fit values equal: min-max scaling is undefined."""
-
-
-class TooFewValuesError(ValueError):
-    """Scaler needs at least two values."""
-
-
-class TailTooShortError(ValueError):
-    """Bridging requires exactly `window` trailing train values."""
+    """Fewer than two fit values, or all equal: min-max scaling is undefined."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +34,7 @@ def fit_scaler(train_values) -> ScalerParams:
     """Record min and max of the training values only (no test leakage)."""
     arr = np.asarray(train_values, dtype=np.float64)
     if arr.size < 2:
-        raise TooFewValuesError(f"need at least 2 values to fit a scaler, got {arr.size}")
+        raise DegenerateRangeError(f"need at least 2 values to fit a scaler, got {arr.size}")
     lo, hi = float(arr.min()), float(arr.max())
     if lo == hi:
         raise DegenerateRangeError(f"all {arr.size} values equal {lo}")
@@ -102,7 +94,7 @@ def bridge_test_windows(train_tail, test_values, window: int, dates=None) -> Win
     tail = np.asarray(train_tail, dtype=np.float64)
     test = np.asarray(test_values, dtype=np.float64)
     if tail.size != window:
-        raise TailTooShortError(f"train tail has {tail.size} values, need exactly {window}")
+        raise InvalidWindowError(f"train tail has {tail.size} values, need exactly {window}")
     if dates is not None and len(dates) != test.size:
         raise ValueError(f"got {len(dates)} dates for {test.size} test values")
     inputs, targets = _window_arrays(np.concatenate([tail, test]), window)

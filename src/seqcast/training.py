@@ -21,11 +21,7 @@ from .rng import make_rng
 
 
 class EmptySetError(ValueError):
-    """Loss and metrics need at least one (actual, predicted) pair."""
-
-
-class EmptyDatasetError(ValueError):
-    """Training needs at least one sample."""
+    """Training, loss and metrics need at least one sample or (actual, predicted) pair."""
 
 
 class DivergedError(ArithmeticError):
@@ -122,7 +118,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     learning_rate: float = 1e-3
-    shuffle_seed: int = 0
     clip_norm: float | None = None  # optional global-norm clip, off by default
 
     def __post_init__(self) -> None:
@@ -159,17 +154,18 @@ def train(
     """Shuffled mini-batch training: forward, BPTT, Adam, once per batch.
 
     Trains a copy of `params` and returns it, leaving the caller's as they
-    were; each epoch's EpochLog goes to `progress`. One seeded generator
-    drives both the epoch shuffles and the dropout masks, so a (seed, config,
-    data) triple reproduces the parameter trajectory bitwise. The final short
-    batch is trained on, not dropped. Raises DivergedError at the end of an
-    epoch whose loss or parameters are not finite.
+    were; each epoch's EpochLog goes to `progress`. One generator, seeded
+    with `config.seed`, drives both the epoch shuffles and the dropout masks,
+    so the two configs and the data reproduce the parameter trajectory
+    bitwise. The final short batch is trained on, not dropped. Raises
+    DivergedError at the end of an epoch whose loss or parameters are not
+    finite.
     """
     n = dataset.n_samples
     if n == 0:
-        raise EmptyDatasetError("training dataset has no samples")
+        raise EmptySetError("training dataset has no samples")
     params = copy_params(params)
-    rng = make_rng(tc.shuffle_seed)
+    rng = make_rng(config.seed)
     state = init_adam(params, lr=tc.learning_rate)
     for epoch in range(1, tc.epochs + 1):
         started = time.perf_counter()

@@ -154,6 +154,16 @@ def test_malformed_key_is_named_with_the_file(tmp_path, key):
         load_checkpoint(path)
 
 
+def test_missing_path_and_directory_are_refused_by_name(tmp_path):
+    missing = tmp_path / "missing.ckpt.json"
+    with pytest.raises(CheckpointError) as excinfo:
+        load_checkpoint(missing)
+    assert str(excinfo.value) == f"checkpoint not found: {missing}"
+    with pytest.raises(CheckpointError) as excinfo:
+        load_checkpoint(tmp_path)  # a directory
+    assert str(excinfo.value).startswith(f"{tmp_path}: cannot read a checkpoint: ")
+
+
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '"seqcast-checkpoint"'])
 def test_non_checkpoint_json_names_the_file(tmp_path, text):
     path = tmp_path / "model.ckpt.json"

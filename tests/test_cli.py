@@ -132,6 +132,16 @@ def test_evaluate_without_a_checkpoint_is_an_error(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", f"error: checkpoint not found: {missing}\n")
 
 
+def test_evaluate_refuses_a_directory_as_its_checkpoint(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(out)]
+    assert main(argv + ["evaluate", "--checkpoint", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {tmp_path}: cannot read a checkpoint: ")
+    assert not out.exists()
+
+
 def test_evaluate_without_its_default_checkpoint_leaves_no_out_dir(tmp_path, capsys):
     out = tmp_path / "missing"
     argv = TINY + ["--symbols", "VNQ", "--out-dir", str(out)]
@@ -278,6 +288,30 @@ def test_evaluate_without_the_data_dir_of_its_training_is_refused(tmp_path, caps
     assert not list(tmp_path.rglob("*.metrics.json"))
 
 
+def test_data_spelled_three_ways_names_one_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _fixture_copies(tmp_path, ["VNQ"])
+    argv = TINY + ["--symbols", "VNQ", "--out-dir", "out"]
+    assert main(argv + ["--data", "data", "train"]) == 0
+    for spelling in ("data/", "./data"):
+        assert main(argv + ["--data", spelling, "evaluate"]) == 0
+    assert capsys.readouterr().err == ""
+    (ckpt,) = Path("out").glob("VNQ-*.ckpt.json")
+    (metrics,) = Path("out").glob("VNQ-*.metrics.json")
+    assert metrics.name == ckpt.name.replace(".ckpt.json", ".metrics.json")
+
+
+def test_out_dir_spelled_two_ways_names_one_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = TINY + ["--symbols", "VNQ"]
+    assert main(argv + ["--out-dir", "o/", "train"]) == 0
+    assert main(argv + ["--out-dir", "./o", "evaluate"]) == 0
+    assert capsys.readouterr().err == ""
+    (ckpt,) = Path("o").glob("VNQ-*.ckpt.json")
+    (metrics,) = Path("o").glob("VNQ-*.metrics.json")
+    assert metrics.name == ckpt.name.replace(".ckpt.json", ".metrics.json")
+
+
 @pytest.mark.parametrize(
     "symbols",
     [
@@ -339,8 +373,6 @@ def test_default_config_hash_is_pinned():
 def test_every_flag_resolves_into_the_run_config():
     argv = [
         "--symbols", " VNQ ,",
-        "--data", "prices.csv",
-        "--endpoint", "http://host/{symbol}/{start}/{end}",
         "--start", "2013-01-01",
         "--end", "2020-06-30",
         "--split-ratio", "0.7",
@@ -355,10 +387,8 @@ def test_every_flag_resolves_into_the_run_config():
         "--use-adj-close",
         "train",
     ]
-    assert _resolve(argv) == cli_module.RunConfig(
+    fields = dict(
         symbols=("VNQ",),
-        data_path="prices.csv",
-        endpoint="http://host/{symbol}/{start}/{end}",
         start="2013-01-01",
         end="2020-06-30",
         split_ratio=0.7,
@@ -372,6 +402,14 @@ def test_every_flag_resolves_into_the_run_config():
         clip_norm=None,
         seed=7,
         out_dir="elsewhere",
+    )
+    # a run reads one source, so the two resolve one at a time
+    assert _resolve(["--data", "prices.csv"] + argv) == cli_module.RunConfig(
+        data_path="prices.csv", **fields
+    )
+    endpoint = "http://host/{symbol}/{start}/{end}"
+    assert _resolve(["--endpoint", endpoint] + argv) == cli_module.RunConfig(
+        endpoint=endpoint, **fields
     )
 
 
@@ -528,6 +566,10 @@ def test_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, capsys, ra
             "end '2022-12-32': day is out of range for month",
         ),
         (TINY + ["--seed", "-1", "--symbols", "VNQ,VGT"], "seed must be >= 0, got -1"),
+        (
+            TINY + ["--data", "data/", "--endpoint", "http://h/{symbol}/{start}/{end}"],
+            "data_path 'data' and endpoint 'http://h/{symbol}/{start}/{end}': give one, not both",
+        ),
     ],
 )
 def test_a_config_no_symbol_can_run_is_refused_before_any_symbol(

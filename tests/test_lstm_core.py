@@ -9,7 +9,6 @@ import pytest
 
 from seqcast import lstm_core
 from seqcast.lstm_core import (
-    EmptySequenceError,
     InvalidConfigError,
     LstmLayerParams,
     NetworkConfig,
@@ -296,7 +295,7 @@ def test_network_forward_shape_errors():
     params = init_params(cfg)
     with pytest.raises(ShapeMismatchError):
         network_forward(params, cfg, np.zeros((2, 4, 3)))
-    with pytest.raises(EmptySequenceError):
+    with pytest.raises(ShapeMismatchError, match="batch has zero timesteps"):
         network_forward(params, cfg, np.zeros((2, 0, 1)))
 
 

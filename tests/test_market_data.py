@@ -9,7 +9,6 @@ import pytest
 from seqcast.market_data import (
     BadDateError,
     BadRatioError,
-    DuplicateDateError,
     EmptySeriesError,
     InvalidWindowError,
     MissingColumnError,
@@ -133,13 +132,13 @@ def test_parse_csv_bad_date():
 
 def test_parse_csv_duplicate_date():
     rows = ["2020-01-02,1,1,1,1,1,1", "2020-01-02,2,2,2,2,2,2"]
-    with pytest.raises(DuplicateDateError):
+    with pytest.raises(BadDateError, match="duplicate date 2020-01-02"):
         parse_csv("\n".join([HEADER] + rows))
 
 
 def test_series_refuses_days_out_of_order():
     days = np.array(["2020-01-03", "2020-01-02"], dtype="datetime64[D]")
-    with pytest.raises(ValueError, match="out of order"):
+    with pytest.raises(BadDateError, match="rows out of order at 2020-01-02"):
         PriceSeries("T", days, np.ones(2), np.ones(2))
 
 

@@ -8,8 +8,6 @@ import pytest
 from seqcast.market_data import InvalidWindowError
 from seqcast.preprocess import (
     DegenerateRangeError,
-    TailTooShortError,
-    TooFewValuesError,
     bridge_test_windows,
     fit_scaler,
     inverse_transform,
@@ -34,7 +32,7 @@ def test_fit_scaler_degenerate():
 
 
 def test_fit_scaler_too_few():
-    with pytest.raises(TooFewValuesError):
+    with pytest.raises(DegenerateRangeError, match="need at least 2 values to fit a scaler"):
         fit_scaler([3.0])
 
 
@@ -161,5 +159,5 @@ def test_bridge_sample_count_equals_test_length():
 
 
 def test_bridge_tail_too_short():
-    with pytest.raises(TailTooShortError):
+    with pytest.raises(InvalidWindowError, match="train tail has 2 values, need exactly 3"):
         bridge_test_windows([1.0, 2.0], [3.0], 3)

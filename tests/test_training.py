@@ -29,7 +29,6 @@ from seqcast.training import (
     ADAM_EPSILON,
     AdamState,
     DivergedError,
-    EmptyDatasetError,
     EmptySetError,
     PredictionSet,
     TrainConfig,
@@ -245,7 +244,7 @@ def test_train_logs_and_batch_count(monkeypatch):
 
     monkeypatch.setattr(training_module, "adam_step", counting)
     logs = []
-    train(params, cfg, ds, TrainConfig(epochs=5, batch_size=32, shuffle_seed=5), logs.append)
+    train(params, cfg, ds, TrainConfig(epochs=5, batch_size=32), logs.append)
     assert len(logs) == 5
     assert [log.epoch for log in logs] == [1, 2, 3, 4, 5]
     # 80 samples at batch 32 -> ceil(80/32) = 3 batches per epoch, short one kept
@@ -264,7 +263,7 @@ data = np.load(sys.argv[1])
 ds = WindowedDataset(inputs=data["inputs"], targets=data["targets"])
 cfg = NetworkConfig(layer_units=(3, 4), dropout_rates=(0.2, 0.1), seed=6)
 logs = []
-params = train(init_params(cfg), cfg, ds, TrainConfig(epochs=3, shuffle_seed=11), logs.append)
+params = train(init_params(cfg), cfg, ds, TrainConfig(epochs=3), logs.append)
 print(json.dumps({"losses": [log.loss for log in logs], "flat": params.flat.tobytes().hex()}))
 """
 
@@ -275,9 +274,7 @@ def test_train_deterministic_for_seed(tmp_path):
     runs = []
     for _ in range(2):
         logs = []
-        params = train(
-            init_params(cfg), cfg, ds, TrainConfig(epochs=3, shuffle_seed=11), logs.append
-        )
+        params = train(init_params(cfg), cfg, ds, TrainConfig(epochs=3), logs.append)
         runs.append(([log.loss for log in logs], params.flat))
 
     data = tmp_path / "data.npz"
@@ -300,7 +297,7 @@ def test_train_leaves_callers_params_alone():
     cfg = NetworkConfig(layer_units=(3,), dropout_rates=(0.2,), seed=6)
     p = init_params(cfg)
     before = p.flat.copy()
-    out = train(p, cfg, ds, TrainConfig(epochs=1, shuffle_seed=3))
+    out = train(p, cfg, ds, TrainConfig(epochs=1))
     assert out is not p
     assert not np.shares_memory(out.flat, p.flat)
     np.testing.assert_array_equal(p.flat, before)
@@ -320,7 +317,7 @@ def test_train_epoch_covers_every_sample_once(monkeypatch):
         return original(params, config, batch, mode=mode, rng=rng)
 
     monkeypatch.setattr(training_module, "network_forward", recording)
-    train(params, cfg, ds, TrainConfig(epochs=1, batch_size=16, shuffle_seed=8))
+    train(params, cfg, ds, TrainConfig(epochs=1, batch_size=16))
     per_epoch = np.sort(np.concatenate(seen))
     np.testing.assert_array_equal(per_epoch, np.sort(ds.inputs[:, 0, 0]))
 
@@ -328,7 +325,7 @@ def test_train_epoch_covers_every_sample_once(monkeypatch):
 def test_train_empty_dataset():
     cfg = NetworkConfig(layer_units=(2,), dropout_rates=(0.0,), seed=1)
     empty = WindowedDataset(inputs=np.empty((0, 2, 1)), targets=np.empty(0))
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(EmptySetError, match="training dataset has no samples"):
         train(init_params(cfg), cfg, empty, TrainConfig(epochs=1))
 
 
@@ -358,7 +355,7 @@ def test_train_overfits_noiseless_sine():
     ds = make_windows(transform(scaler, values), 10)
     cfg = NetworkConfig(layer_units=(8,), dropout_rates=(0.0,), seed=7)
     logs = []
-    train(init_params(cfg), cfg, ds, TrainConfig(epochs=30, shuffle_seed=7), logs.append)
+    train(init_params(cfg), cfg, ds, TrainConfig(epochs=30), logs.append)
     assert logs[-1].loss < logs[0].loss / 10.0
 
 
@@ -376,7 +373,7 @@ def test_train_clips_every_gradient_to_clip_norm(monkeypatch):
 
     def run(clip_norm):
         norms.clear()
-        tc = TrainConfig(epochs=2, shuffle_seed=11, clip_norm=clip_norm)
+        tc = TrainConfig(epochs=2, clip_norm=clip_norm)
         return train(init_params(cfg), cfg, ds, tc).flat, list(norms)
 
     free, free_norms = run(None)
@@ -398,7 +395,7 @@ def test_train_raises_on_divergence():
     bad = WindowedDataset(inputs=ds.inputs, targets=targets)
     cfg = NetworkConfig(layer_units=(2,), dropout_rates=(0.0,), seed=1)
     with pytest.raises(DivergedError):
-        train(init_params(cfg), cfg, bad, TrainConfig(epochs=2, shuffle_seed=1))
+        train(init_params(cfg), cfg, bad, TrainConfig(epochs=2))
 
 
 def random_grads(seed):
