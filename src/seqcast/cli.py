@@ -19,6 +19,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
@@ -176,9 +177,9 @@ def _clean_series(cfg: RunConfig, symbol: str) -> tuple[PriceSeries, int]:
     """The symbol's rows that have a value in the run's channel, and how many were dropped."""
     cleaned, dropped = drop_missing(load_series(cfg, symbol), adjusted=cfg.use_adj_close)
     if len(cleaned) == 0:
-        channel = "adjusted close" if cfg.use_adj_close else "close"
+        channel = "an adjusted close" if cfg.use_adj_close else "a close"
         raise EmptySeriesError(
-            f"{symbol}: no row from {cfg.start} to {cfg.end} has a {channel} value"
+            f"{symbol}: no row from {cfg.start} to {cfg.end} has {channel} value"
         )
     return cleaned, dropped
 
@@ -202,7 +203,10 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def cmd_ingest(cfg: RunConfig, stdout=None) -> int:
-    """Clean each symbol and write date,close,sma100,sma200 CSVs."""
+    """Clean each symbol and write date,close,sma100,sma200 CSVs. An adjusted run
+    writes date,close,adj_close,sma100,sma200, averaging the adjusted closes, so
+    its file reads back under either channel."""
+    channels = ("close", "adj_close") if cfg.use_adj_close else ("close",)
     for symbol in cfg.symbols:
         cleaned, dropped = _clean_series(cfg, symbol)
         closes = cleaned.closes(adjusted=cfg.use_adj_close)
@@ -211,10 +215,15 @@ def cmd_ingest(cfg: RunConfig, stdout=None) -> int:
             values = sma(closes, n)
             # first n-1 rows have no defined average: empty cells, never zeros
             averages.append([""] * (len(cleaned) - len(values)) + [repr(float(v)) for v in values])
+        # a kept row may lack the other channel: an empty cell reads back as missing
+        prices = [
+            ["" if math.isnan(v) else repr(v) for v in getattr(cleaned, ch).tolist()]
+            for ch in channels
+        ]
         path = Path(cfg.out_dir) / f"{symbol}-cleaned.csv"
         days = (day.isoformat() for day in cleaned.dates())
-        header = ["date", "close", *(f"sma{n}" for n in SMA_WINDOWS)]
-        _write(path, _csv_text(header, zip(days, map(repr, closes.tolist()), *averages)))
+        header = ["date", *channels, *(f"sma{n}" for n in SMA_WINDOWS)]
+        _write(path, _csv_text(header, zip(days, *prices, *averages)))
         print(
             f"symbol={symbol} rows_kept={len(cleaned)} rows_dropped={dropped} wrote={path}",
             file=stdout,

@@ -7,11 +7,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqcast
 import seqcast.cli as cli_module
+from seqcast.checkpoint import load_checkpoint
 from seqcast.cli import main
+from seqcast.market_data import drop_missing, parse_csv
 
 TINY = ["--units", "4", "--window", "5", "--epochs", "1"]
 FIXTURES = Path(seqcast.__file__).parent / "fixtures"
@@ -485,8 +488,40 @@ def test_ingest_refuses_a_channel_with_no_values(tmp_path, capsys, channel):
     argv = ["--symbols", "VNQ", "--data", str(data), "--out-dir", str(out), *flags, "ingest"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: VNQ: no row from 2012-01-01 to 2022-12-21 has a " + channel)
+    expected = f"has {'an' if flags else 'a'} {channel} value"
+    assert err.startswith("error: VNQ: no row from 2012-01-01 to 2022-12-21 " + expected)
     assert not list(tmp_path.rglob("*-cleaned.csv"))
+
+
+def test_adjusted_ingest_trains_on_the_values_of_its_source(tmp_path):
+    # VNQ's fixture with adjusted closes of their own, some closes and adjusted closes missing
+    lines = (FIXTURES / "VNQ.csv").read_text(encoding="utf-8").splitlines()[1:]
+    rows = ["Date,Close,Adj Close"]
+    for k, cells in enumerate(line.split(",") for line in lines):
+        close = "" if k % 50 == 7 else cells[4]
+        adjusted = "" if k % 70 == 3 else repr(0.9 * float(cells[5]))
+        rows.append(f"{cells[0]},{close},{adjusted}")
+    source = tmp_path / "prices.csv"
+    source.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["--use-adj-close", "--units", "4", "--window", "10", "--epochs", "1"]
+    argv += ["--symbols", "VNQ"]
+    assert main(argv + ["--data", str(source), "--out-dir", str(tmp_path / "o"), "ingest"]) == 0
+    cleaned = tmp_path / "o" / "VNQ-cleaned.csv"
+    text = cleaned.read_text(encoding="utf-8")
+    assert text.splitlines()[0] == "date,close,adj_close,sma100,sma200"
+    kept, _ = drop_missing(parse_csv(source.read_text(encoding="utf-8")), adjusted=True)
+    back = parse_csv(text)
+    np.testing.assert_array_equal(back.days, kept.days)
+    np.testing.assert_array_equal(back.close, kept.close)  # NaN where the close is missing
+    np.testing.assert_array_equal(back.adj_close, kept.adj_close)
+    ckpts = []
+    for data in (source, cleaned):
+        out = tmp_path / f"from-{data.stem}"
+        assert main(argv + ["--data", str(data), "--out-dir", str(out), "train"]) == 0
+        (path,) = out.glob("VNQ-*.ckpt.json")
+        ckpts.append(load_checkpoint(path))
+    assert ckpts[0].scaler == ckpts[1].scaler
+    np.testing.assert_array_equal(ckpts[0].params.flat, ckpts[1].params.flat)
 
 
 # ------------------------------------------------------------------ refusals

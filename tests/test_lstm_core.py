@@ -278,12 +278,27 @@ def test_network_forward_single_layer_matches_manual_composition():
 
 
 @pytest.mark.parametrize(
-    "units, batch_size, steps", [((3, 2), 2, 6), ((3, 2), 2, 1), ((5, 7, 2), 3, 4), ((3, 2), 1, 6)]
+    "units, batch_size, steps, features",
+    [
+        ((3, 2), 2, 6, 1),
+        ((3, 2), 2, 1, 1),
+        ((5, 7, 2), 3, 4, 1),
+        ((3, 2), 1, 6, 1),
+        # uneven widths and several input rows: inference's state column offsets
+        ((5, 7, 2, 4), 3, 5, 3),
+        ((5, 7, 2, 4), 1, 5, 3),
+        ((5, 7, 2, 4), 3, 1, 3),
+        ((5, 7, 2, 4), 1, 1, 3),
+    ],
 )
-def test_network_forward_train_with_zero_dropout_equals_inference(units, batch_size, steps):
-    cfg = NetworkConfig(layer_units=units, dropout_rates=(0.0,) * len(units), seed=8)
+def test_network_forward_train_with_zero_dropout_equals_inference(
+    units, batch_size, steps, features
+):
+    cfg = NetworkConfig(
+        layer_units=units, dropout_rates=(0.0,) * len(units), input_features=features, seed=8
+    )
     params = init_params(cfg)
-    batch = make_rng(22).normal(size=(batch_size, steps, 1))
+    batch = make_rng(22).normal(size=(batch_size, steps, features))
     train_pred, cache = network_forward(params, cfg, batch, mode="train")
     infer_pred, _ = network_forward(params, cfg, batch, mode="inference")
     np.testing.assert_array_equal(train_pred, infer_pred)
@@ -455,6 +470,22 @@ def test_inference_forward_keeps_no_bptt_cache():
     gate_buffer = steps * batch_size * 4 * cfg.layer_units[0] * 8  # bytes, smallest layer
     assert _forward_peak_bytes(params, cfg, batch, "inference") < gate_buffer
     assert _forward_peak_bytes(params, cfg, batch, "train") > gate_buffer
+
+
+def test_inference_forward_keeps_one_state_column_one_c_and_one_gate_buffer():
+    # the column [h_top; ...; h_0; x_t] (sum H + I rows), one [2H, B] c per layer
+    # and one gate buffer of the widest layer, as float64 [rows, B] arrays
+    cfg = NetworkConfig(layer_units=(16, 24, 32), dropout_rates=(0.1, 0.1, 0.1), seed=5)
+    params = init_params(cfg)
+    steps, batch_size = 40, 64
+    batch = make_rng(38).normal(size=(batch_size, steps, 1))
+    units = cfg.layer_units
+    rows = sum(units) + cfg.input_features + 2 * sum(units) + 4 * max(units)
+    # slack: NumPy's buffered iterator behind the broadcast bias add (8192
+    # float64s, 64 KiB) and 16 KiB of small objects; a per-layer z copy,
+    # a second z or c slot, or a repeated bias each add more than 16 KiB
+    slack = 64 * 1024 + 16 * 1024
+    assert _forward_peak_bytes(params, cfg, batch, "inference") <= rows * batch_size * 8 + slack
 
 
 def test_inference_forward_memory_does_not_grow_with_steps():
