@@ -3,11 +3,17 @@
 MAPE guards against near-zero actuals: samples with |actual| below a
 threshold are excluded and counted instead of producing astronomical
 percentages.
+
+predict_series runs its chunks of windows on the cores BLAS leaves free, as
+NumPy releases the GIL inside its GEMMs and ufuncs: on threads when
+OPENBLAS_NUM_THREADS (else OMP_NUM_THREADS) leaves cores idle, serially when
+neither is set. Predictions are bitwise the same either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from datetime import date
 
@@ -17,7 +23,20 @@ from .lstm_core import NetworkConfig, NetworkParams, network_forward
 from .preprocess import ScalerParams, WindowedDataset, inverse_transform
 from .training import EmptySetError, PredictionSet, mse_loss
 
-_PREDICT_BATCH = 256  # windows per inference forward
+# Windows in flight per inference round, split over the workers in multiples
+# of 8: one chunk of 240 serial, two of 120 pooled. Split so, predictions were
+# bitwise equal to 256-window chunks; 4 x 60 and 2 x 116 differed by rounding
+# (OpenBLAS 0.3.31). Two 120-window chunks at the paper config peak at 2.87 MB
+# under tracemalloc, below one 256-window chunk's 2.96 MB.
+_PREDICT_BATCH = 240
+
+# Inference stays on one thread when a layer is narrower than this: a narrow
+# step is mostly NumPy's per-call overhead, which holds the GIL. Pooled (2 x
+# 120) over serial (240), 573 windows, T=100 unless given, one BLAS thread, on
+# a 2-vCPU x86 host: (8, 8) T=20 0.67-0.68x, (8, 8) 0.77-0.86x, (16, 16)
+# 0.80-0.82x, (32, 32) 0.95-1.02x, (50,) 1.09-1.29x, (50, 60) 1.41-1.63x, the
+# paper stack 1.59-1.65x.
+_POOL_MIN_UNITS = 32
 
 
 class ZeroVarianceError(ValueError):
@@ -98,6 +117,26 @@ def compute_metrics(p: PredictionSet, mape_threshold: float = 1e-8) -> MetricsRe
     )
 
 
+def _workers(config: NetworkConfig) -> int:
+    """Inference threads: the usable cores over the BLAS threads the environment
+    names. One when neither variable is set (BLAS threads over every core),
+    when it is not a positive integer, or when a layer is under _POOL_MIN_UNITS."""
+    if min(config.layer_units) < _POOL_MIN_UNITS:
+        return 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:
+                cpus = os.cpu_count() or 1
+            return max(1, cpus // blas)
+    return 1
+
+
 def predict_series(
     params: NetworkParams,
     config: NetworkConfig,
@@ -107,16 +146,28 @@ def predict_series(
     """Inference over test windows, inverse-scaled to price units.
 
     One (actual, predicted) pair per test day; windows come from
-    bridge_test_windows so every target has a full history.
+    bridge_test_windows so every target has a full history. Chunks run on
+    _workers(config) threads and are concatenated in window order; a
+    worker's exception is raised here.
     """
     if windows.n_samples == 0:
         raise EmptySetError("no windows to predict")
-    chunks = []
-    for lo in range(0, windows.n_samples, _PREDICT_BATCH):
-        pred, _ = network_forward(
-            params, config, windows.inputs[lo : lo + _PREDICT_BATCH], mode="inference"
-        )
-        chunks.append(pred[:, 0])
+    workers = _workers(config)
+    size = max(8, _PREDICT_BATCH // workers // 8 * 8)
+
+    def forward(lo: int) -> np.ndarray:
+        pred, _ = network_forward(params, config, windows.inputs[lo : lo + size], mode="inference")
+        return pred[:, 0]
+
+    starts = range(0, windows.n_samples, size)
+    if workers == 1:
+        chunks = [forward(lo) for lo in starts]
+    else:
+        # imported here, not at the top: ~8 ms on a 2-vCPU x86 host, paid at every start-up
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            chunks = list(pool.map(forward, starts))
     scaled_pred = np.concatenate(chunks)
     pset = PredictionSet(
         y=inverse_transform(scaler, windows.targets),

@@ -56,8 +56,9 @@ gradients it returns. Recycled buffers are not cleared: the kernel writes
 every element before it reads it. The pool keeps, per shape, as many
 buffers as were live at once, for the life of the process (at the paper
 config, B = 32, T = 100: about 85 MB, plus 37 MB for a short last batch of
-14). Inference never uses it. Taking and giving back are single list
-operations, so threads never share a buffer.
+14). Inference never uses it: concurrent inference calls share nothing but
+the params, which they only read, so they may run on threads. Taking and
+giving back are single list operations, so threads never share a buffer.
 
 Layer stacking: every layer but the last feeds its hidden states to the
 next; the last emits its final hidden state, which the dense head maps to

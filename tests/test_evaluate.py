@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict
 from datetime import date
 
@@ -19,7 +21,7 @@ from seqcast.evaluate import (
     r_squared,
     rmse,
 )
-from seqcast.lstm_core import NetworkConfig, init_params
+from seqcast.lstm_core import NetworkConfig, ShapeMismatchError, init_params, network_forward
 from seqcast.preprocess import bridge_test_windows, fit_scaler, inverse_transform, transform
 from seqcast.rng import make_rng
 from seqcast.training import PredictionSet, mse_loss
@@ -206,7 +208,7 @@ def test_predict_series_persistence_stub(monkeypatch):
     params = init_params(cfg)
     pset_out, _ = predict_series(params, cfg, scaler, windows)
     # 570 windows run as two full chunks and a short one, concatenated in order
-    assert batch_sizes == [256, 256, 58]
+    assert batch_sizes == [240, 240, 90]
     np.testing.assert_array_equal(pset_out.y_hat, inverse_transform(scaler, scaled[29:-1]))
     np.testing.assert_allclose(pset_out.y_hat, prices[29:-1], rtol=1e-12)
 
@@ -216,3 +218,108 @@ def test_predict_series_persistence_stub(monkeypatch):
     ss_res = float(np.sum((actual - persistence) ** 2))
     ss_tot = float(np.sum((actual - actual.mean()) ** 2))
     assert abs(r_squared(pset_out) - (1.0 - ss_res / ss_tot)) < 1e-9
+
+
+# ------------------------------------------------- predict_series on threads
+
+
+def blas_env(monkeypatch, cpus, openblas=None, omp=None):
+    """`cpus` usable cores, and the BLAS thread variables set as given."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+
+
+def series_windows(seed, n_windows, steps):
+    rng = make_rng(seed)
+    prices = np.cumsum(rng.normal(size=steps + n_windows)) + 100.0
+    scaler = fit_scaler(prices[:steps])
+    scaled = transform(scaler, prices)
+    return scaler, bridge_test_windows(scaled[:steps], scaled[steps:], steps)
+
+
+@pytest.mark.parametrize(
+    "units,openblas,omp,workers",
+    [
+        ((32, 40), None, None, 1),  # BLAS threads over every core already
+        ((32, 40), "1", None, 2),
+        ((32, 40), "2", None, 1),
+        ((32, 40), "3", None, 1),
+        ((32, 40), None, "1", 2),
+        ((32, 40), "1", "2", 2),  # OpenBLAS reads its own variable first
+        ((32, 40), "abc", "1", 2),  # as in OpenBLAS, a non-numeric value is passed over
+        ((32, 40), "0", None, 1),
+        ((32, 40), "-1", None, 1),
+        ((32, 40), "", None, 1),
+        ((32, 40), None, "4,2", 1),
+        ((8, 8), "1", None, 1),  # under the width gate
+        ((40, 31), "1", None, 1),
+    ],
+)
+def test_workers_are_the_cores_blas_leaves_free(monkeypatch, units, openblas, omp, workers):
+    blas_env(monkeypatch, 2, openblas, omp)
+    config = NetworkConfig(layer_units=units, dropout_rates=(0.0,) * len(units))
+    assert evaluate_module._workers(config) == workers
+
+
+@pytest.mark.parametrize(
+    "units,cpus,openblas,pooled",
+    [
+        ((32, 40), 2, "1", True),
+        ((32, 40), 4, "1", True),
+        ((8, 8), 2, "1", False),
+        ((32, 40), 2, None, False),
+        ((32, 40), 2, "2", False),
+    ],
+    ids=["2-workers", "4-workers", "under-the-width-gate", "blas-unset", "blas-on-both-cores"],
+)
+def test_predictions_equal_the_serial_256_window_chunks(monkeypatch, units, cpus, openblas, pooled):
+    blas_env(monkeypatch, cpus, openblas)
+    threads = []
+
+    def recording_forward(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return network_forward(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate_module, "network_forward", recording_forward)
+    scaler, windows = series_windows(108, 601, 30)
+    cfg = NetworkConfig(layer_units=units, dropout_rates=(0.0, 0.0), seed=4)
+    params = init_params(cfg)
+    pset_out, _ = predict_series(params, cfg, scaler, windows)
+
+    if pooled:  # every chunk ran on a worker thread
+        assert threads and threading.get_ident() not in threads
+    else:  # 240, 240 and 121 windows, on the calling thread
+        assert threads == [threading.get_ident()] * 3
+    serial = [
+        network_forward(params, cfg, windows.inputs[lo : lo + 256], mode="inference")[0][:, 0]
+        for lo in range(0, windows.n_samples, 256)
+    ]
+    expected = inverse_transform(scaler, np.concatenate(serial))
+    assert pset_out.y_hat.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("error", [ShapeMismatchError("chunk 2"), MemoryError()])
+def test_a_worker_exception_is_raised_by_predict_series(monkeypatch, error):
+    blas_env(monkeypatch, 2, openblas="1")
+    calls, lock, raised_on = [], threading.Lock(), []
+
+    def failing_forward(params, config, batch, mode="inference", rng=None):
+        with lock:
+            calls.append(len(batch))
+            second = len(calls) == 2
+        if second:
+            raised_on.append(threading.get_ident())
+            raise error
+        return np.zeros((len(batch), 1)), None
+
+    monkeypatch.setattr(evaluate_module, "network_forward", failing_forward)
+    scaler, windows = series_windows(110, 601, 30)
+    cfg = NetworkConfig(layer_units=(32, 40), dropout_rates=(0.0, 0.0), seed=4)
+    with pytest.raises(type(error)) as info:
+        predict_series(init_params(cfg), cfg, scaler, windows)
+    assert info.value is error
+    assert len(raised_on) == 1 and raised_on[0] != threading.get_ident()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -265,6 +267,37 @@ def test_network_forward_inference_pure_and_rowwise():
     assert pred[0, 0] == pred[1, 0] == pred[2, 0]
     again, _ = network_forward(params, cfg, batch, mode="inference")
     np.testing.assert_array_equal(pred, again)
+
+
+def test_concurrent_inference_calls_match_sequential_ones():
+    # more threads than cores, on different batches, share only the params,
+    # which they only read; a short switch interval interleaves their steps
+    cfg = NetworkConfig(layer_units=(32, 40), dropout_rates=(0.2, 0.3), seed=6)
+    params = init_params(cfg)
+    flat = params.flat.copy()
+    batches = [make_rng(seed).normal(size=(64, 30, 1)) for seed in (21, 22, 23, 24)]
+    expected = [network_forward(params, cfg, batch, mode="inference")[0] for batch in batches]
+    start, results = threading.Barrier(len(batches)), [[] for _ in batches]
+
+    def run(k):
+        start.wait(timeout=60)
+        for _ in range(5):
+            results[k].append(network_forward(params, cfg, batches[k], mode="inference")[0])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, want in enumerate(expected):
+        assert [pred.tobytes() for pred in results[k]] == [want.tobytes()] * 5
+    assert params.flat.tobytes() == flat.tobytes()
 
 
 def test_network_forward_single_layer_matches_manual_composition():
