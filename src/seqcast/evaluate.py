@@ -5,9 +5,10 @@ threshold are excluded and counted instead of producing astronomical
 percentages.
 
 predict_series runs its chunks of windows on the cores BLAS leaves free, as
-NumPy releases the GIL inside its GEMMs and ufuncs: on threads when
+NumPy releases the GIL inside its GEMMs and ufuncs: on two threads when
 OPENBLAS_NUM_THREADS (else OMP_NUM_THREADS) leaves cores idle, serially when
-neither is set. Predictions are bitwise the same either way.
+neither is set. The chunks are the same either way, so the predictions are
+too at a given BLAS thread count.
 """
 
 from __future__ import annotations
@@ -23,20 +24,26 @@ from .lstm_core import NetworkConfig, NetworkParams, network_forward
 from .preprocess import ScalerParams, WindowedDataset, inverse_transform
 from .training import EmptySetError, PredictionSet, mse_loss
 
-# Windows in flight per inference round, split over the workers in multiples
-# of 8: one chunk of 240 serial, two of 120 pooled. Split so, predictions were
-# bitwise equal to 256-window chunks; 4 x 60 and 2 x 116 differed by rounding
-# (OpenBLAS 0.3.31). Two 120-window chunks at the paper config peak at 2.87 MB
-# under tracemalloc, below one 256-window chunk's 2.96 MB.
-_PREDICT_BATCH = 240
+# Windows per chunk, serial or pooled: one size for both keeps their
+# predictions bitwise equal on any BLAS kernel. Two 120-window chunks at once
+# peak at 2.87 MB under tracemalloc at the paper config, below one
+# 256-window chunk's 2.96 MB. 120 gave predictions bitwise equal to
+# 256-window chunks on OpenBLAS 0.3.31's SkylakeX, Haswell, Sandybridge,
+# Nehalem and Katmai kernels; 116 and 60 did not on SkylakeX.
+_PREDICT_BATCH = 120
 
 # Inference stays on one thread when a layer is narrower than this: a narrow
-# step is mostly NumPy's per-call overhead, which holds the GIL. Pooled (2 x
-# 120) over serial (240), 573 windows, T=100 unless given, one BLAS thread, on
-# a 2-vCPU x86 host: (8, 8) T=20 0.67-0.68x, (8, 8) 0.77-0.86x, (16, 16)
-# 0.80-0.82x, (32, 32) 0.95-1.02x, (50,) 1.09-1.29x, (50, 60) 1.41-1.63x, the
-# paper stack 1.59-1.65x.
-_POOL_MIN_UNITS = 32
+# step is mostly NumPy's per-call overhead, which holds the GIL. Two workers
+# over one, 573 windows, T=100 unless given, one BLAS thread, on a 2-vCPU x86
+# host, 3 process pairs (5 for the middle three stacks), median in brackets:
+# (8, 8) T=20 0.33-0.62x, (8, 8) 0.36-0.82x, (16, 16) 0.46-0.66x, (32, 32)
+# 0.84-1.18x (0.86), (50,) 1.17-1.61x (1.22), (50, 60) 0.99-2.02x (1.38), the
+# paper stack 1.59-1.75x.
+_POOL_MIN_UNITS = 50
+
+# At most this many inference threads: the speed-ups above were measured with
+# two, and an affinity mask does not show a container's CPU quota.
+_POOL_MAX_WORKERS = 2
 
 
 class ZeroVarianceError(ValueError):
@@ -119,8 +126,9 @@ def compute_metrics(p: PredictionSet, mape_threshold: float = 1e-8) -> MetricsRe
 
 def _workers(config: NetworkConfig) -> int:
     """Inference threads: the usable cores over the BLAS threads the environment
-    names. One when neither variable is set (BLAS threads over every core),
-    when it is not a positive integer, or when a layer is under _POOL_MIN_UNITS."""
+    names, at most _POOL_MAX_WORKERS. One when neither variable is set (BLAS
+    threads over every core), when it is not a positive integer, or when a
+    layer is under _POOL_MIN_UNITS."""
     if min(config.layer_units) < _POOL_MIN_UNITS:
         return 1
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -133,7 +141,7 @@ def _workers(config: NetworkConfig) -> int:
                 cpus = len(os.sched_getaffinity(0))
             else:
                 cpus = os.cpu_count() or 1
-            return max(1, cpus // blas)
+            return max(1, min(_POOL_MAX_WORKERS, cpus // blas))
     return 1
 
 
@@ -153,13 +161,13 @@ def predict_series(
     if windows.n_samples == 0:
         raise EmptySetError("no windows to predict")
     workers = _workers(config)
-    size = max(8, _PREDICT_BATCH // workers // 8 * 8)
 
     def forward(lo: int) -> np.ndarray:
-        pred, _ = network_forward(params, config, windows.inputs[lo : lo + size], mode="inference")
+        batch = windows.inputs[lo : lo + _PREDICT_BATCH]
+        pred, _ = network_forward(params, config, batch, mode="inference")
         return pred[:, 0]
 
-    starts = range(0, windows.n_samples, size)
+    starts = range(0, windows.n_samples, _PREDICT_BATCH)
     if workers == 1:
         chunks = [forward(lo) for lo in starts]
     else:

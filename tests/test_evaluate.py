@@ -207,8 +207,8 @@ def test_predict_series_persistence_stub(monkeypatch):
     cfg = NetworkConfig(layer_units=(3,), dropout_rates=(0.0,), seed=3)
     params = init_params(cfg)
     pset_out, _ = predict_series(params, cfg, scaler, windows)
-    # 570 windows run as two full chunks and a short one, concatenated in order
-    assert batch_sizes == [240, 240, 90]
+    # 570 windows run as four full chunks and a short one, concatenated in order
+    assert batch_sizes == [120, 120, 120, 120, 90]
     np.testing.assert_array_equal(pset_out.y_hat, inverse_transform(scaler, scaled[29:-1]))
     np.testing.assert_allclose(pset_out.y_hat, prices[29:-1], rtol=1e-12)
 
@@ -242,25 +242,30 @@ def series_windows(seed, n_windows, steps):
 
 
 @pytest.mark.parametrize(
-    "units,openblas,omp,workers",
+    "units,cpus,openblas,omp,workers",
     [
-        ((32, 40), None, None, 1),  # BLAS threads over every core already
-        ((32, 40), "1", None, 2),
-        ((32, 40), "2", None, 1),
-        ((32, 40), "3", None, 1),
-        ((32, 40), None, "1", 2),
-        ((32, 40), "1", "2", 2),  # OpenBLAS reads its own variable first
-        ((32, 40), "abc", "1", 2),  # as in OpenBLAS, a non-numeric value is passed over
-        ((32, 40), "0", None, 1),
-        ((32, 40), "-1", None, 1),
-        ((32, 40), "", None, 1),
-        ((32, 40), None, "4,2", 1),
-        ((8, 8), "1", None, 1),  # under the width gate
-        ((40, 31), "1", None, 1),
+        ((50, 56), 2, None, None, 1),  # BLAS threads over every core already
+        ((50, 56), 2, "1", None, 2),
+        ((50, 56), 2, "2", None, 1),
+        ((50, 56), 2, "3", None, 1),
+        ((50, 56), 3, "2", None, 1),
+        ((50, 56), 2, None, "1", 2),
+        ((50, 56), 2, "1", "2", 2),  # OpenBLAS reads its own variable first
+        ((50, 56), 2, "abc", "1", 2),  # as in OpenBLAS, a non-numeric value is passed over
+        ((50, 56), 2, "0", None, 1),
+        ((50, 56), 2, "-1", None, 1),
+        ((50, 56), 2, "", None, 1),
+        ((50, 56), 2, None, "4,2", 1),
+        ((50, 56), 4, "1", None, 2),  # never more workers than were measured
+        ((50, 56), 64, "1", None, 2),
+        ((50, 56), 64, "16", None, 2),
+        ((8, 8), 2, "1", None, 1),  # under the width gate
+        ((32, 32), 2, "1", None, 1),
+        ((56, 49), 2, "1", None, 1),
     ],
 )
-def test_workers_are_the_cores_blas_leaves_free(monkeypatch, units, openblas, omp, workers):
-    blas_env(monkeypatch, 2, openblas, omp)
+def test_workers_are_the_cores_blas_leaves_free(monkeypatch, units, cpus, openblas, omp, workers):
+    blas_env(monkeypatch, cpus, openblas, omp)
     config = NetworkConfig(layer_units=units, dropout_rates=(0.0,) * len(units))
     assert evaluate_module._workers(config) == workers
 
@@ -268,21 +273,24 @@ def test_workers_are_the_cores_blas_leaves_free(monkeypatch, units, openblas, om
 @pytest.mark.parametrize(
     "units,cpus,openblas,pooled",
     [
-        ((32, 40), 2, "1", True),
-        ((32, 40), 4, "1", True),
+        ((50, 56), 2, "1", True),
+        ((50, 56), 64, "1", True),
         ((8, 8), 2, "1", False),
-        ((32, 40), 2, None, False),
-        ((32, 40), 2, "2", False),
+        ((32, 40), 2, "1", False),
+        ((50, 56), 2, None, False),
+        ((50, 56), 2, "2", False),
     ],
-    ids=["2-workers", "4-workers", "under-the-width-gate", "blas-unset", "blas-on-both-cores"],
+    ids=["2-cpus", "64-cpus", "8-units", "32-units", "blas-unset", "blas-on-both-cores"],
 )
-def test_predictions_equal_the_serial_256_window_chunks(monkeypatch, units, cpus, openblas, pooled):
+def test_predictions_equal_the_serial_chunks(monkeypatch, units, cpus, openblas, pooled):
     blas_env(monkeypatch, cpus, openblas)
-    threads = []
+    threads, sizes, lock = [], [], threading.Lock()
 
-    def recording_forward(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return network_forward(*args, **kwargs)
+    def recording_forward(params, config, batch, mode="inference", rng=None):
+        with lock:
+            threads.append(threading.get_ident())
+            sizes.append(len(batch))
+        return network_forward(params, config, batch, mode=mode, rng=rng)
 
     monkeypatch.setattr(evaluate_module, "network_forward", recording_forward)
     scaler, windows = series_windows(108, 601, 30)
@@ -290,16 +298,20 @@ def test_predictions_equal_the_serial_256_window_chunks(monkeypatch, units, cpus
     params = init_params(cfg)
     pset_out, _ = predict_series(params, cfg, scaler, windows)
 
-    if pooled:  # every chunk ran on a worker thread
-        assert threads and threading.get_ident() not in threads
-    else:  # 240, 240 and 121 windows, on the calling thread
-        assert threads == [threading.get_ident()] * 3
+    # 601 windows run as five chunks of 120 and one of 1, pooled or not
+    assert sorted(sizes) == [1] + [120] * 5
+    if pooled:  # on at most two worker threads
+        assert threading.get_ident() not in threads and len(set(threads)) <= 2
+    else:
+        assert threads == [threading.get_ident()] * 6
     serial = [
-        network_forward(params, cfg, windows.inputs[lo : lo + 256], mode="inference")[0][:, 0]
-        for lo in range(0, windows.n_samples, 256)
+        network_forward(params, cfg, windows.inputs[lo : lo + 120], mode="inference")[0][:, 0]
+        for lo in range(0, windows.n_samples, 120)
     ]
-    expected = inverse_transform(scaler, np.concatenate(serial))
-    assert pset_out.y_hat.tobytes() == expected.tobytes()
+    assert pset_out.y_hat.tobytes() == inverse_transform(scaler, np.concatenate(serial)).tobytes()
+    # other chunk sizes differ at most by rounding, which depends on the BLAS kernel
+    whole = network_forward(params, cfg, windows.inputs, mode="inference")[0][:, 0]
+    np.testing.assert_allclose(pset_out.y_hat, inverse_transform(scaler, whole), rtol=1e-12)
 
 
 @pytest.mark.parametrize("error", [ShapeMismatchError("chunk 2"), MemoryError()])
@@ -318,7 +330,7 @@ def test_a_worker_exception_is_raised_by_predict_series(monkeypatch, error):
 
     monkeypatch.setattr(evaluate_module, "network_forward", failing_forward)
     scaler, windows = series_windows(110, 601, 30)
-    cfg = NetworkConfig(layer_units=(32, 40), dropout_rates=(0.0, 0.0), seed=4)
+    cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.0, 0.0), seed=4)
     with pytest.raises(type(error)) as info:
         predict_series(init_params(cfg), cfg, scaler, windows)
     assert info.value is error
