@@ -6,7 +6,7 @@ plotting dependency would be dead weight.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 ACTUAL_COLOR = "green"
 PREDICTED_COLOR = "red"
@@ -66,7 +66,7 @@ def render_price_chart(dates, actual, predicted, title: str = "") -> str:
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="16">'
-            f"{escape(title)}</text>"
+            f"{escape(title, quote=False)}</text>"
         )
 
     # axes
@@ -88,9 +88,8 @@ def render_price_chart(dates, actual, predicted, title: str = "") -> str:
         k = round(j * (n - 1) / (label_count - 1)) if label_count > 1 else 0
         x = x_at(k)
         parts.append(f'<line x1="{x:.2f}" y1="{y0}" x2="{x:.2f}" y2="{y0 + 4}" stroke="black"/>')
-        parts.append(
-            f'<text x="{x:.2f}" y="{y0 + 18}" text-anchor="middle">{escape(labels[k])}</text>'
-        )
+        label = escape(labels[k], quote=False)
+        parts.append(f'<text x="{x:.2f}" y="{y0 + 18}" text-anchor="middle">{label}</text>')
 
     curves = (("actual", ACTUAL_COLOR, actual), ("predicted", PREDICTED_COLOR, predicted))
     for _, color, series in curves:

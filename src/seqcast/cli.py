@@ -1,14 +1,16 @@
 """Batch CLI: ingest -> train -> evaluate -> sweep, plus a gradcheck diagnostic.
 
 A run is described by a JSON config file; command-line flags override file
-values. A symbol's prices come from the `--data` CSV file or `<SYMBOL>.csv` in
-the `--data` directory, or from the `--endpoint`, never both; with neither, from
-the package's bundled `fixtures/`. Every output filename but the sweep summary's
-`sweep-<hash>.json` embeds the symbol; all but ingest's `<symbol>-cleaned.csv`
-embed a hash of the resolved config, data path included (`data/` and `./data`
-hash as `data`), so training runs cannot mix. The out-dir is created by the
-first file written. Re-running a command with the same config and seed
-rewrites identical outputs (modulo wall-clock fields in the training log).
+values. The program reads local files only: a symbol's prices come from the
+`--data` CSV file or `<SYMBOL>.csv` in the `--data` directory, and without
+`--data` from the package's bundled `fixtures/`. Every output filename but the
+sweep summary's `sweep-<hash>.json` embeds the symbol; all but ingest's
+`<symbol>-cleaned.csv` embed a hash of the resolved config, so training runs
+cannot mix. The hash covers the data path (`data/` and `./data` hash as `data`)
+but not the out-dir, which every output lives in already. The out-dir is
+created by the first file written. Re-running a command with the same config
+and seed rewrites identical outputs (modulo wall-clock fields in the training
+log).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .market_data import (
     SplitResult,
     chronological_split,
     drop_missing,
-    fetch_remote,
     parse_csv,
     sma,
 )
@@ -66,8 +67,7 @@ class RunConfig:
     """Everything a run needs; serializable, hashable, overridable by flags."""
 
     symbols: tuple[str, ...] = ("VNQ",)
-    data_path: str | None = None  # CSV file, or directory of <SYMBOL>.csv; never with endpoint
-    endpoint: str | None = None  # HTTP template with {symbol}/{start}/{end}
+    data_path: str | None = None  # CSV file, or directory of <SYMBOL>.csv
     start: str = "2012-01-01"
     end: str = "2022-12-21"
     split_ratio: float = 0.8
@@ -80,8 +80,7 @@ class RunConfig:
     learning_rate: float = 1e-3
     clip_norm: float | None = None
     seed: int = 42
-    out_dir: str = "runs"
-    mape_threshold: float = 1e-8
+    out_dir: str = "runs"  # not hashed: every output lives in it
 
     def __post_init__(self) -> None:
         if isinstance(self.symbols, str):
@@ -97,13 +96,8 @@ class RunConfig:
         repeated = sorted({s for s in self.symbols if self.symbols.count(s) > 1})
         if repeated:
             raise RunConfigError(f"symbols repeated: {', '.join(repeated)}")
-        for name in ("data_path", "out_dir"):  # one spelling per path, so one config hash
-            if getattr(self, name):
-                object.__setattr__(self, name, str(Path(getattr(self, name))))
-        if self.data_path and self.endpoint:
-            raise RunConfigError(
-                f"data_path {self.data_path!r} and endpoint {self.endpoint!r}: give one, not both"
-            )
+        if self.data_path:  # one spelling per path, so one config hash
+            object.__setattr__(self, "data_path", str(Path(self.data_path)))
         if self.data_path and len(self.symbols) > 1 and Path(self.data_path).is_file():
             raise RunConfigError(
                 f"data file {self.data_path} holds one series; got {len(self.symbols)} symbols"
@@ -149,25 +143,24 @@ def load_config_file(path: str | Path) -> RunConfig:
         raise RunConfigError(f"{path}: not a JSON object: {type(doc).__name__}")
     unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise RunConfigError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(**doc)
 
 
 def config_hash(cfg: RunConfig) -> str:
-    canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
+    """The run's name: a hash of every field but out_dir."""
+    doc = asdict(cfg)
+    del doc["out_dir"]
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:8]
 
 
 def load_series(cfg: RunConfig, symbol: str) -> PriceSeries:
-    """The symbol's rows from start to end, from the endpoint, --data or the bundled fixtures."""
-    if cfg.endpoint:
-        text = fetch_remote(cfg.endpoint, symbol, cfg.start, cfg.end)
-    else:
-        source = Path(cfg.data_path) if cfg.data_path else resources.files("seqcast") / "fixtures"
-        if source.is_dir():
-            source = source / f"{symbol}.csv"
-        text = source.read_text(encoding="utf-8")
-    series = parse_csv(text, symbol)
+    """The symbol's rows from start to end, from --data or the bundled fixtures."""
+    source = Path(cfg.data_path) if cfg.data_path else resources.files("seqcast") / "fixtures"
+    if source.is_dir():
+        source = source / f"{symbol}.csv"
+    series = parse_csv(source.read_text(encoding="utf-8"), symbol)
     lo = np.datetime64(date.fromisoformat(cfg.start))
     hi = np.datetime64(date.fromisoformat(cfg.end))
     return series[(series.days >= lo) & (series.days <= hi)]
@@ -296,7 +289,7 @@ def _evaluate_one(
         scaled_train[-cfg.window :], scaled_test, cfg.window, dates=split.test.dates()
     )
     pset, dates = predict_series(ckpt.params, ckpt.config, ckpt.scaler, windows)
-    report = compute_metrics(pset, mape_threshold=cfg.mape_threshold)
+    report = compute_metrics(pset)
     doc = dict(symbol=symbol, window=cfg.window, config_hash=config_hash(cfg), **asdict(report))
 
     metrics_path = _out_path(cfg, symbol, ".metrics.json")
@@ -400,9 +393,9 @@ _VALUE_FLAGS = (
         "--data",
         "data_path",
         str,
-        "CSV file (one symbol) or directory of <SYMBOL>.csv files; part of the config hash",
+        "local CSV file (one symbol) or directory of <SYMBOL>.csv files, the bundled "
+        "fixtures by default; part of the config hash",
     ),
-    ("--endpoint", "endpoint", str, "HTTP CSV template with {symbol}/{start}/{end}"),
     ("--start", "start", str, "first date, YYYY-MM-DD"),
     ("--end", "end", str, "last date, YYYY-MM-DD"),
     ("--split-ratio", "split_ratio", float, "share of the series used for training"),
@@ -419,7 +412,7 @@ _VALUE_FLAGS = (
     ("--batch-size", "batch_size", int, "training batch size"),
     ("--learning-rate", "learning_rate", float, "Adam learning rate"),
     ("--seed", "seed", int, "seed of the weights, shuffles and dropout masks"),
-    ("--out-dir", "out_dir", str, "directory for every output file"),
+    ("--out-dir", "out_dir", str, "directory for every output file; not in the config hash"),
 )
 
 

@@ -112,8 +112,8 @@ class MetricsReport:
     mape_excluded_count: int
 
 
-def compute_metrics(p: PredictionSet, mape_threshold: float = 1e-8) -> MetricsReport:
-    mape_value, excluded = mape(p, threshold=mape_threshold)
+def compute_metrics(p: PredictionSet) -> MetricsReport:
+    mape_value, excluded = mape(p)
     return MetricsReport(
         rmse=rmse(p),
         mae=mae(p),

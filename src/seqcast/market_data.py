@@ -1,4 +1,4 @@
-"""Daily close acquisition, cleaning, chronological splitting, and moving averages.
+"""Daily close parsing, cleaning, chronological splitting, and moving averages.
 
 A series is close-only and columnar: one array of days plus one float64
 array each for the close and the adjusted close, with NaN as the missing
@@ -16,9 +16,6 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from itertools import accumulate, islice, tee
-from urllib.error import HTTPError
-from urllib.parse import urlsplit
-from urllib.request import urlopen
 
 import numpy as np
 
@@ -44,10 +41,6 @@ class InvalidWindowError(ValueError):
     the length of the train tail that bridges into the test values."""
 
 
-class NetworkError(RuntimeError):
-    """Fetching remote data failed: transport error, non-200 status or empty body."""
-
-
 # canonical header names after lowercasing and stripping separators
 _COLUMN_ALIASES = {
     "date": "date",
@@ -56,7 +49,6 @@ _COLUMN_ALIASES = {
     "adjustedclose": "adj_close",
 }
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
-_FETCH_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -165,39 +157,6 @@ def parse_csv(text: str, symbol: str = "") -> PriceSeries:
         np.array(close, dtype=np.float64)[order],
         np.array(adj_close, dtype=np.float64)[order],
     )
-
-
-def fetch_remote(
-    endpoint_template: str,
-    symbol: str,
-    start: date | str,
-    end: date | str,
-) -> str:
-    """GET a CSV body from a templated endpoint.
-
-    The template must contain {symbol}, {start}, and {end} placeholders,
-    and the URL must be http or https. Feeds parse_csv on success.
-    """
-    for placeholder in ("{symbol}", "{start}", "{end}"):
-        if placeholder not in endpoint_template:
-            raise ValueError(f"endpoint template missing {placeholder}: {endpoint_template!r}")
-    url = endpoint_template.format(symbol=symbol, start=str(start), end=str(end))
-    if urlsplit(url).scheme not in ("http", "https"):
-        raise NetworkError(f"only http and https endpoints are fetched, not {url}")
-    try:
-        with urlopen(url, timeout=_FETCH_TIMEOUT_S) as response:
-            status = response.status
-            charset = response.headers.get_content_charset() or "utf-8"
-            body = response.read()
-    except HTTPError as exc:
-        raise NetworkError(f"unexpected HTTP status {exc.code}") from exc
-    except OSError as exc:  # URLError, refused connections and timeouts
-        raise NetworkError(f"fetch failed for {url}: {exc}") from exc
-    if status != 200:
-        raise NetworkError(f"unexpected HTTP status {status}")
-    if not body:
-        raise NetworkError(f"empty body from {url}")
-    return body.decode(charset)
 
 
 def drop_missing(series: PriceSeries, adjusted: bool = False) -> tuple[PriceSeries, int]:

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from datetime import date
+from xml.sax import saxutils
 
 import pytest
 
+import seqcast.chart as chart
 from seqcast.chart import render_price_chart
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -53,3 +55,25 @@ def test_chart_rejects_mismatched_lengths():
         render_price_chart(days[:1], [1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         render_price_chart([], [], [])
+
+
+def _render_markup():
+    labels = ["<a>", "b & c", "d > e", 'say "f"', "g's"]
+    title = """<VNQ> & "actual" vs 'predicted'"""
+    return render_price_chart(labels, [1.0, 2.0, 3.0, 2.5, 2.0], [1.1, 1.9, 2.8, 2.6, 2.1], title)
+
+
+def test_chart_escapes_markup_in_title_and_labels():
+    svg = _render_markup()
+    assert """&lt;VNQ&gt; &amp; "actual" vs 'predicted'</text>""" in svg
+    for label in ("&lt;a&gt;", "b &amp; c", "d &gt; e", 'say "f"', "g's"):
+        assert f">{label}</text>" in svg
+    texts = [t.text for t in ET.fromstring(svg).findall(f".//{SVG_NS}text")]
+    assert """<VNQ> & "actual" vs 'predicted'""" in texts
+    assert {"<a>", "b & c", "d > e", 'say "f"', "g's"} <= set(texts)
+
+
+def test_chart_escapes_as_xml_sax_saxutils_does(monkeypatch):
+    svg = _render_markup()
+    monkeypatch.setattr(chart, "escape", lambda text, quote=True: saxutils.escape(text))
+    assert svg == _render_markup()

@@ -304,11 +304,15 @@ def test_data_spelled_three_ways_names_one_run(tmp_path, monkeypatch, capsys):
     assert metrics.name == ckpt.name.replace(".ckpt.json", ".metrics.json")
 
 
-def test_out_dir_spelled_two_ways_names_one_run(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("trained, evaluated", [("o/", "./o"), ("o", None)])
+def test_out_dir_spelled_two_ways_names_one_run(
+    tmp_path, monkeypatch, capsys, trained, evaluated
+):
     monkeypatch.chdir(tmp_path)
+    evaluated = evaluated or str(tmp_path / "o")  # absolute: the out-dir is not hashed
     argv = TINY + ["--symbols", "VNQ"]
-    assert main(argv + ["--out-dir", "o/", "train"]) == 0
-    assert main(argv + ["--out-dir", "./o", "evaluate"]) == 0
+    assert main(argv + ["--out-dir", trained, "train"]) == 0
+    assert main(argv + ["--out-dir", evaluated, "evaluate"]) == 0
     assert capsys.readouterr().err == ""
     (ckpt,) = Path("o").glob("VNQ-*.ckpt.json")
     (metrics,) = Path("o").glob("VNQ-*.metrics.json")
@@ -362,6 +366,21 @@ def test_module_runs_gradcheck_without_installing():
     assert done.stdout.startswith("max_relative_error=")
 
 
+def test_the_cli_imports_no_network_module():
+    src = Path(seqcast.__file__).parents[1]
+    probe = (
+        "import sys, seqcast.cli; "
+        "print(sorted(m for m in ('socket', 'ssl', 'http.client', 'urllib.request') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=src, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 # ------------------------------------------------------ run-config resolution
 
 
@@ -370,7 +389,7 @@ def _resolve(argv):
 
 
 def test_default_config_hash_is_pinned():
-    assert cli_module.config_hash(cli_module.RunConfig()) == "87126208"
+    assert cli_module.config_hash(cli_module.RunConfig()) == "dcb1917c"
 
 
 def test_every_flag_resolves_into_the_run_config():
@@ -406,13 +425,8 @@ def test_every_flag_resolves_into_the_run_config():
         seed=7,
         out_dir="elsewhere",
     )
-    # a run reads one source, so the two resolve one at a time
     assert _resolve(["--data", "prices.csv"] + argv) == cli_module.RunConfig(
         data_path="prices.csv", **fields
-    )
-    endpoint = "http://host/{symbol}/{start}/{end}"
-    assert _resolve(["--endpoint", endpoint] + argv) == cli_module.RunConfig(
-        endpoint=endpoint, **fields
     )
 
 
@@ -563,6 +577,24 @@ def test_config_file_with_an_unknown_key_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"endpoint": "http://127.0.0.1:9/{symbol}/{start}/{end}"}, {"mape_threshold": 1e-8}],
+)
+def test_config_file_naming_a_removed_setting_is_refused(tmp_path, capsys, doc):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    (key,) = doc
+    with pytest.raises(cli_module.RunConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+        cli_module.load_config_file(path)
+    out = tmp_path / "out"
+    argv = TINY + ["--config", str(path), "--symbols", "VNQ", "--out-dir", str(out), "sweep"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: unknown config keys: [{key!r}]\n")
+    assert not out.exists()
+
+
 def test_config_file_with_a_string_of_symbols_is_refused(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"symbols": "VNQ"}), encoding="utf-8")
@@ -601,10 +633,6 @@ def test_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, capsys, ra
             "end '2022-12-32': day is out of range for month",
         ),
         (TINY + ["--seed", "-1", "--symbols", "VNQ,VGT"], "seed must be >= 0, got -1"),
-        (
-            TINY + ["--data", "data/", "--endpoint", "http://h/{symbol}/{start}/{end}"],
-            "data_path 'data' and endpoint 'http://h/{symbol}/{start}/{end}': give one, not both",
-        ),
     ],
 )
 def test_a_config_no_symbol_can_run_is_refused_before_any_symbol(
