@@ -304,15 +304,24 @@ def test_data_spelled_three_ways_names_one_run(tmp_path, monkeypatch, capsys):
     assert metrics.name == ckpt.name.replace(".ckpt.json", ".metrics.json")
 
 
-@pytest.mark.parametrize("trained, evaluated", [("o/", "./o"), ("o", None)])
-def test_out_dir_spelled_two_ways_names_one_run(
-    tmp_path, monkeypatch, capsys, trained, evaluated
+def test_out_dir_spelled_two_ways_names_one_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = TINY + ["--symbols", "VNQ"]
+    assert main(argv + ["--out-dir", "o/", "train"]) == 0
+    assert main(argv + ["--out-dir", "./o", "evaluate"]) == 0
+    assert capsys.readouterr().err == ""
+    (ckpt,) = Path("o").glob("VNQ-*.ckpt.json")
+    (metrics,) = Path("o").glob("VNQ-*.metrics.json")
+    assert metrics.name == ckpt.name.replace(".ckpt.json", ".metrics.json")
+
+
+def test_an_absolute_out_dir_finds_a_run_trained_under_a_relative_one(
+    tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
-    evaluated = evaluated or str(tmp_path / "o")  # absolute: the out-dir is not hashed
     argv = TINY + ["--symbols", "VNQ"]
-    assert main(argv + ["--out-dir", trained, "train"]) == 0
-    assert main(argv + ["--out-dir", evaluated, "evaluate"]) == 0
+    assert main(argv + ["--out-dir", "o", "train"]) == 0
+    assert main(argv + ["--out-dir", str(tmp_path / "o"), "evaluate"]) == 0
     assert capsys.readouterr().err == ""
     (ckpt,) = Path("o").glob("VNQ-*.ckpt.json")
     (metrics,) = Path("o").glob("VNQ-*.metrics.json")
@@ -390,6 +399,24 @@ def _resolve(argv):
 
 def test_default_config_hash_is_pinned():
     assert cli_module.config_hash(cli_module.RunConfig()) == "dcb1917c"
+
+
+def test_config_hash_covers_the_data_path_but_not_the_out_dir():
+    base = cli_module.RunConfig(data_path="d")
+    moved = cli_module.RunConfig(data_path="d", out_dir="/elsewhere/o")
+    other_data = cli_module.RunConfig(data_path="e")
+    assert cli_module.config_hash(moved) == cli_module.config_hash(base)
+    assert cli_module.config_hash(other_data) != cli_module.config_hash(base)
+
+
+def test_the_endpoint_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_module._parse_args(["--endpoint=http://h/{symbol}/{start}/{end}", "ingest"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --endpoint" in capsys.readouterr().err
+    assert {f.name for f in cli_module.fields(cli_module.RunConfig)}.isdisjoint(
+        {"endpoint", "mape_threshold"}
+    )
 
 
 def test_every_flag_resolves_into_the_run_config():

@@ -154,6 +154,16 @@ def test_evs_exceeds_r2_by_mean_residual_term():
     assert abs(gap - expected) < 1e-12
 
 
+def test_compute_metrics_guards_mape_at_its_default_threshold():
+    # 1e-9 falls below mape's 1e-8 default and is excluded; 1e-7 is kept
+    report = compute_metrics(pset([1e-9, 1e-7, 100.0], [5.0, 1.1e-7, 110.0]))
+    assert report.mape_excluded_count == 1
+    assert abs(report.mape - 0.10) < 1e-9
+    assert (report.mape, report.mape_excluded_count) == mape(
+        pset([1e-9, 1e-7, 100.0], [5.0, 1.1e-7, 110.0])
+    )
+
+
 def test_compute_metrics_report_fields():
     p = random_pairs(make_rng(105), 25)
     report = compute_metrics(p)
