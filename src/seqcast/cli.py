@@ -1,16 +1,17 @@
 """Batch CLI: ingest -> train -> evaluate -> sweep, plus a gradcheck diagnostic.
 
-A run is described by a JSON config file; command-line flags override file
-values. The program reads local files only: a symbol's prices come from the
-`--data` CSV file or `<SYMBOL>.csv` in the `--data` directory, and without
-`--data` from the package's bundled `fixtures/`. Every output filename but the
-sweep summary's `sweep-<hash>.json` embeds the symbol; all but ingest's
-`<symbol>-cleaned.csv` embed a hash of the resolved config, so training runs
-cannot mix. The hash covers the data path (`data/` and `./data` hash as `data`)
-but not the out-dir, which every output lives in already. The out-dir is
-created by the first file written. Re-running a command with the same config
-and seed rewrites identical outputs (modulo wall-clock fields in the training
-log).
+Every run setting is a RunConfig field, and every field has a flag. A JSON
+config file (`--config`) is another way to set those flags: its keys are field
+names, and a flag given beside it wins. The program reads local files only: a
+symbol's prices come from the `--data` CSV file or `<SYMBOL>.csv` in the
+`--data` directory, and without `--data` from the package's bundled
+`fixtures/`. Every output filename but the sweep summary's `sweep-<hash>.json`
+embeds the symbol; all but ingest's `<symbol>-cleaned.csv` embed a hash of the
+resolved config, so training runs cannot mix. The hash covers the data path
+(`data/` and `./data` hash as `data`) but not the out-dir, which every output
+lives in already. The out-dir is created by the first file written. Re-running
+a command with the same config and seed rewrites identical outputs (modulo
+wall-clock fields in the training log).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from importlib import resources
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -53,13 +56,28 @@ from .market_data import (
 )
 from .preprocess import bridge_test_windows, fit_scaler, make_windows, transform
 from .rng import make_rng
-from .training import GRADCHECK_STEP, EpochLog, TrainConfig, finite_diff_gradcheck, train
+from .training import GRADCHECK_STEP, EpochLog, finite_diff_gradcheck, train
 
 SMA_WINDOWS = (100, 200)
 
 
 class RunConfigError(ValueError):
-    """Run configuration fields contradict each other."""
+    """A run configuration no run can use: a value of a wrong type, or contradicting fields."""
+
+
+def _declared(value, hint):
+    """`value` as `hint`, a RunConfig field's type: a list becomes a tuple and an
+    int a float. TypeError for any other value, a bool where a number belongs too."""
+    if get_origin(hint) is tuple:  # tuple[T, ...]
+        if isinstance(value, (list, tuple)):
+            return tuple(_declared(v, get_args(hint)[0]) for v in value)
+    elif get_origin(hint) is UnionType:  # T | None
+        return None if value is None else _declared(value, get_args(hint)[0])
+    elif hint is float and type(value) is int:  # not a bool
+        return float(value)
+    elif isinstance(value, hint) and (hint is bool) == isinstance(value, bool):
+        return value
+    raise TypeError(value)
 
 
 @dataclass(frozen=True)
@@ -78,20 +96,22 @@ class RunConfig:
     epochs: int = 50
     batch_size: int = 32
     learning_rate: float = 1e-3
-    clip_norm: float | None = None
     seed: int = 42
     out_dir: str = "runs"  # not hashed: every output lives in it
 
     def __post_init__(self) -> None:
         if isinstance(self.symbols, str):
             raise RunConfigError(f"symbols must be a list of tickers, not {self.symbols!r}")
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
-        object.__setattr__(self, "dropout_rates", tuple(float(r) for r in self.dropout_rates))
+        for f in fields(self):  # a config file's JSON values included
+            value = getattr(self, f.name)
+            try:
+                object.__setattr__(self, f.name, _declared(value, _FIELD_TYPES[f.name]))
+            except TypeError:
+                raise RunConfigError(f"{f.name} must be {f.type}, got {value!r}") from None
         if not self.symbols:
             raise RunConfigError("no symbols to run")
         for s in self.symbols:  # names files: <dir>/<s>.csv in, <out-dir>/<s>-* out
-            if not isinstance(s, str) or s in ("", ".", "..") or "/" in s or "\\" in s:
+            if s in ("", ".", "..") or "/" in s or "\\" in s:
                 raise RunConfigError(f"symbol {s!r} is not a plain name")
         repeated = sorted({s for s in self.symbols if self.symbols.count(s) > 1})
         if repeated:
@@ -105,7 +125,7 @@ class RunConfig:
         for name in ("start", "end"):
             try:
                 date.fromisoformat(getattr(self, name))
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise RunConfigError(f"{name} {getattr(self, name)!r}: {exc}") from None
         # the checks make_windows and chronological_split would make per symbol
         if self.window < 1:
@@ -114,7 +134,13 @@ class RunConfig:
             raise BadRatioError(f"ratio must be in (0, 1), got {self.split_ratio}")
         # refuse a network or training setting that no symbol could train with
         self.network_config()
-        self.train_config()
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise RunConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < math.inf:  # also refuses NaN
+            raise RunConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
 
     def network_config(self) -> NetworkConfig:
         return NetworkConfig(
@@ -124,13 +150,8 @@ class RunConfig:
             seed=self.seed,
         )
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            clip_norm=self.clip_norm,
-        )
+
+_FIELD_TYPES = get_type_hints(RunConfig)  # the annotations, evaluated once
 
 
 def load_config_file(path: str | Path) -> RunConfig:
@@ -255,7 +276,10 @@ def _train_one(cfg: RunConfig, symbol: str, split: SplitResult, stdout, log_file
             log_file.write(json.dumps({"symbol": symbol, **asdict(log)}) + "\n")
             log_file.flush()
 
-    params = train(params, net_cfg, dataset, cfg.train_config(), progress=progress)
+    params = train(
+        params, net_cfg, dataset, epochs=cfg.epochs, batch_size=cfg.batch_size,
+        learning_rate=cfg.learning_rate, progress=progress,
+    )
     return Checkpoint(
         params=params,
         config=net_cfg,
@@ -355,9 +379,7 @@ def cmd_sweep(cfg: RunConfig, stdout=None, log_out: str | None = None) -> int:
     return 1 if failures else 0
 
 
-def cmd_gradcheck(
-    cfg: RunConfig, probes: int = 50, tolerance: float | None = None, stdout=None
-) -> int:
+def cmd_gradcheck(cfg: RunConfig, probes: int, tolerance: float | None, stdout=None) -> int:
     """Finite-difference audit of the BPTT gradients on 2 random series of 5 steps."""
     net_cfg = cfg.network_config()
     params = init_params(net_cfg)

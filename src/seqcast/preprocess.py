@@ -1,7 +1,7 @@
 """Min-max scaling and sliding-window dataset construction.
 
 The scaler is fit on the training split only; test values that land outside
-[0, 1] are preserved, never clipped.
+[0, 1] are preserved, never clamped.
 """
 
 from __future__ import annotations

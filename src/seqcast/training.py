@@ -77,8 +77,8 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
+    lr: float
     t: int = 0
-    lr: float = 1e-3
     scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -114,72 +114,49 @@ def adam_step(
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    clip_norm: float | None = None  # optional global-norm clip, off by default
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:  # also refuses NaN
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
-
-
-@dataclass(frozen=True)
 class EpochLog:
     epoch: int
     loss: float  # sample-weighted mean training MSE over the epoch
     seconds: float
 
 
-def _clip_global_norm(grads: NetworkParams, max_norm: float) -> None:
-    norm = math.sqrt(np.dot(grads.flat, grads.flat))
-    if norm > max_norm:
-        grads.flat *= max_norm / norm
-
-
 def train(
     params: NetworkParams,
     config: NetworkConfig,
     dataset: WindowedDataset,
-    tc: TrainConfig,
+    *,
+    epochs: int,
+    batch_size: int,
+    learning_rate: float,
     progress=None,
 ) -> NetworkParams:
     """Shuffled mini-batch training: forward, BPTT, Adam, once per batch.
 
     Trains a copy of `params` and returns it, leaving the caller's as they
-    were; each epoch's EpochLog goes to `progress`. One generator, seeded
-    with `config.seed`, drives both the epoch shuffles and the dropout masks,
-    so the two configs and the data reproduce the parameter trajectory
-    bitwise. The final short batch is trained on, not dropped. Raises
-    DivergedError at the end of an epoch whose loss or parameters are not
-    finite.
+    were; each epoch's EpochLog goes to `progress`. The caller validates the
+    settings (cli.RunConfig does). One generator, seeded with `config.seed`,
+    drives both the epoch shuffles and the dropout masks, so the config, the
+    settings and the data reproduce the parameter trajectory bitwise. The
+    final short batch is trained on, not dropped. Raises DivergedError at the
+    end of an epoch whose loss or parameters are not finite.
     """
     n = dataset.n_samples
     if n == 0:
         raise EmptySetError("training dataset has no samples")
     params = copy_params(params)
     rng = make_rng(config.seed)
-    state = init_adam(params, lr=tc.learning_rate)
-    for epoch in range(1, tc.epochs + 1):
+    state = init_adam(params, lr=learning_rate)
+    for epoch in range(1, epochs + 1):
         started = time.perf_counter()
         order = rng.permutation(n)
         squared_sum = 0.0
-        for lo in range(0, n, tc.batch_size):
-            idx = order[lo : lo + tc.batch_size]
+        for lo in range(0, n, batch_size):
+            idx = order[lo : lo + batch_size]
             batch = dataset.inputs[idx]
             pred, cache = network_forward(params, config, batch, mode="train", rng=rng)
             pset = PredictionSet(y=dataset.targets[idx], y_hat=pred[:, 0])
             squared_sum += mse_loss(pset) * len(idx)
             grads = network_backward(params, config, cache, mse_grad(pset))
-            if tc.clip_norm is not None:
-                _clip_global_norm(grads, tc.clip_norm)
             params, state = adam_step(state, params, grads)
         log = EpochLog(
             epoch=epoch, loss=squared_sum / n, seconds=time.perf_counter() - started
@@ -196,8 +173,8 @@ def finite_diff_gradcheck(
     config: NetworkConfig,
     inputs,
     targets,
-    probe_count: int = 50,
-    seed: int = 0,
+    probe_count: int,
+    seed: int,
 ) -> float:
     """Compare analytic BPTT gradients against central finite differences.
 

@@ -156,20 +156,6 @@ def test_evaluate_without_its_default_checkpoint_leaves_no_out_dir(tmp_path, cap
     assert not out.exists()
 
 
-def test_clip_norm_from_a_config_file_trains_under_its_own_hash(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"clip_norm": 1e-3}), encoding="utf-8")
-    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path)]
-    assert main(argv + ["train"]) == 0
-    (default,) = tmp_path.glob("VNQ-*.ckpt.json")
-    assert main(["--config", str(path)] + argv + ["train"]) == 0
-    (clipped,) = set(tmp_path.glob("VNQ-*.ckpt.json")) - {default}
-    cfg = _resolve(["--config", str(path)] + argv + ["train"])
-    assert cfg.clip_norm == 1e-3
-    assert clipped.name == f"VNQ-{cli_module.config_hash(cfg)}.ckpt.json"
-    assert json.loads(clipped.read_text())["params"] != json.loads(default.read_text())["params"]
-
-
 def test_too_large_window_fails_the_symbol_with_one_line(tmp_path, capsys):
     argv = ["--units", "4", "--window", "5000", "--epochs", "1", "--symbols", "VNQ"]
     with warnings.catch_warnings(record=True) as caught:
@@ -398,7 +384,7 @@ def _resolve(argv):
 
 
 def test_default_config_hash_is_pinned():
-    assert cli_module.config_hash(cli_module.RunConfig()) == "dcb1917c"
+    assert cli_module.config_hash(cli_module.RunConfig()) == "db0f663d"
 
 
 def test_config_hash_covers_the_data_path_but_not_the_out_dir():
@@ -415,8 +401,13 @@ def test_the_endpoint_flag_is_gone(capsys):
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --endpoint" in capsys.readouterr().err
     assert {f.name for f in cli_module.fields(cli_module.RunConfig)}.isdisjoint(
-        {"endpoint", "mape_threshold"}
+        {"endpoint", "mape_threshold", "clip_norm"}
     )
+
+
+def test_every_run_config_field_has_a_flag():
+    flagged = {field for _, field, _, _ in cli_module._VALUE_FLAGS} | {"use_adj_close"}
+    assert {f.name for f in cli_module.fields(cli_module.RunConfig)} == flagged
 
 
 def test_every_flag_resolves_into_the_run_config():
@@ -448,13 +439,22 @@ def test_every_flag_resolves_into_the_run_config():
         epochs=3,
         batch_size=16,
         learning_rate=0.01,
-        clip_norm=None,
         seed=7,
         out_dir="elsewhere",
     )
     assert _resolve(["--data", "prices.csv"] + argv) == cli_module.RunConfig(
         data_path="prices.csv", **fields
     )
+
+
+def test_a_json_integer_sets_a_float_field_as_its_flag_does(tmp_path):
+    path = tmp_path / "run.json"
+    doc = {"learning_rate": 1, "dropout_rates": [0, 0, 0, 0]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    from_file = _resolve(["--config", str(path), "train"])
+    from_flags = _resolve(["--learning-rate", "1", "--dropout", "0,0,0,0", "train"])
+    assert from_file == from_flags and type(from_file.learning_rate) is float
+    assert cli_module.config_hash(from_file) == cli_module.config_hash(from_flags)
 
 
 def test_flags_override_the_config_file(tmp_path):
@@ -606,7 +606,11 @@ def test_config_file_with_an_unknown_key_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"endpoint": "http://127.0.0.1:9/{symbol}/{start}/{end}"}, {"mape_threshold": 1e-8}],
+    [
+        {"endpoint": "http://127.0.0.1:9/{symbol}/{start}/{end}"},
+        {"mape_threshold": 1e-8},
+        {"clip_norm": 0.5},
+    ],
 )
 def test_config_file_naming_a_removed_setting_is_refused(tmp_path, capsys, doc):
     path = tmp_path / "c.json"
@@ -622,6 +626,35 @@ def test_config_file_naming_a_removed_setting_is_refused(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, declared",
+    [
+        ("use_adj_close", "no", "bool"),
+        ("layer_units", [4.7], "tuple[int, ...]"),
+        ("epochs", True, "int"),
+        ("epochs", 1.5, "int"),
+        ("window", 10.5, "int"),
+        ("batch_size", "32", "int"),
+        ("seed", 1.5, "int"),
+        ("data_path", 5, "str | None"),
+        ("dropout_rates", [False], "tuple[float, ...]"),
+        ("learning_rate", "0.01", "float"),
+        ("symbols", ["VNQ", 5], "tuple[str, ...]"),
+        ("out_dir", 5, "str"),
+    ],
+)
+def test_config_file_value_of_the_wrong_type_is_refused(
+    tmp_path, monkeypatch, capsys, key, value, declared
+):
+    monkeypatch.chdir(tmp_path)
+    tiny = dict(symbols=["VNQ"], layer_units=[4], dropout_rates=[0.0], window=5, epochs=1)
+    Path("c.json").write_text(json.dumps({**tiny, "out_dir": "out", key: value}), encoding="utf-8")
+    assert main(["--config", "c.json", "sweep"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {key} must be {declared}, got {value!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 def test_config_file_with_a_string_of_symbols_is_refused(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"symbols": "VNQ"}), encoding="utf-8")
@@ -631,7 +664,7 @@ def test_config_file_with_a_string_of_symbols_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("rate", ["-0.001", "0", "nan"])
+@pytest.mark.parametrize("rate", ["-0.001", "0", "nan", "inf", "1e309"])
 def test_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, capsys, rate):
     out = tmp_path / "out"
     argv = TINY + ["--learning-rate", rate, "--symbols", "VNQ", "--out-dir", str(out)]
@@ -660,6 +693,8 @@ def test_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, capsys, ra
             "end '2022-12-32': day is out of range for month",
         ),
         (TINY + ["--seed", "-1", "--symbols", "VNQ,VGT"], "seed must be >= 0, got -1"),
+        (TINY + ["--epochs", "0", "--symbols", "VNQ,VGT"], "epochs must be >= 1, got 0"),
+        (TINY + ["--batch-size", "0", "--symbols", "VNQ,VGT"], "batch_size must be >= 1, got 0"),
     ],
 )
 def test_a_config_no_symbol_can_run_is_refused_before_any_symbol(
