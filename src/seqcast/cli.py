@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -202,18 +201,28 @@ def _out_path(cfg: RunConfig, stem: str, suffix: str) -> Path:
     return Path(cfg.out_dir) / f"{stem}-{config_hash(cfg)}{suffix}"
 
 
-def _write(path: Path, text: str) -> None:
-    """Write one text output, creating its directory first."""
+def _create(path: Path):
+    """One output file, open for writing text; its directory is created first."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    return open(path, "w", encoding="utf-8")
 
 
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write(path: Path, text: str) -> None:
+    with _create(path) as out:
+        out.write(text)
+
+
+def _write_csv(path: Path, header: list[str], days: np.ndarray, *columns: np.ndarray) -> None:
+    """A datetime64 column and float columns, a NaN as an empty cell, streamed through
+    csv.writer onto the file. Rows are formatted 64 at a time, so the text is never
+    held whole, from tolist()'s Python floats, which format faster than NumPy scalars."""
+    with _create(path) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for lo in range(0, len(days), 64):
+            block = slice(lo, lo + 64)
+            cells = [["" if math.isnan(v) else repr(v) for v in c[block].tolist()] for c in columns]
+            writer.writerows(zip((day.isoformat() for day in days[block].tolist()), *cells))
 
 
 def cmd_ingest(cfg: RunConfig, stdout=None) -> int:
@@ -224,20 +233,15 @@ def cmd_ingest(cfg: RunConfig, stdout=None) -> int:
     for symbol in cfg.symbols:
         cleaned, dropped = _clean_series(cfg, symbol)
         closes = cleaned.closes(adjusted=cfg.use_adj_close)
-        averages = []
+        # a kept row may lack the other channel, and the first n-1 rows have no
+        # defined average: NaN, so an empty cell that reads back as missing
+        columns = [getattr(cleaned, ch) for ch in channels]
         for n in SMA_WINDOWS:
             values = sma(closes, n)
-            # first n-1 rows have no defined average: empty cells, never zeros
-            averages.append([""] * (len(cleaned) - len(values)) + [repr(float(v)) for v in values])
-        # a kept row may lack the other channel: an empty cell reads back as missing
-        prices = [
-            ["" if math.isnan(v) else repr(v) for v in getattr(cleaned, ch).tolist()]
-            for ch in channels
-        ]
+            columns.append(np.concatenate([np.full(len(cleaned) - len(values), np.nan), values]))
         path = Path(cfg.out_dir) / f"{symbol}-cleaned.csv"
-        days = (day.isoformat() for day in cleaned.dates())
         header = ["date", *channels, *(f"sma{n}" for n in SMA_WINDOWS)]
-        _write(path, _csv_text(header, zip(days, *prices, *averages)))
+        _write_csv(path, header, cleaned.days, *columns)
         print(
             f"symbol={symbol} rows_kept={len(cleaned)} rows_dropped={dropped} wrote={path}",
             file=stdout,
@@ -319,9 +323,8 @@ def _evaluate_one(
     metrics_path = _out_path(cfg, symbol, ".metrics.json")
     _write(metrics_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
-    rows = zip(map(str, dates), map(repr, pset.y.tolist()), map(repr, pset.y_hat.tolist()))
-    predictions = _csv_text(["date", "actual", "predicted"], rows)
-    _write(_out_path(cfg, symbol, ".predictions.csv"), predictions)
+    predictions = _out_path(cfg, symbol, ".predictions.csv")
+    _write_csv(predictions, ["date", "actual", "predicted"], split.test.days, pset.y, pset.y_hat)
 
     chart = render_price_chart(dates, pset.y, pset.y_hat, title=f"{symbol} actual vs predicted")
     _write(_out_path(cfg, symbol, ".svg"), chart)

@@ -139,7 +139,10 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
+        units = self.layer_units  # from a checkpoint file too: refused, never truncated
+        if any(isinstance(u, bool) or not isinstance(u, (int, np.integer)) for u in units):
+            raise InvalidConfigError(f"layer units must be integers, got {units}")
+        object.__setattr__(self, "layer_units", tuple(int(u) for u in units))
         object.__setattr__(self, "dropout_rates", tuple(float(r) for r in self.dropout_rates))
         if not self.layer_units:
             raise InvalidConfigError("need at least one LSTM layer")

@@ -6,13 +6,17 @@ marker. CSV ingestion is vendor-agnostic: column names are matched
 case-insensitively, columns other than the date and the two closes are
 ignored, unparseable or non-finite numeric cells become NaN, and rows are
 sorted by date. Cleaning and splitting select rows and never reorder them.
+A parse holds the text plus 8 bytes per cell it reads: lines are cut from
+the text one at a time, and the date and both closes of each row go straight
+into typed columns.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
+import re
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from itertools import accumulate, islice, tee
@@ -49,6 +53,9 @@ _COLUMN_ALIASES = {
     "adjustedclose": "adj_close",
 }
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
+# a line as io.StringIO yields it: up to and with a "\n", never ended at a "\r"
+# or at another boundary str.splitlines knows
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -115,7 +122,7 @@ def parse_csv(text: str, symbol: str = "") -> PriceSeries:
     ignored. Unparseable or non-finite numeric cells become NaN rather than
     errors; an unparseable date is an error because the row cannot be placed.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(m.group() for m in _LINE.finditer(text))  # no copy of the text
     try:
         header = next(reader)
     except StopIteration:
@@ -136,9 +143,9 @@ def parse_csv(text: str, symbol: str = "") -> PriceSeries:
             return ""
         return row[idx]
 
-    days, close, adj_close = [], [], []
+    days, close, adj_close = array("q"), array("d"), array("d")
     for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+        if not "".join(row).strip():
             continue
         raw_date = cell(row, "date").strip()
         try:
@@ -149,13 +156,10 @@ def parse_csv(text: str, symbol: str = "") -> PriceSeries:
         adj_close.append(_parse_price(cell(row, "adj_close")))
 
     # from ordinals: numpy converts a list of date objects one by one, ~30x slower
-    day_array = (np.array(days, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    day_array = (np.asarray(days) - _EPOCH_ORDINAL).astype("datetime64[D]")
     order = np.argsort(day_array, kind="stable")
     return PriceSeries(
-        symbol,
-        day_array[order],
-        np.array(close, dtype=np.float64)[order],
-        np.array(adj_close, dtype=np.float64)[order],
+        symbol, day_array[order], np.asarray(close)[order], np.asarray(adj_close)[order]
     )
 
 

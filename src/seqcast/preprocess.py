@@ -54,7 +54,11 @@ def inverse_transform(params: ScalerParams, scaled) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Supervised samples: inputs[i] is values[i : i+window], target i is values[i+window]."""
+    """Supervised samples: inputs[i] is values[i : i+window], target i is values[i+window].
+
+    `inputs` is a read-only view of the windowed values, not a copy: windows
+    overlap in memory, and writing the values a caller passed changes them.
+    """
 
     inputs: np.ndarray  # [samples, window, 1]
     targets: np.ndarray  # [samples]
@@ -67,7 +71,7 @@ class WindowedDataset:
 
 def _window_arrays(arr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     inputs = np.lib.stride_tricks.sliding_window_view(arr, window)[: arr.size - window]
-    return inputs[:, :, np.newaxis].astype(np.float64, copy=True), arr[window:].copy()
+    return inputs[:, :, np.newaxis], arr[window:].copy()
 
 
 def make_windows(values, window: int) -> WindowedDataset:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -99,6 +101,23 @@ def test_evaluate_reports_a_broken_checkpoint_by_name(tmp_path, capsys, text, na
     assert not out.exists()
 
 
+@pytest.mark.parametrize("units", [[4.7], [4.0], [True], ["4"]])
+def test_evaluate_refuses_a_checkpoint_whose_units_are_not_integers(
+    tmp_path, vnq_checkpoint, capsys, units
+):
+    doc = json.loads(vnq_checkpoint.read_text(encoding="utf-8"))
+    doc["config"]["layer_units"] = units
+    edited = tmp_path / "edited.ckpt.json"
+    edited.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(out)]
+    assert main(argv + ["evaluate", "--checkpoint", str(edited)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(edited) in err and "'config'" in err
+    assert "layer units must be integers" in err
+    assert not out.exists()
+
+
 def _log_lines(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
@@ -112,6 +131,63 @@ def test_log_out_keeps_every_symbol(tmp_path, command):
     lines = _log_lines(log)
     assert [(line["symbol"], line["epoch"]) for line in lines] == [("VNQ", 1), ("VGT", 1)]
     assert all(math.isfinite(line["loss"]) for line in lines)
+
+
+def _peak_bytes(run) -> int:
+    """tracemalloc's peak over a second call of `run`; the first fills lazy caches."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+VNQ_TEXT = len((FIXTURES / "VNQ.csv").read_text(encoding="utf-8"))
+
+
+def test_load_series_holds_little_more_than_its_text():
+    # read_text holds the file's bytes and its str at once, then the parse adds
+    # 8 bytes a cell: 2.4x the text, against 7.7x through io.StringIO and lists
+    peak = _peak_bytes(lambda: cli_module.load_series(cli_module.RunConfig(), "VNQ"))
+    assert peak < 3.0 * VNQ_TEXT
+
+
+@pytest.mark.parametrize("adjusted", [False, True])
+def test_ingest_streams_its_csv(tmp_path, monkeypatch, adjusted):
+    cfg = cli_module.RunConfig(symbols=("VNQ",), use_adj_close=adjusted, out_dir=str(tmp_path))
+
+    def ingest():
+        cli_module.cmd_ingest(cfg, stdout=io.StringIO())
+
+    # the parse sets the peak: 2.4x the text, against 7.7x (8.7x adjusted) before
+    assert _peak_bytes(ingest) < 3.0 * VNQ_TEXT
+    # the writer alone: about 98 bytes a row, against 400 (480 adjusted) when it
+    # held the file's text and a repr string per cell
+    cleaned, dropped = cli_module._clean_series(cfg, "VNQ")
+    monkeypatch.setattr(cli_module, "_clean_series", lambda cfg, symbol: (cleaned, dropped))
+    assert _peak_bytes(ingest) < 120 * len(cleaned)
+
+
+def test_no_command_writes_into_a_dataset_inputs(tmp_path, monkeypatch):
+    # the windows are read-only views: a write into the scaled series under them
+    # would change them unseen
+    made = []
+    for name in ("make_windows", "bridge_test_windows"):
+
+        def recording(*args, _original=getattr(cli_module, name), **kwargs):
+            ds = _original(*args, **kwargs)
+            made.append((ds, ds.inputs.copy()))
+            return ds
+
+        monkeypatch.setattr(cli_module, name, recording)
+    argv = ["--units", "4", "--dropout", "0.3", "--window", "5", "--epochs", "2"]
+    assert main(argv + ["--symbols", "VNQ", "--out-dir", str(tmp_path), "sweep"]) == 0
+    assert len(made) == 2
+    for ds, before in made:
+        assert not ds.inputs.flags.writeable
+        np.testing.assert_array_equal(ds.inputs, before)
 
 
 def test_sweep_parses_each_symbol_once(tmp_path, monkeypatch):

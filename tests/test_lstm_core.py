@@ -246,6 +246,17 @@ def test_config_validation():
         NetworkConfig(layer_units=(0,), dropout_rates=(0.0,))
 
 
+@pytest.mark.parametrize("unit", [4.7, 4.0, True, np.bool_(True), "4", None])
+def test_config_refuses_units_that_are_not_integers(unit):
+    with pytest.raises(InvalidConfigError, match="layer units must be integers"):
+        NetworkConfig(layer_units=(unit,), dropout_rates=(0.0,))
+
+
+def test_config_takes_numpy_integer_units_as_ints():
+    cfg = NetworkConfig(layer_units=(np.int64(3), 2), dropout_rates=(0.0, 0.0))
+    assert cfg.layer_units == (3, 2) and all(type(u) is int for u in cfg.layer_units)
+
+
 # ----------------------------------------------------------- network forward
 
 

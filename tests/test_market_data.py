@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
 from datetime import date
 
@@ -128,6 +130,80 @@ def test_parse_csv_bad_date():
     rows = ["2020-01-02,1,1,1,1,1,1", "02/01/2020,1,1,1,1,1,1"]
     with pytest.raises(BadDateError, match="line 3"):
         parse_csv("\n".join([HEADER] + rows))
+
+
+def _stringio_parse(text: str):
+    """What parse_csv reads from `text` (header Date,Close,Adj Close) when its rows
+    come from csv.reader(io.StringIO(text)): the (day, close, adj close) rows in
+    date order with None for missing, or the error's type and message."""
+
+    def price(cell: str):
+        try:
+            value = float(cell)
+        except ValueError:
+            return None
+        return value if math.isfinite(value) else None
+
+    try:
+        reader = csv.reader(io.StringIO(text))
+        if next(reader, None) is None:
+            return MissingColumnError, "empty input: no header row"
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not any(c.strip() for c in row):
+                continue
+            raw_date, close, adj = (row + ["", "", ""])[:3]
+            try:
+                day = date.fromisoformat(raw_date.strip())
+            except ValueError:
+                return BadDateError, f"line {line_no}: unparseable date {raw_date.strip()!r}"
+            rows.append((day, price(close), price(adj)))
+    except csv.Error as exc:
+        return csv.Error, str(exc)
+    return sorted(rows, key=lambda r: r[0])
+
+
+def _parsed(text: str):
+    """parse_csv's result on `text` in _stringio_parse's form."""
+    try:
+        series = parse_csv(text)
+    except (csv.Error, ValueError) as exc:
+        return type(exc), str(exc)
+    columns = (series.close.tolist(), series.adj_close.tolist())
+    cells = ([None if math.isnan(v) else v for v in col] for col in columns)
+    return list(zip(series.dates(), *cells))
+
+
+COLUMNS = "Date,Close,Adj Close"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # \r\n endings, with and without a final newline
+        f"{COLUMNS}\r\n2020-01-03,2,1.9\r\n2020-01-02,1.5,1.4\r\n",
+        f"{COLUMNS}\r\n2020-01-02,1.5,1.4\r\n2020-01-03,2,1.9",
+        # blank and whitespace-only rows
+        f"{COLUMNS}\n\n2020-01-02,1,1\n  ,  , \n\t\n\r\n2020-01-03,2,2\n\n",
+        # a quoted close holding a newline, then a bad date whose line number counts records
+        f'{COLUMNS}\n2020-01-02,"1.5\n",1.4\n2020-01-03,"2\n\n5",2\n',
+        f'{COLUMNS}\n2020-01-02,"1\n5",1\n03/01/2020,1,1\n',
+        # cells holding the other boundaries str.splitlines splits on
+        f"{COLUMNS}\n2020-01-02,1\x0c,1\x0b\n2020-01-03,2\x1c5,2\x1d\n2020-01-04,3\x1e,3\x85\n",
+        f"{COLUMNS}\n2020-01-02,1\u2028,1\n2020-01-03,2\u20295,2\n",
+        f'{COLUMNS}\n2020-01-02,"1\r",1\n',
+        # a bare \r ends no line: csv refuses it, as it did over io.StringIO
+        f"{COLUMNS}\r2020-01-02,1,1\r",
+        # empty text, and a header with no rows
+        "",
+        COLUMNS,
+        f"{COLUMNS}\n",
+        # an unparseable date, named by its line
+        f"{COLUMNS}\n2020-01-02,1,1\n\n2020-13-01,1,1\n",
+    ],
+)
+def test_parse_csv_splits_lines_as_stringio_does(text):
+    assert _parsed(text) == _stringio_parse(text)
 
 
 def test_parse_csv_duplicate_date():

@@ -161,3 +161,23 @@ def test_bridge_sample_count_equals_test_length():
 def test_bridge_tail_too_short():
     with pytest.raises(InvalidWindowError, match="train tail has 2 values, need exactly 3"):
         bridge_test_windows([1.0, 2.0], [3.0], 3)
+
+
+# ------------------------------------------------------------- footprint
+
+
+def test_make_windows_inputs_are_a_read_only_view_of_the_series():
+    values = make_rng(43).random(50)
+    ds = make_windows(values, 7)
+    assert np.shares_memory(ds.inputs, values)
+    assert not ds.inputs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ds.inputs[0, 0, 0] = 1.0
+
+
+def test_bridge_inputs_are_a_read_only_view_of_the_bridged_series():
+    rng = make_rng(44)
+    ds = bridge_test_windows(rng.random(7), rng.random(20), 7)
+    # window i+1 starts one value after window i: only views of one series overlap
+    assert np.shares_memory(ds.inputs[:-1], ds.inputs[1:])
+    assert not ds.inputs.flags.writeable
