@@ -24,7 +24,7 @@ def _ticks(lo: float, hi: float, count: int) -> list[float]:
     return [lo + span * k / (count - 1) for k in range(count)]
 
 
-def render_price_chart(dates, actual, predicted, title: str = "") -> str:
+def render_price_chart(dates, actual, predicted, title: str) -> str:
     """Two-polyline comparison chart with axes and a legend.
 
     dates label the x axis; dates, actual and predicted must be equal-length
@@ -62,12 +62,9 @@ def render_price_chart(dates, actual, predicted, title: str = "") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="16">'
+        f"{escape(title, quote=False)}</text>",
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="16">'
-            f"{escape(title, quote=False)}</text>"
-        )
 
     # axes
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h

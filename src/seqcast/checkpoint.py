@@ -4,8 +4,8 @@ Layout (version 1): format marker, network config, scaler params, seed,
 window, symbol, and every parameter block under its param_blocks name, in
 param_blocks order, which is also NetworkParams.flat order. Floats are serialized with repr, so
 save -> load -> save is byte-identical and values survive exactly.
-Non-finite values are refused on save, and every block is checked against
-the shape the stored config implies on load.
+Non-finite values are refused on save and on load, and every block is
+checked against the shape the stored config implies on load.
 """
 
 from __future__ import annotations
@@ -108,6 +108,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             block = np.array(slot.get(key), dtype=np.float64)
             if block.shape != arr.shape:
                 raise CheckpointError(f"{path}: block {name} is not a float array of {arr.shape}")
+            if not np.isfinite(block).all():
+                raise CheckpointError(f"{path}: block {name} holds a non-finite value")
             arr[...] = block
         return params
 

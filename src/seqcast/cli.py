@@ -10,8 +10,9 @@ embeds the symbol; all but ingest's `<symbol>-cleaned.csv` embed a hash of the
 resolved config, so training runs cannot mix. The hash covers the data path
 (`data/` and `./data` hash as `data`) but not the out-dir, which every output
 lives in already. The out-dir is created by the first file written. Re-running
-a command with the same config and seed rewrites identical outputs (modulo
-wall-clock fields in the training log).
+a command with the same config and seed at the same BLAS thread count rewrites
+identical outputs (modulo wall-clock fields in the training log); another
+thread count can round a trained model's GEMMs differently.
 """
 
 from __future__ import annotations
@@ -107,6 +108,9 @@ class RunConfig:
                 object.__setattr__(self, f.name, _declared(value, _FIELD_TYPES[f.name]))
             except TypeError:
                 raise RunConfigError(f"{f.name} must be {f.type}, got {value!r}") from None
+        for name in ("data_path", "out_dir"):  # "" would mean the fixtures or the working dir
+            if getattr(self, name) == "":
+                raise RunConfigError(f"{name} must not be empty")
         if not self.symbols:
             raise RunConfigError("no symbols to run")
         for s in self.symbols:  # names files: <dir>/<s>.csv in, <out-dir>/<s>-* out
@@ -180,7 +184,8 @@ def load_series(cfg: RunConfig, symbol: str) -> PriceSeries:
     source = Path(cfg.data_path) if cfg.data_path else resources.files("seqcast") / "fixtures"
     if source.is_dir():
         source = source / f"{symbol}.csv"
-    series = parse_csv(source.read_text(encoding="utf-8"), symbol)
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" starts a file with
+    series = parse_csv(source.read_text(encoding="utf-8-sig"), symbol)
     lo = np.datetime64(date.fromisoformat(cfg.start))
     hi = np.datetime64(date.fromisoformat(cfg.end))
     return series[(series.days >= lo) & (series.days <= hi)]
@@ -251,10 +256,7 @@ def cmd_ingest(cfg: RunConfig, stdout=None) -> int:
 
 def _open_log(log_out: str | None):
     """The --log-out JSONL file, truncated once per command; a null context without one."""
-    if not log_out:
-        return contextlib.nullcontext()
-    Path(log_out).parent.mkdir(parents=True, exist_ok=True)
-    return open(log_out, "w", encoding="utf-8")
+    return _create(Path(log_out)) if log_out else contextlib.nullcontext()
 
 
 def _load_split(cfg: RunConfig, symbol: str) -> SplitResult:
@@ -313,10 +315,8 @@ def _evaluate_one(
         raise CheckpointError(f"checkpoint does not match the run: {'; '.join(differ)}")
     scaled_train = transform(ckpt.scaler, split.train.closes(adjusted=cfg.use_adj_close))
     scaled_test = transform(ckpt.scaler, split.test.closes(adjusted=cfg.use_adj_close))
-    windows = bridge_test_windows(
-        scaled_train[-cfg.window :], scaled_test, cfg.window, dates=split.test.dates()
-    )
-    pset, dates = predict_series(ckpt.params, ckpt.config, ckpt.scaler, windows)
+    windows = bridge_test_windows(scaled_train[-cfg.window :], scaled_test, cfg.window)
+    pset, _ = predict_series(ckpt.params, ckpt.config, ckpt.scaler, windows)
     report = compute_metrics(pset)
     doc = dict(symbol=symbol, window=cfg.window, config_hash=config_hash(cfg), **asdict(report))
 
@@ -326,7 +326,8 @@ def _evaluate_one(
     predictions = _out_path(cfg, symbol, ".predictions.csv")
     _write_csv(predictions, ["date", "actual", "predicted"], split.test.days, pset.y, pset.y_hat)
 
-    chart = render_price_chart(dates, pset.y, pset.y_hat, title=f"{symbol} actual vs predicted")
+    title = f"{symbol} actual vs predicted"
+    chart = render_price_chart(split.test.days, pset.y, pset.y_hat, title)
     _write(_out_path(cfg, symbol, ".svg"), chart)
     print(
         f"symbol={symbol} r_squared={report.r_squared:.4f} rmse={report.rmse:.4f} "

@@ -1,8 +1,8 @@
 """Regression metric battery over unscaled prices, plus test-set prediction.
 
-MAPE guards against near-zero actuals: samples with |actual| below a
-threshold are excluded and counted instead of producing astronomical
-percentages.
+MAPE guards against near-zero actuals: samples with |actual| below
+_MAPE_THRESHOLD (1e-8) are excluded and counted instead of producing
+astronomical percentages.
 
 predict_series runs its chunks of windows on the cores BLAS leaves free, as
 NumPy releases the GIL inside its GEMMs and ufuncs: on two threads when
@@ -45,6 +45,8 @@ _POOL_MIN_UNITS = 50
 # two, and an affinity mask does not show a container's CPU quota.
 _POOL_MAX_WORKERS = 2
 
+_MAPE_THRESHOLD = 1e-8
+
 
 class ZeroVarianceError(ValueError):
     """Actuals are constant (or fewer than two): R2 and EVS are undefined."""
@@ -74,16 +76,16 @@ def r_squared(p: PredictionSet) -> float:
     return 1.0 - float(np.sum(residual * residual)) / ss_tot
 
 
-def mape(p: PredictionSet, threshold: float = 1e-8) -> tuple[float, int]:
-    """Mean |y - y_hat| / |y| over samples with |y| >= threshold.
+def mape(p: PredictionSet) -> tuple[float, int]:
+    """Mean |y - y_hat| / |y| over samples with |y| >= _MAPE_THRESHOLD.
 
     Returns (fraction, excluded_count); raises AllExcludedError when no
     sample survives the guard.
     """
-    keep = np.abs(p.y) >= threshold
+    keep = np.abs(p.y) >= _MAPE_THRESHOLD
     excluded = int(p.n - keep.sum())
     if excluded == p.n:
-        raise AllExcludedError(f"all {p.n} actuals below threshold {threshold}")
+        raise AllExcludedError(f"all {p.n} actuals below threshold {_MAPE_THRESHOLD}")
     ratios = np.abs(p.y[keep] - p.y_hat[keep]) / np.abs(p.y[keep])
     return float(np.mean(ratios)), excluded
 

@@ -365,7 +365,7 @@ def network_forward(
     params: NetworkParams,
     config: NetworkConfig,
     batch,
-    mode: str = "inference",
+    mode: str,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, NetworkCache | None]:
     """Full stack on a [B, T, features] batch: one scalar prediction per sample.

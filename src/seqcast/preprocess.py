@@ -6,6 +6,7 @@ The scaler is fit on the training split only; test values that land outside
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date
 
@@ -15,7 +16,7 @@ from .market_data import InvalidWindowError
 
 
 class DegenerateRangeError(ValueError):
-    """Fewer than two fit values, or all equal: min-max scaling is undefined."""
+    """Fewer than two fit values, all equal, or not finite: min-max scaling is undefined."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,9 +25,9 @@ class ScalerParams:
     max_value: float
 
     def __post_init__(self) -> None:
-        if not self.max_value > self.min_value:
+        if not -math.inf < self.min_value < self.max_value < math.inf:  # also refuses NaN
             raise DegenerateRangeError(
-                f"max_value must exceed min_value, got [{self.min_value}, {self.max_value}]"
+                f"the range must be finite and increasing, got [{self.min_value}, {self.max_value}]"
             )
 
 

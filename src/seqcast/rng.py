@@ -1,7 +1,7 @@
 """Seedable random number generation.
 
 Every stochastic piece of the package (weight init, dropout masks, epoch
-shuffling, synthetic fixtures) draws from numpy's PCG64 bit generator.
+shuffling) draws from numpy's PCG64 bit generator.
 PCG64 is a fixed, documented member of the PCG family; a given seed yields
 the same stream on every platform, which is what makes checkpoints and
 training runs reproducible byte for byte.

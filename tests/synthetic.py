@@ -1,12 +1,13 @@
-"""Deterministic synthetic market data for offline runs and tests.
+"""Deterministic synthetic market data: the generator of the bundled fixtures.
 
 The bundled fixture CSVs are geometric random walks shaped to resemble the
 nine Vanguard sector ETFs (level, drift, volatility); regenerate them with
 
-    python -m seqcast.synthetic --out-dir src/seqcast/fixtures
+    python tests/synthetic.py --out-dir src/seqcast/fixtures
 
-Everything is seeded from the symbol name, so the files are reproducible
-byte for byte.
+This script needs numpy only, not seqcast. Everything is seeded from the
+symbol name through np.random.default_rng, the PCG64 stream of
+seqcast.rng.make_rng, so the files are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
-
-from .rng import make_rng
 
 DEFAULT_START = date(2012, 1, 2)
 DEFAULT_END = date(2022, 12, 21)
@@ -62,7 +61,7 @@ def gbm_closes(
 def synthetic_csv(symbol: str) -> str:
     """One symbol's OHLCV walk over the fixture range as CSV text, seeded from its name."""
     start_price, drift, vol = ETF_PROFILES.get(symbol, (50.0, 0.08, 0.20))
-    rng = make_rng(zlib.crc32(symbol.encode("ascii")))
+    rng = np.random.default_rng(zlib.crc32(symbol.encode("ascii")))
     days = business_days(DEFAULT_START, DEFAULT_END)
     closes = gbm_closes(len(days), start_price, drift, vol, rng)
     intraday = rng.uniform(0.0, 0.01, size=(len(days), 2))

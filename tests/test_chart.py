@@ -10,6 +10,7 @@ import seqcast.chart as chart
 from seqcast.chart import render_price_chart
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+TITLE = "VNQ actual vs predicted"
 
 
 def render_sample():
@@ -43,18 +44,18 @@ def test_chart_point_counts_match_series():
 
 
 def test_chart_handles_constant_series():
-    svg = render_price_chart([date(2022, 1, 3), date(2022, 1, 4)], [5.0, 5.0], [5.0, 5.0])
+    svg = render_price_chart([date(2022, 1, 3), date(2022, 1, 4)], [5.0, 5.0], [5.0, 5.0], TITLE)
     ET.fromstring(svg)
 
 
 def test_chart_rejects_mismatched_lengths():
     days = [date(2022, 1, 3), date(2022, 1, 4)]
     with pytest.raises(ValueError):
-        render_price_chart(days, [1.0, 2.0], [1.0])
+        render_price_chart(days, [1.0, 2.0], [1.0], TITLE)
     with pytest.raises(ValueError):
-        render_price_chart(days[:1], [1.0, 2.0], [1.0, 2.0])
+        render_price_chart(days[:1], [1.0, 2.0], [1.0, 2.0], TITLE)
     with pytest.raises(ValueError):
-        render_price_chart([], [], [])
+        render_price_chart([], [], [], TITLE)
 
 
 def _render_markup():

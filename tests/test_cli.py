@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import io
 import json
 import math
@@ -118,6 +119,37 @@ def test_evaluate_refuses_a_checkpoint_whose_units_are_not_integers(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "where, named",
+    [
+        (("params", "dense", "b", 0), "block dense.b holds a non-finite value"),
+        (("params", "layers", 0, "b_i", 0), "block layer0.b_i holds a non-finite value"),
+        (("scaler", "min_value"), "'scaler'"),
+        (("scaler", "max_value"), "'scaler'"),
+    ],
+)
+def test_evaluate_refuses_a_checkpoint_holding_a_non_finite_value(
+    tmp_path, vnq_checkpoint, capsys, token, where, named
+):
+    # json.loads reads NaN, Infinity and -Infinity, and 1e999 as inf
+    doc = json.loads(vnq_checkpoint.read_text(encoding="utf-8"))
+    *keys, last = where
+    slot = doc
+    for key in keys:
+        slot = slot[key]
+    slot[last] = "TOKEN"
+    edited = tmp_path / "edited.ckpt.json"
+    edited.write_text(json.dumps(doc).replace('"TOKEN"', token), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(out)]
+    assert main(argv + ["evaluate", "--checkpoint", str(edited)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert str(edited) in captured.err and named in captured.err and "finite" in captured.err
+    assert not out.exists()
+
+
 def _log_lines(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
@@ -152,6 +184,22 @@ def test_load_series_holds_little_more_than_its_text():
     # 8 bytes a cell: 2.4x the text, against 7.7x through io.StringIO and lists
     peak = _peak_bytes(lambda: cli_module.load_series(cli_module.RunConfig(), "VNQ"))
     assert peak < 3.0 * VNQ_TEXT
+
+
+def test_a_csv_that_starts_with_a_byte_order_mark_ingests_as_the_plain_file(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with one
+    data = tmp_path / "bom"
+    data.mkdir()
+    (data / "VNQ.csv").write_bytes(codecs.BOM_UTF8 + (FIXTURES / "VNQ.csv").read_bytes())
+    for source, out in ((data, "out-bom"), (FIXTURES, "out-plain")):
+        argv = ["--symbols", "VNQ", "--data", str(source), "--out-dir", str(tmp_path / out)]
+        assert main(argv + ["ingest"]) == 0
+    cleaned = [tmp_path / out / "VNQ-cleaned.csv" for out in ("out-bom", "out-plain")]
+    assert cleaned[0].read_bytes() == cleaned[1].read_bytes()
+    # dropped in decoding, so the str keeps one byte a character: 3.0x the text, where
+    # a str that holds U+FEFF takes two bytes a character (4.0x)
+    cfg = cli_module.RunConfig(data_path=str(data))
+    assert _peak_bytes(lambda: cli_module.load_series(cfg, "VNQ")) < 3.5 * VNQ_TEXT
 
 
 @pytest.mark.parametrize("adjusted", [False, True])
@@ -728,6 +776,18 @@ def test_config_file_value_of_the_wrong_type_is_refused(
     assert main(["--config", "c.json", "sweep"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {key} must be {declared}, got {value!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("field, flag", [("data_path", "--data"), ("out_dir", "--out-dir")])
+def test_an_empty_path_is_refused_before_any_symbol(tmp_path, monkeypatch, capsys, field, flag):
+    # --data "$DIR" with DIR unset read the bundled fixtures; --out-dir "" wrote here
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(json.dumps({field: ""}), encoding="utf-8")
+    for given in ([flag, ""], ["--config", "c.json"]):
+        assert main(TINY + ["--symbols", "VNQ", *given, "sweep"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {field} must not be empty\n")
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 

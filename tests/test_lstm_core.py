@@ -353,9 +353,9 @@ def test_network_forward_shape_errors():
     cfg = NetworkConfig(layer_units=(2,), dropout_rates=(0.0,), seed=1)
     params = init_params(cfg)
     with pytest.raises(ShapeMismatchError):
-        network_forward(params, cfg, np.zeros((2, 4, 3)))
+        network_forward(params, cfg, np.zeros((2, 4, 3)), mode="inference")
     with pytest.raises(ShapeMismatchError, match="batch has zero timesteps"):
-        network_forward(params, cfg, np.zeros((2, 0, 1)))
+        network_forward(params, cfg, np.zeros((2, 0, 1)), mode="inference")
 
 
 def test_network_forward_requires_rng_for_dropout():

@@ -9,6 +9,8 @@ module beyond its definition, or the benchmark under bench/ names it.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -47,3 +49,15 @@ def test_every_public_name_has_a_caller_outside_tests():
             if not (used[path][name] or elsewhere or bench[name]):
                 unused.append(f"{path.stem}.{name}")
     assert unused == [], "public names only tests can use; move them into tests/"
+
+
+def test_the_cli_loads_every_module_of_the_package():
+    # a module the program never imports serves only tests: it belongs in tests/
+    probe = "import sys, seqcast.cli; print(*(m for m in sys.modules if m.startswith('seqcast.')))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=PACKAGE.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    modules = {f"seqcast.{p.stem}" for p in PACKAGE.glob("*.py")} - {"seqcast.__init__"}
+    assert set(done.stdout.split()) == modules - {"seqcast.__main__"}

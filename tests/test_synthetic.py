@@ -8,7 +8,8 @@ import numpy as np
 
 from seqcast.market_data import drop_missing, parse_csv
 from seqcast.rng import make_rng
-from seqcast.synthetic import (
+
+from synthetic import (
     DEFAULT_END,
     DEFAULT_START,
     ETF_PROFILES,
