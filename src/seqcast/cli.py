@@ -18,8 +18,8 @@ thread count can round a trained model's GEMMs differently.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
-import csv
 import hashlib
 import json
 import math
@@ -63,6 +63,10 @@ SMA_WINDOWS = (100, 200)
 
 class RunConfigError(ValueError):
     """A run configuration no run can use: a value of a wrong type, or contradicting fields."""
+
+
+class NonFiniteMetricError(ArithmeticError):
+    """A metric came out NaN or infinite, which JSON cannot hold: predictions overflowed."""
 
 
 def _declared(value, hint):
@@ -184,8 +188,12 @@ def load_series(cfg: RunConfig, symbol: str) -> PriceSeries:
     source = Path(cfg.data_path) if cfg.data_path else resources.files("seqcast") / "fixtures"
     if source.is_dir():
         source = source / f"{symbol}.csv"
-    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" starts a file with
-    series = parse_csv(source.read_text(encoding="utf-8-sig"), symbol)
+    # utf-8-sig drops the byte-order mark Excel's "CSV UTF-8" starts a file with; given
+    # a view of the bytes, it decodes those past the mark without copying them
+    text = codecs.decode(memoryview(source.read_bytes()), "utf-8-sig")
+    if "\r" in text:  # universal newlines, as a file read in text mode has them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    series = parse_csv(text, symbol)
     lo = np.datetime64(date.fromisoformat(cfg.start))
     hi = np.datetime64(date.fromisoformat(cfg.end))
     return series[(series.days >= lo) & (series.days <= hi)]
@@ -218,16 +226,15 @@ def _write(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], days: np.ndarray, *columns: np.ndarray) -> None:
-    """A datetime64 column and float columns, a NaN as an empty cell, streamed through
-    csv.writer onto the file. Rows are formatted 64 at a time, so the text is never
-    held whole, from tolist()'s Python floats, which format faster than NumPy scalars."""
+    """A datetime64 column and float columns, a NaN (v != v) as an empty cell, as csv.writer
+    would write them: no cell holds a comma, quote or line break. Rows are formatted 64 at a
+    time, so the text is never held whole, from tolist()'s Python floats and str dates."""
     with _create(path) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
+        out.write(",".join(header) + "\n")
         for lo in range(0, len(days), 64):
-            block = slice(lo, lo + 64)
-            cells = [["" if math.isnan(v) else repr(v) for v in c[block].tolist()] for c in columns]
-            writer.writerows(zip((day.isoformat() for day in days[block].tolist()), *cells))
+            cells = [["" if v != v else repr(v) for v in c[lo : lo + 64].tolist()] for c in columns]
+            dates = days[lo : lo + 64].astype(str).tolist()
+            out.writelines(",".join(row) + "\n" for row in zip(dates, *cells))
 
 
 def cmd_ingest(cfg: RunConfig, stdout=None) -> int:
@@ -241,8 +248,7 @@ def cmd_ingest(cfg: RunConfig, stdout=None) -> int:
         # a kept row may lack the other channel, and the first n-1 rows have no
         # defined average: NaN, so an empty cell that reads back as missing
         columns = [getattr(cleaned, ch) for ch in channels]
-        for n in SMA_WINDOWS:
-            values = sma(closes, n)
+        for values in sma(closes, *SMA_WINDOWS):
             columns.append(np.concatenate([np.full(len(cleaned) - len(values), np.nan), values]))
         path = Path(cfg.out_dir) / f"{symbol}-cleaned.csv"
         header = ["date", *channels, *(f"sma{n}" for n in SMA_WINDOWS)]
@@ -318,10 +324,13 @@ def _evaluate_one(
     windows = bridge_test_windows(scaled_train[-cfg.window :], scaled_test, cfg.window)
     pset, _ = predict_series(ckpt.params, ckpt.config, ckpt.scaler, windows)
     report = compute_metrics(pset)
+    bad = [f"{k}={v}" for k, v in asdict(report).items() if not math.isfinite(v)]
+    if bad:  # refused before any output of the symbol is written
+        raise NonFiniteMetricError(f"{symbol}: metrics not finite: {', '.join(bad)}")
     doc = dict(symbol=symbol, window=cfg.window, config_hash=config_hash(cfg), **asdict(report))
 
     metrics_path = _out_path(cfg, symbol, ".metrics.json")
-    _write(metrics_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(metrics_path, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
     predictions = _out_path(cfg, symbol, ".predictions.csv")
     _write_csv(predictions, ["date", "actual", "predicted"], split.test.days, pset.y, pset.y_hat)
@@ -378,7 +387,7 @@ def cmd_sweep(cfg: RunConfig, stdout=None, log_out: str | None = None) -> int:
         print(f"{'mean':<8}{'':>36}{mean_r2:>12.4f}", file=stdout)
     summary = {"mean_r_squared": mean_r2, "reports": rows, "failures": failures}
     sweep_path = _out_path(cfg, "sweep", ".json")
-    _write(sweep_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write(sweep_path, json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
     print(f"sweep={sweep_path}", file=stdout)
     return 1 if failures else 0
 

@@ -115,9 +115,9 @@ def _recycle(buffers) -> None:
         _POOL.setdefault(buf.shape, []).append(buf)
 
 
-def _block_steps(hid: int, inp: int, T: int, B: int) -> int:
-    """Steps per _gate_factors block: 7 slabs within L2 and (T > 1) G and Z's scratch."""
-    return max(1, min(T, (1 << 14) // (hid * B), (5 * hid + inp) * T // (7 * hid)))
+def _block_steps(hid: int, T: int, B: int) -> int:
+    """Steps per _gate_factors block: as many as keep its 7 slabs within L2."""
+    return max(1, min(T, (1 << 14) // (hid * B)))
 
 
 def _sigmoid_(x: np.ndarray) -> None:
@@ -468,7 +468,7 @@ def _layer_backward(
     T, rows, B = g.shape
     width = z.shape[1]
     hid = params.hidden_size
-    _gate_factors(g, c, work, _block_steps(hid, width - hid, T, B))
+    _gate_factors(g, c, work, _block_steps(hid, T, B))
     w_h = params.w[:, :hid].T  # [hidden, 4*hidden]: recurrent part of dz = w.T @ da
     sequence = d_hidden.ndim == 3
     # [dc, dc, dc, dh]: da_t = dcdh * g[t], and [dc | dh] lines up with c[t]
@@ -542,7 +542,7 @@ def network_backward(
 
     d_hidden = d_out.T  # feature-major from here on
     sizes = _param_sizes(params)
-    span = max(max((5 * h + i) * T, 7 * h * _block_steps(h, i, T, B)) for h, i in sizes)
+    span = max(max((5 * h + i) * T, 7 * h * _block_steps(h, T, B)) for h, i in sizes)
     work = _take((span * B,))  # G and Z after the loop, or one _gate_factors block
     d_inputs = _take((max((inp for _, inp in sizes[1:]), default=0) * T * B,))
     for idx in reversed(range(len(params.layers))):

@@ -19,7 +19,8 @@ import re
 from array import array
 from dataclasses import dataclass
 from datetime import date
-from itertools import accumulate, islice, tee
+from itertools import accumulate, islice, repeat, tee
+from operator import lshift, sub, truediv
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def parse_csv(text: str, symbol: str = "") -> PriceSeries:
     ignored. Unparseable or non-finite numeric cells become NaN rather than
     errors; an unparseable date is an error because the row cannot be placed.
     """
-    reader = csv.reader(m.group() for m in _LINE.finditer(text))  # no copy of the text
+    reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))  # no copy of the text
     try:
         header = next(reader)
     except StopIteration:
@@ -137,23 +138,21 @@ def parse_csv(text: str, symbol: str = "") -> PriceSeries:
         if required not in columns:
             raise MissingColumnError(f"header has no {required!r} column: {header}")
 
-    def cell(row: list[str], name: str) -> str:
-        idx = columns.get(name)
-        if idx is None or idx >= len(row):
-            return ""
-        return row[idx]
-
+    di, ci, ai = columns["date"], columns["close"], columns.get("adj_close")
+    blank = [""] * (max(columns.values()) + 1)  # a short row's missing cells are empty
     days, close, adj_close = array("q"), array("d"), array("d")
+    add_day, add_close, add_adj = days.append, close.append, adj_close.append
     for line_no, row in enumerate(reader, start=2):
-        if not "".join(row).strip():
+        row += blank[len(row) :]
+        raw_date = row[di].strip()
+        if not raw_date and not "".join(row).strip():
             continue
-        raw_date = cell(row, "date").strip()
         try:
-            days.append(date.fromisoformat(raw_date).toordinal())
+            add_day(date.fromisoformat(raw_date).toordinal())
         except ValueError:
             raise BadDateError(f"line {line_no}: unparseable date {raw_date!r}") from None
-        close.append(_parse_price(cell(row, "close")))
-        adj_close.append(_parse_price(cell(row, "adj_close")))
+        add_close(_parse_price(row[ci]))
+        add_adj(math.nan if ai is None else _parse_price(row[ai]))
 
     # from ordinals: numpy converts a list of date objects one by one, ~30x slower
     day_array = (np.asarray(days) - _EPOCH_ORDINAL).astype("datetime64[D]")
@@ -173,31 +172,32 @@ def drop_missing(series: PriceSeries, adjusted: bool = False) -> tuple[PriceSeri
     return cleaned, len(series) - len(cleaned)
 
 
-def sma(values, n: int) -> np.ndarray:
-    """Simple moving average: out[k] = mean(values[k : k + n]).
+def sma(values, *windows: int) -> list[np.ndarray]:
+    """Simple moving averages, one array per window n: out[k] = mean(values[k : k + n]).
 
     out[k] is the average ending at input index k + n - 1; the first n - 1
     input positions have no defined average, so the output is shorter than
     the input by n - 1. A series shorter than n yields an empty array. Every
     value must be finite.
     """
-    if n < 1:
-        raise InvalidWindowError(f"window must be >= 1, got {n}")
-    vals = [float(v) for v in values]
-    bad = next((j for j, v in enumerate(vals) if not math.isfinite(v)), None)
-    if bad is not None:
-        raise ValueError(f"moving average of a non-finite value: values[{bad}] is {vals[bad]}")
-    if len(vals) < n:
-        return np.empty(0, dtype=np.float64)
-    # Every finite float is a whole multiple of 1/unit, a power of two, so exact
-    # integer prefix sums and one int / int division give math.fsum(window) in
-    # O(len), keeping sma[t] - sma[t-1] == (P_t - P_{t-n})/n tight at scale 1e6.
-    unit = max(v.as_integer_ratio()[1] for v in vals)
-    ratios = (v.as_integer_ratio() for v in vals)
-    ahead, behind = tee(accumulate((p * (unit // q) for p, q in ratios), initial=0))
-    next(islice(ahead, n - 1, None))  # n sums in front; tee holds only those n
-    sums = ((hi - lo) / unit / n for hi, lo in zip(ahead, behind))
-    return np.fromiter(sums, np.float64, count=len(vals) - n + 1)
+    if min(windows) < 1:
+        raise InvalidWindowError(f"window must be >= 1, got {min(windows)}")
+    vals = np.asarray(values, dtype=np.float64)
+    for j in np.flatnonzero(~np.isfinite(vals))[:1]:  # the first non-finite value
+        raise ValueError(f"moving average of a non-finite value: values[{j}] is {vals[j]}")
+    # A finite float is m * 2**(e - 53) for a 53-bit integer m (frexp): in units of 2**(e0 - 53),
+    # e0 = min(0, every e), it is the integer m << (e - e0). Exact prefix sums of those and one
+    # int / int division give math.fsum(window) in O(len), bitwise at any scale.
+    mant, exp = np.frexp(vals)
+    e0 = int(exp.min(initial=0))
+    digits, shifts = np.ldexp(mant, 53).astype(np.int64), exp - e0
+    out = []
+    for n in windows:
+        ahead, behind = tee(accumulate(map(lshift, digits.data, shifts.data), initial=0))
+        next(islice(ahead, n - 1, None), None)  # n sums in front; tee holds only those n
+        sums = map(truediv, map(sub, ahead, behind), repeat(1 << (53 - e0)))
+        out.append(np.fromiter(sums, np.float64, max(0, len(vals) - n + 1)) / n)
+    return out
 
 
 def chronological_split(series: PriceSeries, ratio: float) -> SplitResult:

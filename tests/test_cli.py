@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import codecs
+import csv
 import io
 import json
 import math
@@ -150,6 +151,60 @@ def test_evaluate_refuses_a_checkpoint_holding_a_non_finite_value(
     assert not out.exists()
 
 
+def _edit_dense(doc, value):
+    """A checkpoint document whose dense head's weights and bias all hold `value`."""
+    dense = doc["params"]["dense"]
+    dense["w"] = [value] * len(dense["w"])
+    dense["b"] = [value]
+    return doc
+
+
+# The CLI warns on an overflow, as Python does by default, where the suite raises
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evaluate_refuses_a_finite_checkpoint_whose_metrics_are_not_finite(
+    tmp_path, vnq_checkpoint, capsys
+):
+    # finite weights of 1e308 overflow the predictions to inf: rmse inf, evs NaN
+    doc = _edit_dense(json.loads(vnq_checkpoint.read_text(encoding="utf-8")), 1e308)
+    edited = tmp_path / "edited.ckpt.json"
+    edited.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = TINY + ["--symbols", "VNQ", "--out-dir", str(out)]
+    assert main(argv + ["evaluate", "--checkpoint", str(edited)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: VNQ: metrics not finite: rmse=inf, ")
+    assert "explained_variance=nan" in captured.err
+    assert not out.exists()  # no metrics JSON, predictions or chart
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_lists_a_symbol_whose_metrics_are_not_finite_as_a_failure(
+    tmp_path, monkeypatch, capsys
+):
+    trained, original = [], cli_module.train
+
+    def overflowing(params, *args, **kwargs):  # VNQ's head is edited, VGT's is not
+        params = original(params, *args, **kwargs)
+        if not trained:
+            params.dense.w[...] = 1e308
+            params.dense.b[...] = 1e308
+        trained.append(params)
+        return params
+
+    monkeypatch.setattr(cli_module, "train", overflowing)
+    out = tmp_path / "out"
+    argv = TINY + ["--symbols", "VNQ,VGT", "--out-dir", str(out), "sweep"]
+    assert main(argv) == 1
+    summary_path = out / f"sweep-{cli_module.config_hash(_resolve(argv))}.json"
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    assert [row["symbol"] for row in summary["reports"]] == ["VGT"]
+    assert list(summary["failures"]) == ["VNQ"]
+    assert summary["failures"]["VNQ"].startswith("VNQ: metrics not finite: rmse=inf, ")
+    assert capsys.readouterr().err.startswith("symbol=VNQ FAILED: VNQ: metrics not finite: ")
+    assert [p.name.split("-")[0] for p in out.glob("*.metrics.json")] == ["VGT"]
+
+
 def _log_lines(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
@@ -186,6 +241,19 @@ def test_load_series_holds_little_more_than_its_text():
     assert peak < 3.0 * VNQ_TEXT
 
 
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+def test_a_csv_with_other_line_endings_ingests_as_the_plain_file(tmp_path, ending):
+    # read as a text-mode file reads, with universal newlines; a bare \r is a classic Mac file's
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "VNQ.csv").write_bytes((FIXTURES / "VNQ.csv").read_bytes().replace(b"\n", ending))
+    for source, out in ((data, "out-other"), (FIXTURES, "out-plain")):
+        argv = ["--symbols", "VNQ", "--data", str(source), "--out-dir", str(tmp_path / out)]
+        assert main(argv + ["ingest"]) == 0
+    cleaned = [tmp_path / out / "VNQ-cleaned.csv" for out in ("out-other", "out-plain")]
+    assert cleaned[0].read_bytes() == cleaned[1].read_bytes()
+
+
 def test_a_csv_that_starts_with_a_byte_order_mark_ingests_as_the_plain_file(tmp_path):
     # Excel's "CSV UTF-8" starts the file with one
     data = tmp_path / "bom"
@@ -196,10 +264,36 @@ def test_a_csv_that_starts_with_a_byte_order_mark_ingests_as_the_plain_file(tmp_
         assert main(argv + ["ingest"]) == 0
     cleaned = [tmp_path / out / "VNQ-cleaned.csv" for out in ("out-bom", "out-plain")]
     assert cleaned[0].read_bytes() == cleaned[1].read_bytes()
-    # dropped in decoding, so the str keeps one byte a character: 3.0x the text, where
-    # a str that holds U+FEFF takes two bytes a character (4.0x)
+    # skipped before decoding, so the str keeps one byte a character and no copy of the
+    # bytes past the mark is made: 2.4x the text, as for the plain file, where the
+    # utf-8-sig codec's copy took 3.0x and a str that holds U+FEFF 4.0x
     cfg = cli_module.RunConfig(data_path=str(data))
-    assert _peak_bytes(lambda: cli_module.load_series(cfg, "VNQ")) < 3.5 * VNQ_TEXT
+    assert _peak_bytes(lambda: cli_module.load_series(cfg, "VNQ")) < 3.0 * VNQ_TEXT
+
+
+def _csv_writer_text(header, days, *columns) -> str:
+    """The file csv.writer writes from date.isoformat() and repr(), NaN as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for k, day in enumerate(days.tolist()):
+        cells = ("" if math.isnan(c[k]) else repr(float(c[k])) for c in columns)
+        writer.writerow([day.isoformat(), *cells])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 65])  # 65 rows cross the 64-row block
+def test_write_csv_writes_the_bytes_csv_writer_does(tmp_path, rows):
+    first = [np.datetime64("0001-01-01") + k for k in range(rows // 2)]
+    last = [np.datetime64("9999-12-31") - k for k in reversed(range(rows - rows // 2))]
+    days = np.array(first + last, dtype="datetime64[D]")
+    values = [math.nan, -0.0, 5e-324, 1e22, 0.1 + 0.2, -1.5, 2863.25, -1e-7, 1.7e308]
+    cycle = [np.array([values[(k + shift) % len(values)] for k in range(rows)]) for shift in (0, 4)]
+    columns = [*cycle, np.full(rows, math.nan)]
+    path = tmp_path / "out.csv"
+    header = ["date", "close", "sma100", "sma200"]
+    cli_module._write_csv(path, header, days, *columns)
+    assert path.read_bytes() == _csv_writer_text(header, days, *columns).encode("utf-8")
 
 
 @pytest.mark.parametrize("adjusted", [False, True])

@@ -554,6 +554,18 @@ def cold_pool(monkeypatch):
     return pool
 
 
+@pytest.mark.parametrize("block", [1, 3, 14])
+def test_gate_factor_blocks_leave_the_gradients_bitwise_unchanged(monkeypatch, block):
+    # (8, 8) at T=20 and B=32 factors each layer in one 20-step block
+    cfg = NetworkConfig(layer_units=(8, 8), dropout_rates=(0.2, 0.3), seed=52)
+    params = init_params(cfg)
+    batch = make_rng(53).normal(size=(32, 20, 1))
+    assert lstm_core._block_steps(8, 20, 32) == 20
+    whole = _step(params, cfg, batch, seed=54)[1]
+    monkeypatch.setattr(lstm_core, "_block_steps", lambda hid, T, B: block)
+    np.testing.assert_array_equal(_step(params, cfg, batch, seed=54)[1], whole)
+
+
 def _poison(pool):
     """Fill every pooled buffer with NaN: a value read before it is written shows."""
     for buffers in pool.values():

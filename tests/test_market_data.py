@@ -133,9 +133,10 @@ def test_parse_csv_bad_date():
 
 
 def _stringio_parse(text: str):
-    """What parse_csv reads from `text` (header Date,Close,Adj Close) when its rows
-    come from csv.reader(io.StringIO(text)): the (day, close, adj close) rows in
-    date order with None for missing, or the error's type and message."""
+    """What parse_csv reads from `text` (columns Date, Close and Adj Close, found by
+    name) when its rows come from csv.reader(io.StringIO(text)): the (day, close,
+    adj close) rows in date order with None for missing, or the error's type and
+    message. A cell a short row lacks, or a column the header lacks, is empty."""
 
     def price(cell: str):
         try:
@@ -146,13 +147,16 @@ def _stringio_parse(text: str):
 
     try:
         reader = csv.reader(io.StringIO(text))
-        if next(reader, None) is None:
+        header = next(reader, None)
+        if header is None:
             return MissingColumnError, "empty input: no header row"
+        names = [name.strip().lower().replace(" ", "") for name in header]
+        where = [names.index(k) if k in names else None for k in ("date", "close", "adjclose")]
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if not any(c.strip() for c in row):
                 continue
-            raw_date, close, adj = (row + ["", "", ""])[:3]
+            raw_date, close, adj = (row[i] if i is not None and i < len(row) else "" for i in where)
             try:
                 day = date.fromisoformat(raw_date.strip())
             except ValueError:
@@ -200,6 +204,17 @@ COLUMNS = "Date,Close,Adj Close"
         f"{COLUMNS}\n",
         # an unparseable date, named by its line
         f"{COLUMNS}\n2020-01-02,1,1\n\n2020-13-01,1,1\n",
+        # rows shorter than the header: the cells they lack are empty
+        "Open,Close,Volume,Date,Adj Close\n"
+        "1,2.5,9,2020-01-02,2.4\n1,3.5,9,2020-01-03\n1,4.5,9,2020-01-06,\n",
+        "Date,Open,Close,Adj Close\n2020-01-02\n2020-01-03,1\n2020-01-06,1,2\n2020-01-07,1,2,3\n",
+        # whitespace-only rows, and rows of blank cells, between and after the data
+        "Date,Close,Adj Close\n \n2020-01-02,1,1\n\t,  ,\n,,\n2020-01-03,2,2\n   \n",
+        "Close,Date\n , \n5,2020-01-02\n,\n",
+        # quoted cells, a comma and a header name among them, and the date quoted
+        'Date,"Close",Adj Close\n"2020-01-03"," 2.5","2,4"\n2020-01-02,"1e1",""\n',
+        # no adjusted close column, so every adjusted close is missing
+        "Volume,Date,Close\n7,2020-01-02,1.25\n8,2020-01-03\n",
     ],
 )
 def test_parse_csv_splits_lines_as_stringio_does(text):
@@ -282,18 +297,19 @@ def test_drop_missing_idempotent():
 
 
 def test_sma_constant_series_is_exact():
-    out = sma([5.0] * 120, 100)
+    (out,) = sma([5.0] * 120, 100)
     assert out.shape == (21,)
     assert np.all(out == 5.0)
 
 
 def test_sma_hand_case():
-    out = sma([1.0, 2.0, 3.0, 4.0], 2)
+    (out,) = sma([1.0, 2.0, 3.0, 4.0], 2)
     np.testing.assert_array_equal(out, [1.5, 2.5, 3.5])
 
 
 def test_sma_short_series_returns_empty():
-    out = sma([1.0, 2.0, 3.0], 200)
+    short, out = sma([1.0, 2.0, 3.0], 2, 200)  # beside a window the series fills
+    np.testing.assert_array_equal(short, [1.5, 2.5])
     assert out.shape == (0,) and out.dtype == np.float64
 
 
@@ -308,7 +324,7 @@ def test_sma_rolling_identity_at_large_scale():
     rng = make_rng(3)
     values = rng.random(300) * 1e6
     for n in (2, 7, 50):
-        out = sma(values, n)
+        (out,) = sma(values, n)
         for k in range(1, out.size):
             expected = (values[k + n - 1] - values[k - 1]) / n
             assert abs((out[k] - out[k - 1]) - expected) < 1e-9
@@ -328,9 +344,10 @@ def test_sma_equals_fsum_windows_bitwise():
         rng.normal(size=300) * 10.0 ** rng.integers(-8, 9, size=300),  # mixed scales and signs
     ]
     for values in cases:
-        for n in (1, 2, 7, 100, len(values)):
+        windows = (1, 2, 7, 100, 200, len(values))  # one call, as ingest makes
+        for out, n in zip(sma(values, *windows), windows, strict=True):
             expected = np.array(_fsum_sma(list(values), n))
-            assert sma(values, n).tobytes() == expected.tobytes(), n
+            assert out.tobytes() == expected.tobytes(), n
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
