@@ -315,8 +315,11 @@ def cmd_train(cfg: RunConfig, stdout=None, log_out: str | None = None) -> int:
 def _evaluate_one(
     cfg: RunConfig, symbol: str, ckpt: Checkpoint, split: SplitResult, stdout
 ) -> dict:
-    run = {"config": cfg.network_config(), "window": cfg.window, "symbol": symbol}
-    differ = [f"{k} {getattr(ckpt, k)} (run: {v})" for k, v in run.items() if getattr(ckpt, k) != v]
+    net = cfg.network_config()
+    arch = ("layer_units", "dropout_rates", "input_features")  # what inference reads: no seed
+    pairs = [(k, getattr(ckpt.config, k), getattr(net, k)) for k in arch]
+    pairs += [("window", ckpt.window, cfg.window), ("symbol", ckpt.symbol, symbol)]
+    differ = [f"{k} {have} (run: {want})" for k, have, want in pairs if have != want]
     if differ:
         raise CheckpointError(f"checkpoint does not match the run: {'; '.join(differ)}")
     scaled_train = transform(ckpt.scaler, split.train.closes(adjusted=cfg.use_adj_close))

@@ -22,17 +22,19 @@ param_blocks names the per-gate row views in flat order.
 
 Activation layout: feature-major, [T, features, B], so each gate of the step
 GEMM w @ z_t -> [4*hidden, B] is a contiguous [hidden, B] row block and the
-gate math runs as in-place ufuncs; _step is the one cell step of both modes.
-A train-mode forward stages x into z [T+1, hidden+input, B] once per layer
-(z[t] = [h_{t-1} | x_t]) and keeps g [T, 4*hidden, B] = [f, i, tanh c_t, o]
-and c [T+1, 2*hidden, B] with c[t] = [c_{t-1} | c~_t]: 7*hidden+input floats
-a step. As c[t] lines up with [f; i], the cell update is one multiply and one
-add of its halves. Inference keeps no BPTT cache and no sequence: it steps
-the whole stack a timestep at a time over one state column [h_top; ...; h_0;
-x_t] whose rows [h_l; h_{l-1}] (h_{-1} = x_t) are layer l's z; with one c
-per layer and one gate buffer, nothing it allocates has a T dimension. Its
-biases are broadcast views, as a [4*hidden, B] copy outweighs the column at
-B = 256; training repeats them, as at B = 32 a broadcast add is ~3x slower.
+gate math runs as in-place ufuncs. _steps is the one recurrence kernel of both
+modes: a cell step is 15 NumPy calls over views sliced before the loop, as at
+small widths a step costs per call, not per FLOP. A train-mode forward stages
+x into z [T+1, hidden+input, B] once per layer (z[t] = [h_{t-1} | x_t]) and
+keeps g [T, 4*hidden, B] = [f, i, tanh c_t, o] and c [T+1, 2*hidden, B] with
+c[t] = [c_{t-1} | c~_t]: 7*hidden+input floats a step. As c[t] lines up with
+[f; i], the cell update is one multiply and one add of its halves. Inference
+keeps no BPTT cache and no sequence: it steps the whole stack a timestep at a
+time over one state column [h_top; ...; h_0; x_t] whose rows [h_l; h_{l-1}]
+(h_{-1} = x_t) are layer l's z; with one c per layer and one gate buffer,
+nothing it allocates has a T dimension. Its biases are broadcast views, as a
+[4*hidden, B] copy outweighs the column at B = 256; training repeats them, as
+at B = 32 a broadcast add is ~3x slower.
 
 Backward first overwrites the spent cache, over time blocks, with the
 gate-derivative factors that do not depend on the incoming gradient:
@@ -115,18 +117,13 @@ def _recycle(buffers) -> None:
         _POOL.setdefault(buf.shape, []).append(buf)
 
 
+# 1.0, read-only: a ufunc converts a Python float operand each call, as slowly as it adds
+_ONE = np.broadcast_to(1.0, ())
+
+
 def _block_steps(hid: int, T: int, B: int) -> int:
     """Steps per _gate_factors block: as many as keep its 7 slabs within L2."""
     return max(1, min(T, (1 << 14) // (hid * B)))
-
-
-def _sigmoid_(x: np.ndarray) -> None:
-    """In place 1 / (1 + exp(-x)). exp overflows to inf below x = -709, which
-    gives exactly 0; callers silence that overflow with np.errstate."""
-    np.negative(x, out=x)
-    np.exp(x, out=x)
-    x += 1.0
-    np.divide(1.0, x, out=x)
 
 
 @dataclass(frozen=True)
@@ -300,21 +297,27 @@ def init_params(config: NetworkConfig) -> NetworkParams:
     return params
 
 
-def _step(w, bias, z_t, c_t, g_t, z_next, c_next, fc_ic) -> None:
-    """One cell step from z_t = [h_prev | x_t] and c_t = [c_prev | -]: writes g_t =
-    [f, i, tanh c_t, o], c~ into c_t, c_t into c_next[:hidden] and h_t into
-    z_next[:hidden]. fc_ic [2*hidden, B], which may be c_next, takes [f c_prev | i c~]."""
-    hid = len(c_t) // 2
-    np.matmul(w, z_t, out=g_t)
-    g_t += bias
-    tc, o = g_t[2 * hid : 3 * hid], g_t[3 * hid :]
-    _sigmoid_(g_t[: 2 * hid])  # f and i
-    np.tanh(tc, out=c_t[hid:])  # c~ beside c_prev: c_t = [c_prev | c~]
-    _sigmoid_(o)
-    np.multiply(g_t[: 2 * hid], c_t, out=fc_ic)
-    np.add(fc_ic[:hid], fc_ic[hid:], out=c_next[:hid])
-    np.tanh(c_next[:hid], out=tc)  # tanh(c_t) over the spent c~ pre-activation
-    np.multiply(o, tc, out=z_next[:hid])
+def _steps(w, bias, fc_ic, fc, ic, steps) -> None:
+    """Cell steps over views sliced beforehand, (z_t, g_t, fi, tc, o, c_t, cand, c_new,
+    h_new) each: from z_t = [h_prev | x_t] and c_t = [c_prev | cand], writes g_t = [fi; tc;
+    o] = [f, i, tanh c_t, o], c~, c_t and h_t. fc_ic = [fc | ic], which may be c_t, takes
+    [f c_prev | i c~]. A sigmoid's exp(-x) overflows below x = -709 to give exactly 0."""
+    for z_t, g_t, fi, tc, o, c_t, cand, c_new, h_new in steps:
+        np.matmul(w, z_t, g_t)
+        np.add(g_t, bias, g_t)
+        np.negative(fi, fi)  # sigmoid of f and i
+        np.exp(fi, fi)
+        np.add(fi, _ONE, fi)
+        np.divide(_ONE, fi, fi)
+        np.tanh(tc, cand)  # c~ beside c_prev: c_t = [c_prev | c~]
+        np.negative(o, o)  # sigmoid of o
+        np.exp(o, o)
+        np.add(o, _ONE, o)
+        np.divide(_ONE, o, o)
+        np.multiply(fi, c_t, fc_ic)
+        np.add(fc, ic, c_new)
+        np.tanh(c_new, tc)  # tanh(c_t) over the spent c~ pre-activation
+        np.multiply(o, tc, h_new)
 
 
 def _layer_forward(params: LstmLayerParams, x: np.ndarray, mask: np.ndarray | None) -> LayerCache:
@@ -334,30 +337,38 @@ def _layer_forward(params: LstmLayerParams, x: np.ndarray, mask: np.ndarray | No
     else:
         np.multiply(x, mask.transpose(0, 2, 1), out=z[:T, hid:])
     bias = np.repeat(params.b[:, np.newaxis], B, axis=1)  # a broadcast add is ~3x slower
-    scratch = np.empty((2 * hid, B))  # fc_ic; c[t + 1] in its place is 2-3% slower
+    fc_ic = np.empty((2 * hid, B))  # c[t + 1] in its place is 2-3% slower
+    gates = (g[:, : 2 * hid], g[:, 2 * hid : 3 * hid], g[:, 3 * hid :])
+    steps = zip(z[:T], g, *gates, c[:T], c[:T, hid:], c[1:, :hid], z[1:, :hid])
     with np.errstate(over="ignore"):
-        for t in range(T):
-            _step(params.w, bias, z[t], c[t], g[t], z[t + 1], c[t + 1], scratch)
+        _steps(params.w, bias, fc_ic, fc_ic[:hid], fc_ic[hid:], steps)
     return LayerCache(z=z, g=g, c=c)
 
 
 def _infer(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """The stack's final hidden state [hidden_last, B]. The state is one column
     [h_top; ...; h_0; x_t]: layer l steps in place on its rows [h_l; h_{l-1}] and one c."""
-    T, inp, B = x.shape
+    _, inp, B = x.shape
     units = [layer.hidden_size for layer in params.layers]
     col = np.zeros((sum(units) + inp, B))
     gates = np.empty((4 * max(units), B))  # a prefix each
     stack, row = [], len(col) - inp  # row: where the layer's h starts, bottom up
     for layer, hid in zip(params.layers, units):
         row -= hid
-        z, c = col[row : row + hid + layer.input_size], np.zeros((2 * hid, B))
-        stack.append((layer.w, layer.b[:, np.newaxis], z, c, gates[: 4 * hid]))
-    with np.errstate(over="ignore"):
-        for t in range(T):
-            col[-inp:] = x[t]  # staged once: only layer 0 reads it
-            for w, bias, z, c, g in stack:
-                _step(w, bias, z, c, g, z, c, c)  # h_l is overwritten after the GEMM reads it
+        z, c, g = col[row : row + hid + layer.input_size], np.zeros((2 * hid, B)), gates[: 4 * hid]
+        # in place: h_l is overwritten after the GEMM reads it
+        step = (z, g, g[: 2 * hid], g[2 * hid : 3 * hid], g[3 * hid :], c, c[hid:], c[:hid], z[:hid])
+        stack.append((layer.w, layer.b[:, np.newaxis], c, c[:hid], c[hid:], (step,)))
+    x_t = col[-inp:]  # staged once a step: only layer 0 reads it
+    with np.errstate(over="ignore"):  # its exit leaves the caller's NumPy 2 context as it was
+        size = np.setbufsize(512)  # per thread: the broadcast bias add's buffer, 4 KiB not 64
+        try:
+            for x_step in x:
+                np.copyto(x_t, x_step)
+                for layer in stack:
+                    _steps(*layer)
+        finally:
+            np.setbufsize(size)  # NumPy 1's errstate does not restore it
     return col[: units[-1]]
 
 
@@ -429,19 +440,19 @@ def _gate_factors(g: np.ndarray, c: np.ndarray, work: np.ndarray, block: int) ->
         np.copyto(s[4:6], cv)
         f, i, tc, o, _, cand, a = s
         np.square(tc, out=a)
-        np.subtract(1.0, a, out=a)
+        np.subtract(_ONE, a, out=a)
         a *= o
         tc *= o
-        np.subtract(1.0, o, out=o)
+        np.subtract(_ONE, o, out=o)
         o *= tc  # Bo; tc's slot is free from here on
         np.square(cand, out=tc)
-        np.subtract(1.0, tc, out=tc)
+        np.subtract(_ONE, tc, out=tc)
         tc *= i  # C
         np.copyto(cv[1], a)
         skip = 1 if t0 == 0 else 0  # f_0 is unused: c_{-1} is the zero state
         np.copyto(c[t0 + skip - 1 : t0 + n - 1, :hid], f[skip:])
         s[4:6] *= s[:2]
-        np.subtract(1.0, s[:2], out=s[:2])
+        np.subtract(_ONE, s[:2], out=s[:2])
         s[:2] *= s[4:6]  # F, I
         np.copyto(gv, s[:4])
     c[T - 1, :hid] = 0.0
@@ -477,18 +488,19 @@ def _layer_backward(
     dc_gates, dc, dh = dcdh[: 2 * hid].reshape(2, hid, B), dcdh[2 * hid : 3 * hid], dcdh[3 * hid :]
     dc[...] = 0.0
     dh[...] = 0.0 if sequence else d_hidden
+    dcdh_tail, prod_c, prod_h = dcdh[2 * hid :], prod[:hid], prod[hid:]
+    above = d_hidden[::-1] if sequence else [None] * T
 
-    for t in reversed(range(T)):
-        gt = g[t]
+    for t, gt, ct, dh_t in zip(range(T - 1, -1, -1), g[::-1], c[T - 1 :: -1], above):
         if sequence:
-            dh += d_hidden[t]
+            dh += dh_t
         # dc_t = f_{t+1} dc_{t+1} + A_t dh_t
-        np.multiply(dcdh[2 * hid :], c[t], out=prod)
-        np.add(prod[:hid], prod[hid:], out=dc)
+        np.multiply(dcdh_tail, ct, prod)
+        np.add(prod_c, prod_h, dc)
         np.copyto(dc_gates, dc)
-        np.multiply(dcdh, gt, out=gt)  # da_t = [dc F, dc I, dc C, dh Bo]
+        np.multiply(dcdh, gt, gt)  # da_t = [dc F, dc I, dc C, dh Bo]
         if t:
-            np.matmul(w_h, gt, out=dh)
+            np.matmul(w_h, gt, dh)
 
     # dW, db and dX over gate-major copies G of da and Z of z, one call each
     cols = T * B

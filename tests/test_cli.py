@@ -61,9 +61,16 @@ def test_evaluate_refuses_checkpoint_of_another_symbol(tmp_path, vnq_checkpoint,
 @pytest.mark.parametrize(
     "flags, named",
     [
-        (["--units", "8,8", "--dropout", "0.1,0.1", "--seed", "7", "--window", "5"], ["config"]),
+        (
+            ["--units", "8,8", "--dropout", "0.1,0.1", "--seed", "7", "--window", "5"],
+            ["layer_units", "dropout_rates"],
+        ),
+        (["--units", "4", "--dropout", "0.5", "--window", "5"], ["dropout_rates"]),
         (["--units", "4", "--window", "6"], ["window"]),
-        (["--units", "4,4", "--window", "6", "--symbols", "VGT"], ["config", "window", "symbol"]),
+        (
+            ["--units", "4,4", "--window", "6", "--symbols", "VGT"],
+            ["layer_units", "dropout_rates", "window", "symbol"],
+        ),
     ],
 )
 def test_evaluate_refuses_a_checkpoint_the_run_does_not_describe(
@@ -74,9 +81,22 @@ def test_evaluate_refuses_a_checkpoint_the_run_does_not_describe(
     assert main(argv + ["evaluate", "--checkpoint", str(vnq_checkpoint)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: checkpoint does not match")
-    fields = ("config", "window", "symbol")
+    fields = ("layer_units", "dropout_rates", "input_features", "window", "symbol")
     assert [f for f in fields if f" {f} " in captured.err] == named
+    assert "seed" not in captured.err
     assert not out.exists()
+
+
+def test_evaluate_scores_a_checkpoint_trained_under_another_seed(tmp_path, capsys):
+    # the seed made the weights; inference reads none, so evaluate does not compare it
+    trained, scored = tmp_path / "trained", tmp_path / "scored"
+    flags = ["--units", "4", "--window", "10", "--epochs", "1", "--symbols", "VNQ"]
+    assert main(["--seed", "1", *flags, "--out-dir", str(trained), "train"]) == 0
+    (checkpoint,) = trained.glob("VNQ-*.ckpt.json")
+    assert main([*flags, "--out-dir", str(scored), "evaluate", "--checkpoint", str(checkpoint)]) == 0
+    assert capsys.readouterr().err == ""
+    (metrics,) = scored.glob("VNQ-*.metrics.json")
+    assert math.isfinite(json.loads(metrics.read_text(encoding="utf-8"))["rmse"])
 
 
 def test_evaluate_refuses_one_checkpoint_for_several_symbols(tmp_path, vnq_checkpoint, capsys):

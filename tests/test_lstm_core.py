@@ -525,11 +525,25 @@ def test_inference_forward_keeps_one_state_column_one_c_and_one_gate_buffer():
     batch = make_rng(38).normal(size=(batch_size, steps, 1))
     units = cfg.layer_units
     rows = sum(units) + cfg.input_features + 2 * sum(units) + 4 * max(units)
-    # slack: NumPy's buffered iterator behind the broadcast bias add (8192
-    # float64s, 64 KiB) and 16 KiB of small objects; a per-layer z copy,
-    # a second z or c slot, or a repeated bias each add more than 16 KiB
-    slack = 64 * 1024 + 16 * 1024
+    # slack: NumPy's buffered iterator behind the broadcast bias add (512
+    # float64s, 4 KiB, at the buffer size _infer sets) and 16 KiB of small
+    # objects; the default 8192-element buffer (64 KiB), a per-layer z copy, a
+    # second z or c slot, or a repeated bias each add more than 16 KiB
+    slack = 4 * 1024 + 16 * 1024
     assert _forward_peak_bytes(params, cfg, batch, "inference") <= rows * batch_size * 8 + slack
+
+
+def test_inference_leaves_the_callers_ufunc_buffer_size():
+    # inference steps under a 512-element buffer; a buffered reduction rounds
+    # by the buffer size, so the caller's must come back unchanged
+    cfg = NetworkConfig(layer_units=(4, 3), dropout_rates=(0.0, 0.0), seed=6)
+    batch = make_rng(39).normal(size=(5, 7, 1))
+    with np.errstate():
+        np.setbufsize(4096)
+        network_forward(init_params(cfg), cfg, batch, mode="inference")
+        assert np.getbufsize() == 4096
+    network_forward(init_params(cfg), cfg, batch, mode="inference")
+    assert np.getbufsize() == 8192
 
 
 def test_inference_forward_memory_does_not_grow_with_steps():
