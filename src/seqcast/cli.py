@@ -397,6 +397,8 @@ def cmd_sweep(cfg: RunConfig, stdout=None, log_out: str | None = None) -> int:
 
 def cmd_gradcheck(cfg: RunConfig, probes: int, tolerance: float | None, stdout=None) -> int:
     """Finite-difference audit of the BPTT gradients on 2 random series of 5 steps."""
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"--tolerance must be finite and > 0, got {tolerance:g}")
     net_cfg = cfg.network_config()
     params = init_params(net_cfg)
     rng = make_rng(cfg.seed)
@@ -405,7 +407,7 @@ def cmd_gradcheck(cfg: RunConfig, probes: int, tolerance: float | None, stdout=N
     y = pred[:, 0] + 0.1 * rng.standard_normal(2)
     err = finite_diff_gradcheck(params, net_cfg, x, y, probe_count=probes, seed=cfg.seed)
     print(f"max_relative_error={err:.3e} probes={probes} step={GRADCHECK_STEP:g}", file=stdout)
-    if tolerance is not None and err >= tolerance:
+    if tolerance is not None and not err < tolerance:  # a NaN error fails too
         print(f"error: gradient check failed tolerance {tolerance:g}", file=sys.stderr)
         return 1
     return 0

@@ -33,8 +33,8 @@ keeps no BPTT cache and no sequence: it steps the whole stack a timestep at a
 time over one state column [h_top; ...; h_0; x_t] whose rows [h_l; h_{l-1}]
 (h_{-1} = x_t) are layer l's z; with one c per layer and one gate buffer,
 nothing it allocates has a T dimension. Its biases are broadcast views, as a
-[4*hidden, B] copy outweighs the column at B = 256; training repeats them, as
-at B = 32 a broadcast add is ~3x slower.
+[4*hidden, B] copy outweighs the column at B = 256; training tiles them into
+its frame, as at B = 32 a broadcast add is ~3x slower.
 
 Backward first overwrites the spent cache, over time blocks, with the
 gate-derivative factors that do not depend on the incoming gradient:
@@ -49,18 +49,25 @@ Numerics: the forward is bitwise that of the equations above. The backward
 multiplies each gate gradient's factors in another order than left to right
 (dc * ((1 - f) * (c_{t-1} * f)) for da_f): its gradients differ by rounding.
 
-Buffers: a train-mode forward takes z, g, c and the dropout masks, and
-backward its scratch, from a module-private pool of float64 buffers keyed by
-shape. Once the cache is consumed, network_backward gives them back and
-drops every array the cache held (a second backward raises
-StaleCacheError), so a steady training step allocates little beyond the
-gradients it returns. Recycled buffers are not cleared: the kernel writes
-every element before it reads it. The pool keeps, per shape, as many
-buffers as were live at once, for the life of the process (at the paper
-config, B = 32, T = 100: about 85 MB, plus 37 MB for a short last batch of
-14). Inference never uses it: concurrent inference calls share nothing but
-the params, which they only read, so they may run on threads. Taking and
-giving back are single list operations, so threads never share a buffer.
+Buffers: a train-mode forward runs in a frame, one per (layer sizes, which
+dropout rates are > 0, T, B), which it takes from a module-private pool or
+builds when the pool has none. A frame holds every layer's z, g and c, its
+bias tile and fc_ic scratch, the dropout masks and backward's scratch (work,
+and d_inputs for dX). It also holds every view of them the kernels read,
+sliced once when it is built: _steps' cell steps, _gate_factors' blocks, the
+BPTT loop's steps and the dX steps that feed the layer below, so a batch
+slices nothing a batch before it sliced. network_forward returns a fresh
+NetworkCache handle on the frame; network_backward detaches the frame and
+gives it back (a second backward on the handle raises StaleCacheError), so
+a steady training step allocates little beyond the gradients it returns.
+Recycled frames are not cleared: the kernels write every element before
+they read it. The pool keeps, per key, as many frames as were live at once,
+with their view objects, for the life of the process (at the paper config,
+T = 100: 86.4 MB for B = 32, 0.84 MB of it view objects and their lists,
+plus 38.2 MB, 0.77 MB of it views, for a short last batch of 14). Inference
+never uses it: concurrent inference calls share nothing but the params,
+which they only read, so they may run on threads. Taking and giving back
+are single list operations, so threads never share a frame.
 
 Layer stacking: every layer but the last feeds its hidden states to the
 next; the last emits its final hidden state, which the dense head maps to
@@ -97,24 +104,10 @@ DEFAULT_LAYER_UNITS = (50, 60, 80, 120)
 DEFAULT_DROPOUT_RATES = (0.2, 0.3, 0.4, 0.5)
 
 
-# Recycled BPTT buffers by shape (see the module docstring). A buffer in
-# the pool belongs to no one: _take hands it to one caller, and only
-# network_backward gives buffers back, once their cache is consumed.
-_POOL: dict[tuple[int, ...], list[np.ndarray]] = {}
-
-
-def _take(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float64 buffer of `shape`: a recycled one when the pool has it."""
-    try:
-        return _POOL[shape].pop()
-    except (KeyError, IndexError):
-        return np.empty(shape)
-
-
-def _recycle(buffers) -> None:
-    """Give buffers back to the pool; no reference to them may remain in use."""
-    for buf in buffers:
-        _POOL.setdefault(buf.shape, []).append(buf)
+# Training frames by (layer sizes, which dropout rates are > 0, T, B) (see the
+# module docstring). A frame in the pool belongs to no one: network_forward hands
+# it to one cache, and only network_backward gives it back, once that cache is consumed.
+_POOL: dict[tuple, list[_Frame]] = {}
 
 
 # 1.0, read-only: a ufunc converts a Python float operand each call, as slowly as it adds
@@ -196,23 +189,87 @@ class NetworkParams:
     dense: DenseParams
 
 
-@dataclass
 class LayerCache:
-    """Feature-major forward intermediates one layer keeps for BPTT."""
+    """One layer's part of a training frame: its BPTT cache z, g and c, the forward's
+    bias tile and fc_ic scratch, and every view of them, of the dropout masks and of
+    the frame's backward scratch that the kernels read, sliced once."""
 
-    z: np.ndarray  # [T + 1, hidden + input, B]: z[t] = [h_{t-1} | x_t]
-    g: np.ndarray  # [T, 4 * hidden, B]: f, i, tanh(c_t), o; gate gradients after backward
-    c: np.ndarray  # [T + 1, 2 * hidden, B]: c[t] = [c_{t-1} | c~_t], c_{-1} = 0
+    def __init__(self, hid, inp, T, B, work, d_inputs, mask_in, bottom, top) -> None:
+        width, rows, cols = hid + inp, 4 * hid, T * B
+        self.z = z = np.empty((T + 1, width, B))  # z[t] = [h_{t-1} | x_t]
+        self.g = g = np.empty((T, rows, B))  # f, i, tanh(c_t), o; gate gradients after backward
+        self.c = c = np.empty((T + 1, 2 * hid, B))  # c[t] = [c_{t-1} | c~_t], c_{-1} = 0
+        self.bias = np.empty((rows, B))  # a broadcast add is ~3x slower
+        self.fc_ic = np.empty((2 * hid, B))  # c[t + 1] in its place is 2-3% slower
+        self.mask_in = mask_in  # [T, in, B]: the layer below's dropout, or None
+        # forward: the zero state, the staged input, the hidden sequence and _steps' steps
+        self.h0, self.c0, self.x, self.h = z[0, :hid], c[0, :hid], z[:T, hid:], z[1:, :hid]
+        self.fc, self.ic = self.fc_ic[:hid], self.fc_ic[hid:]
+        gates = (g[:, : 2 * hid], g[:, 2 * hid : 3 * hid], g[:, 3 * hid :])
+        self.steps = list(zip(z[:T], g, *gates, c[:T], c[:T, hid:], c[1:, :hid], z[1:, :hid]))
+        # backward: _gate_factors' time blocks, each gathered gate-major into work
+        self.blocks, block = [], _block_steps(hid, T, B)
+        for t0 in range(0, T, block):
+            n, skip = min(block, T - t0), int(t0 == 0)  # f_0 is unused: c_{-1} is the zero state
+            gv = g[t0 : t0 + n].reshape(n, 4, hid, B).transpose(1, 0, 2, 3)
+            cv = c[t0 : t0 + n].reshape(n, 2, hid, B).transpose(1, 0, 2, 3)
+            s = work[: 7 * n * hid * B].reshape(7, n, hid, B)
+            f, i, tc, o, _, cand, a = s
+            f_dst, f_src = c[t0 + skip - 1 : t0 + n - 1, :hid], f[skip:]
+            block_views = (gv, cv, s[:4], s[4:6], s[:2], i, tc, o, cand, a, cv[1], f_dst, f_src)
+            self.blocks.append(block_views)
+        self.f_last = c[T - 1, :hid]
+        # the time loop: [dc, dc, dc, dh], so that da_t = dcdh * g[t] and [dc | dh] lines up
+        # with c[t], and each step's (t, g[t], c[t], gradient from above)
+        dcdh = work[: 4 * hid * B].reshape(4 * hid, B)
+        prod = work[4 * hid * B : 6 * hid * B].reshape(2 * hid, B)
+        dc_gates = dcdh[: 2 * hid].reshape(2, hid, B)
+        dc, dcdh_tail, dh = dcdh[2 * hid : 3 * hid], dcdh[2 * hid :], dcdh[3 * hid :]
+        self.loop = (dcdh, dcdh_tail, prod, prod[:hid], prod[hid:], dc_gates, dc, dh)
+        above = [None] * T  # the top layer's gradient enters at its final step only
+        if not top:  # the dX the layer above leaves in d_inputs
+            above = d_inputs[: hid * cols].reshape(hid, T, B).transpose(1, 0, 2)[::-1]
+        self.bptt = list(zip(range(T - 1, -1, -1), g[::-1], c[T - 1 :: -1], above))
+        # gate-major copies G of da and Z of z, for dW = G Z^T and dX = W_x^T G
+        self.gm = gm = work[: rows * cols].reshape(rows, cols)
+        zm = work[rows * cols : (rows + width) * cols].reshape(width, cols)
+        self.copies = (
+            (gm.reshape(rows, T, B), g.transpose(1, 0, 2)),
+            (zm.reshape(width, T, B), z[:T].transpose(1, 0, 2)),
+        )
+        self.zm_t = zm.T
+        self.dx = None if bottom else d_inputs[: inp * cols].reshape(inp, cols)
+        self.dx_seq = None if bottom else self.dx.reshape(inp, T, B).transpose(1, 0, 2)
+
+
+class _Frame:
+    """Everything one train-mode forward and its BPTT use: per layer a LayerCache, the
+    dropout masks, the backward's flat scratch `work` and dX buffer `d_inputs`."""
+
+    def __init__(self, key) -> None:
+        sizes, dropped, T, B = key
+        span = max(max((5 * h + i) * T, 7 * h * _block_steps(h, T, B)) for h, i in sizes)
+        self.key = key
+        self.work = np.empty(span * B)  # G and Z after the time loop, or one _gate_factors block
+        self.d_inputs = np.empty(max((i for _, i in sizes[1:]), default=0) * T * B)
+        self.masks: list[np.ndarray | None] = []  # on each layer's output, None = identity
+        self.layers: list[LayerCache] = []
+        for idx, ((hid, inp), drop) in enumerate(zip(sizes, dropped)):
+            below = self.masks[-1] if idx else None
+            mask_in = None if below is None else below.transpose(0, 2, 1)
+            top = idx == len(sizes) - 1
+            layer = LayerCache(hid, inp, T, B, self.work, self.d_inputs, mask_in, not idx, top)
+            self.layers.append(layer)
+            # batch-major [T, B, hidden], or [B, hidden] on the last state
+            self.masks.append(np.empty((B, hid) if top else (T, B, hid)) if drop else None)
 
 
 @dataclass
 class NetworkCache:
-    """Per-layer caches plus dropout masks; retained only for training."""
+    """A train-mode forward's handle on its frame; retained only for training."""
 
-    layer_caches: list[LayerCache]
-    dropout_masks: list[np.ndarray | None]  # mask on each layer's output, None = identity
+    frame: _Frame | None  # None once network_backward has given it back to the pool
     final_hidden: np.ndarray | None  # [B, hidden_last] after dropout; input to the dense head
-    consumed: bool = False  # set by network_backward, which recycles the buffers
 
 
 def _bind(flat: np.ndarray, sizes: list[tuple[int, int]]) -> NetworkParams:
@@ -320,29 +377,20 @@ def _steps(w, bias, fc_ic, fc, ic, steps) -> None:
         np.multiply(o, tc, h_new)
 
 
-def _layer_forward(params: LstmLayerParams, x: np.ndarray, mask: np.ndarray | None) -> LayerCache:
+def _layer_forward(params: LstmLayerParams, x: np.ndarray, lc: LayerCache) -> None:
     """Train-mode recurrence over a feature-major [T, in, B] input from zero state.
 
-    Stages x, times `mask` (its batch-major [T, B, in] dropout) if given, into
-    pooled z and returns the BPTT cache; the hidden sequence is z[1:, :hidden].
+    Stages x, times lc.mask_in if given, into lc.z and fills lc's BPTT cache; the
+    hidden sequence is lc.h.
     """
-    T, _, B = x.shape
-    hid = params.hidden_size
-    z = _take((T + 1, hid + params.input_size, B))
-    c = _take((T + 1, 2 * hid, B))
-    g = _take((T, 4 * hid, B))
-    z[0, :hid] = c[0, :hid] = 0.0
-    if mask is None:
-        z[:T, hid:] = x
+    lc.h0[...] = lc.c0[...] = 0.0
+    if lc.mask_in is None:
+        lc.x[...] = x
     else:
-        np.multiply(x, mask.transpose(0, 2, 1), out=z[:T, hid:])
-    bias = np.repeat(params.b[:, np.newaxis], B, axis=1)  # a broadcast add is ~3x slower
-    fc_ic = np.empty((2 * hid, B))  # c[t + 1] in its place is 2-3% slower
-    gates = (g[:, : 2 * hid], g[:, 2 * hid : 3 * hid], g[:, 3 * hid :])
-    steps = zip(z[:T], g, *gates, c[:T], c[:T, hid:], c[1:, :hid], z[1:, :hid])
+        np.multiply(x, lc.mask_in, out=lc.x)
+    np.copyto(lc.bias, params.b[:, np.newaxis])
     with np.errstate(over="ignore"):
-        _steps(params.w, bias, fc_ic, fc_ic[:hid], fc_ic[hid:], steps)
-    return LayerCache(z=z, g=g, c=c)
+        _steps(params.w, lc.bias, lc.fc_ic, lc.fc, lc.ic, lc.steps)
 
 
 def _infer(params: NetworkParams, x: np.ndarray) -> np.ndarray:
@@ -405,40 +453,34 @@ def network_forward(
         raise ValueError("train-mode forward with nonzero dropout needs an rng")
 
     B, T, _ = arr.shape
-    layer_caches, masks, mask = [], [], None
-    for layer, rate in zip(params.layers, config.dropout_rates):
-        cache = _layer_forward(layer, x, mask)
-        hid = layer.hidden_size
-        x = cache.z[1:, :hid]  # the hidden sequence [T, hidden, B]
-        mask = None
-        if rate > 0.0:  # batch-major [T, B, hidden], or [B, hidden] on the last state
-            mask = _take((B, hid) if layer is params.layers[-1] else (T, B, hid))
+    rates = config.dropout_rates
+    key = (tuple(_param_sizes(params)), tuple(r > 0.0 for r in rates), T, B)
+    try:
+        frame = _POOL[key].pop()
+    except (KeyError, IndexError):
+        frame = _Frame(key)
+    for layer, lc, rate, mask in zip(params.layers, frame.layers, rates, frame.masks):
+        _layer_forward(layer, x, lc)
+        x = lc.h  # the hidden sequence [T, hidden, B]
+        if mask is not None:
             rng.random(out=mask)
             np.greater_equal(mask, rate, out=mask)
             np.divide(mask, 1.0 - rate, out=mask)
-        layer_caches.append(cache)
-        masks.append(mask)
 
     final_hidden = x[-1].T if mask is None else x[-1].T * mask  # [B, hidden_last]
     predictions = (final_hidden @ params.dense.w + params.dense.b[0])[:, np.newaxis]
-    return predictions, NetworkCache(layer_caches, masks, final_hidden)
+    return predictions, NetworkCache(frame, final_hidden)
 
 
-def _gate_factors(g: np.ndarray, c: np.ndarray, work: np.ndarray, block: int) -> None:
+def _gate_factors(blocks, f_last: np.ndarray) -> None:
     """Turn a layer's cache, g[t] = [f, i, tanh c, o] and c[t] = [c_{t-1} | c~], into
     g[t] = [F, I, C, Bo] and c[t] = [f_{t+1} | A] (f_T = 0): F = c_{t-1} f (1-f),
     I = c~ i (1-i), C = i (1-c~^2), Bo = tanh c o (1-o), A = o (1-tanh^2 c). Each
-    block is gathered gate-major into `work`: over a strided view, NumPy buffers."""
-    T, rows, B = g.shape
-    hid = rows // 4
-    for t0 in range(0, T, block):
-        n = min(block, T - t0)
-        gv = g[t0 : t0 + n].reshape(n, 4, hid, B).transpose(1, 0, 2, 3)
-        cv = c[t0 : t0 + n].reshape(n, 2, hid, B).transpose(1, 0, 2, 3)
-        s = work[: 7 * n * hid * B].reshape(7, n, hid, B)
-        np.copyto(s[:4], gv)
-        np.copyto(s[4:6], cv)
-        f, i, tc, o, _, cand, a = s
+    block is gathered gate-major into the frame's work: over a strided view, NumPy
+    buffers. `blocks` and `f_last` (c[T-1, :hidden]) are a LayerCache's views."""
+    for gv, cv, gates, cells, fi, i, tc, o, cand, a, a_dst, f_dst, f_src in blocks:
+        np.copyto(gates, gv)
+        np.copyto(cells, cv)
         np.square(tc, out=a)
         np.subtract(_ONE, a, out=a)
         a *= o
@@ -448,51 +490,35 @@ def _gate_factors(g: np.ndarray, c: np.ndarray, work: np.ndarray, block: int) ->
         np.square(cand, out=tc)
         np.subtract(_ONE, tc, out=tc)
         tc *= i  # C
-        np.copyto(cv[1], a)
-        skip = 1 if t0 == 0 else 0  # f_0 is unused: c_{-1} is the zero state
-        np.copyto(c[t0 + skip - 1 : t0 + n - 1, :hid], f[skip:])
-        s[4:6] *= s[:2]
-        np.subtract(_ONE, s[:2], out=s[:2])
-        s[:2] *= s[4:6]  # F, I
-        np.copyto(gv, s[:4])
-    c[T - 1, :hid] = 0.0
+        np.copyto(a_dst, a)
+        np.copyto(f_dst, f_src)
+        cells *= fi
+        np.subtract(_ONE, fi, out=fi)
+        fi *= cells  # F, I
+        np.copyto(gv, gates)
+    f_last[...] = 0.0
 
 
 def _layer_backward(
-    params: LstmLayerParams,
-    cache: LayerCache,
-    d_hidden: np.ndarray,
-    grads: LstmLayerParams,
-    work: np.ndarray,
-    d_inputs: np.ndarray | None,
-) -> np.ndarray | None:
-    """BPTT through one layer, overwriting cache.g with the gate gradients.
+    params: LstmLayerParams, lc: LayerCache, d_last: np.ndarray | None, grads: LstmLayerParams
+) -> None:
+    """BPTT through one layer, overwriting lc.g with the gate gradients.
 
-    d_hidden is the loss gradient into the layer's hidden outputs: [T, hidden,
-    B] from a whole-sequence consumer, or [hidden, B] into the final step.
-    Writes the parameter gradients into `grads`; `work` is flat scratch sized
-    by network_backward. Given `d_inputs`, flat scratch of input * T * B floats
-    apart from `work`, returns the input gradient as a [T, in, B] view of it,
-    else None. d_hidden may live in d_inputs: it is read before dX is written.
+    d_last is the loss gradient [hidden, B] into the top layer's final step; a
+    lower layer (d_last None) reads its [T, hidden, B] gradient from the dX that
+    the layer above left in the frame, which the time loop reads before dX
+    overwrites it. Writes the parameter gradients into `grads` and, above the
+    bottom layer, dX times the dropout of the layer below into lc.dx_seq.
     """
-    z, g, c = cache.z, cache.g, cache.c
-    T, rows, B = g.shape
-    width = z.shape[1]
+    _gate_factors(lc.blocks, lc.f_last)
     hid = params.hidden_size
-    _gate_factors(g, c, work, _block_steps(hid, T, B))
     w_h = params.w[:, :hid].T  # [hidden, 4*hidden]: recurrent part of dz = w.T @ da
-    sequence = d_hidden.ndim == 3
-    # [dc, dc, dc, dh]: da_t = dcdh * g[t], and [dc | dh] lines up with c[t]
-    dcdh = work[: 4 * hid * B].reshape(4 * hid, B)
-    prod = work[4 * hid * B : 6 * hid * B].reshape(2 * hid, B)
-    dc_gates, dc, dh = dcdh[: 2 * hid].reshape(2, hid, B), dcdh[2 * hid : 3 * hid], dcdh[3 * hid :]
+    dcdh, dcdh_tail, prod, prod_c, prod_h, dc_gates, dc, dh = lc.loop
     dc[...] = 0.0
-    dh[...] = 0.0 if sequence else d_hidden
-    dcdh_tail, prod_c, prod_h = dcdh[2 * hid :], prod[:hid], prod[hid:]
-    above = d_hidden[::-1] if sequence else [None] * T
+    dh[...] = 0.0 if d_last is None else d_last
 
-    for t, gt, ct, dh_t in zip(range(T - 1, -1, -1), g[::-1], c[T - 1 :: -1], above):
-        if sequence:
+    for t, gt, ct, dh_t in lc.bptt:
+        if dh_t is not None:
             dh += dh_t
         # dc_t = f_{t+1} dc_{t+1} + A_t dh_t
         np.multiply(dcdh_tail, ct, prod)
@@ -503,18 +529,14 @@ def _layer_backward(
             np.matmul(w_h, gt, dh)
 
     # dW, db and dX over gate-major copies G of da and Z of z, one call each
-    cols = T * B
-    gm = work[: rows * cols].reshape(rows, cols)
-    zm = work[rows * cols : (rows + width) * cols].reshape(width, cols)
-    np.copyto(gm.reshape(rows, T, B), g.transpose(1, 0, 2))
-    np.copyto(zm.reshape(width, T, B), z[:T].transpose(1, 0, 2))
-    np.matmul(gm, zm.T, out=grads.w)
-    np.sum(gm, axis=1, out=grads.b)
-    if d_inputs is None:
-        return None
-    dx = d_inputs[: (width - hid) * cols].reshape(width - hid, cols)
-    np.matmul(params.w[:, hid:].T, gm, out=dx)
-    return dx.reshape(width - hid, T, B).transpose(1, 0, 2)
+    for dst, src in lc.copies:
+        np.copyto(dst, src)
+    np.matmul(lc.gm, lc.zm_t, out=grads.w)
+    np.sum(lc.gm, axis=1, out=grads.b)
+    if lc.dx is not None:
+        np.matmul(params.w[:, hid:].T, lc.gm, out=lc.dx)
+        if lc.mask_in is not None:
+            lc.dx_seq *= lc.mask_in
 
 
 def network_backward(
@@ -528,50 +550,35 @@ def network_backward(
     d_predictions is the loss gradient at the network output ([B, 1] or [B]),
     e.g. training.mse_grad; the cache must come from a train-mode forward on
     the same batch so the dropout masks are reused exactly. The cache is
-    consumed: its buffers go back to the pool, it keeps no arrays, and a
+    consumed: its frame goes back to the pool, it keeps no arrays, and a
     second backward on it raises StaleCacheError.
     """
     if cache is None:
         raise StaleCacheError("backward needs the cache from a train-mode forward")
-    if cache.consumed:
-        raise StaleCacheError("cache already used by a backward pass, which recycled its buffers")
-    if len(cache.layer_caches) != len(params.layers):
+    frame = cache.frame
+    if frame is None:
+        raise StaleCacheError("cache already used by a backward pass, which gave back its frame")
+    if len(frame.layers) != len(params.layers):
         raise StaleCacheError(
-            f"cache has {len(cache.layer_caches)} layers, params have {len(params.layers)}"
+            f"cache has {len(frame.layers)} layers, params have {len(params.layers)}"
         )
-    T, _, B = cache.layer_caches[0].g.shape
+    B = frame.key[-1]
     d_pred = np.asarray(d_predictions, dtype=np.float64).reshape(-1)
     if d_pred.shape[0] != B:
         raise StaleCacheError(f"gradient batch {d_pred.shape[0]} does not match cache batch {B}")
-    cache.consumed = True
+    cache.frame = None
 
     grads = zeros_like_params(params)
     grads.dense.w[...] = cache.final_hidden.T @ d_pred
     grads.dense.b[0] = d_pred.sum()
     d_out = np.outer(d_pred, params.dense.w)  # [B, hidden_last]
-    if cache.dropout_masks[-1] is not None:
-        d_out *= cache.dropout_masks[-1]
+    if frame.masks[-1] is not None:
+        d_out *= frame.masks[-1]
+    d_last = d_out.T  # feature-major from here on
+    for layer, lc, layer_grads in zip(params.layers[::-1], frame.layers[::-1], grads.layers[::-1]):
+        _layer_backward(layer, lc, d_last, layer_grads)
+        d_last = None
 
-    d_hidden = d_out.T  # feature-major from here on
-    sizes = _param_sizes(params)
-    span = max(max((5 * h + i) * T, 7 * h * _block_steps(h, T, B)) for h, i in sizes)
-    work = _take((span * B,))  # G and Z after the loop, or one _gate_factors block
-    d_inputs = _take((max((inp for _, inp in sizes[1:]), default=0) * T * B,))
-    for idx in reversed(range(len(params.layers))):
-        d_hidden = _layer_backward(
-            params.layers[idx],
-            cache.layer_caches[idx],
-            d_hidden,
-            grads.layers[idx],
-            work,
-            d_inputs if idx else None,
-        )
-        mask = cache.dropout_masks[idx - 1] if idx else None
-        if mask is not None:
-            d_hidden *= mask.transpose(0, 2, 1)
-
-    _recycle([work, d_inputs])
-    _recycle(a for lc in cache.layer_caches for a in (lc.z, lc.g, lc.c))
-    _recycle(m for m in cache.dropout_masks if m is not None)
-    cache.layer_caches, cache.dropout_masks, cache.final_hidden = [], [], None
+    cache.final_hidden = None
+    _POOL.setdefault(frame.key, []).append(frame)
     return grads

@@ -181,7 +181,8 @@ def finite_diff_gradcheck(
     Dropout rates are forced to zero (random masks would break the
     comparison). Each probed scalar moves by ±GRADCHECK_STEP, and its
     relative error is |a - fd| / max(|a|, |fd|, 1e-8); returns the max
-    over the probes, of which there must be at least one.
+    over the probes, of which there must be at least one. A non-finite
+    analytic or finite-difference value makes the error, and so the max, NaN.
     """
     if probe_count < 1:
         raise ValueError(f"probes must be >= 1, got {probe_count}")
@@ -200,7 +201,7 @@ def finite_diff_gradcheck(
     rng = make_rng(seed)
     picks = rng.integers(0, params.flat.size, size=probe_count)
 
-    worst = 0.0
+    errors = []
     for k in picks:
         saved = float(params.flat[k])
         params.flat[k] = saved + GRADCHECK_STEP
@@ -210,5 +211,5 @@ def finite_diff_gradcheck(
         params.flat[k] = saved
         fd = (loss_plus - loss_minus) / (2.0 * GRADCHECK_STEP)
         a = float(analytic.flat[k])
-        worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-8))
-    return worst
+        errors.append(abs(a - fd) / max(abs(a), abs(fd), 1e-8))  # NaN if a or fd is not finite
+    return float(np.max(errors))  # unlike max(), np.max keeps a NaN

@@ -588,6 +588,23 @@ def test_gradcheck_past_its_tolerance_fails(capsys):
     assert captured.err == "error: gradient check failed tolerance 1e-30\n"
 
 
+def test_gradcheck_with_a_nan_error_fails_its_tolerance(monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "finite_diff_gradcheck", lambda *args, **kwargs: math.nan)
+    assert main(["--units", "4", "gradcheck", "--probes", "5", "--tolerance", "1e-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("max_relative_error=nan ")
+    assert captured.err == "error: gradient check failed tolerance 0.001\n"
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-3"])
+def test_gradcheck_refuses_a_tolerance_that_is_not_finite_and_positive(capsys, tolerance):
+    # "nan" passed every error, however large
+    assert main(["--units", "4", "gradcheck", "--probes", "5", f"--tolerance={tolerance}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --tolerance must be finite and > 0, got ")
+
+
 def test_module_runs_gradcheck_without_installing():
     src = Path(seqcast.__file__).parents[1]  # `-m` looks in the working directory first
     argv = ["--units", "4", "gradcheck", "--probes", "20", "--tolerance", "1e-3"]

@@ -48,7 +48,10 @@ def layer_forward(layer, sequence, return_sequences=True):
     arr = np.asarray(sequence, dtype=np.float64)
     single = arr.ndim == 2
     x = (arr[np.newaxis] if single else arr).transpose(1, 2, 0)  # [T, in, B]
-    cache = lstm_core._layer_forward(layer, x, None)
+    T, _, B = x.shape
+    # a one-layer frame without dropout: its layer stages x as it is
+    cache = lstm_core._Frame((((layer.hidden_size, layer.input_size),), (False,), T, B)).layers[0]
+    lstm_core._layer_forward(layer, x, cache)
     h = cache.z[1:, : layer.hidden_size]  # [T, hidden, B]
     out = h.transpose(2, 0, 1) if return_sequences else h[-1].T
     return (out[0] if single else out), cache
@@ -163,7 +166,7 @@ def test_dropout_rate_zero_is_identity():
     batch = make_rng(15).normal(size=(4, 6, 1))
     rng = make_rng(0)
     _, cache = network_forward(init_params(cfg), cfg, batch, mode="train", rng=rng)
-    assert cache.dropout_masks == [None, None]
+    assert cache.frame.masks == [None, None]
     assert rng.random() == make_rng(0).random()  # no mask was drawn
 
 
@@ -181,7 +184,7 @@ def test_dropout_train_frequency_and_scaling():
     batch_size, steps = 400, 30
     batch = make_rng(17).normal(size=(batch_size, steps, 1))
     _, cache = network_forward(params, DROPOUT_CFG, batch, mode="train", rng=make_rng(17))
-    masks = cache.dropout_masks
+    masks = cache.frame.masks
     assert [m.shape for m in masks] == [(steps, batch_size, 6), (steps, batch_size, 5), (batch_size, 4)]
     for mask, rate in zip(masks, DROPOUT_CFG.dropout_rates):
         survivor = 1.0 / (1.0 - rate)
@@ -436,7 +439,7 @@ def test_backward_refuses_a_consumed_cache():
     batch = make_rng(26).normal(size=(2, 4, 1))
     _, cache = network_forward(params, cfg, batch, mode="train", rng=make_rng(27))
     network_backward(params, cfg, cache, np.ones((2, 1)))
-    assert cache.consumed
+    assert cache.frame is None
     with pytest.raises(StaleCacheError, match="already used"):
         network_backward(params, cfg, cache, np.ones((2, 1)))
 
@@ -557,34 +560,45 @@ def test_inference_forward_memory_does_not_grow_with_steps():
     assert _forward_peak_bytes(params, cfg, long, "inference") <= short_peak + slack
 
 
-# ------------------------------------------------------------- buffer pool
+# -------------------------------------------------------------- frame pool
 
 
 @pytest.fixture
 def cold_pool(monkeypatch):
-    """An empty buffer pool of the test's own, so earlier tests cannot warm it."""
+    """An empty frame pool of the test's own, so earlier tests cannot warm it."""
     pool: dict = {}
     monkeypatch.setattr(lstm_core, "_POOL", pool)
     return pool
 
 
 @pytest.mark.parametrize("block", [1, 3, 14])
-def test_gate_factor_blocks_leave_the_gradients_bitwise_unchanged(monkeypatch, block):
+def test_gate_factor_blocks_leave_the_gradients_bitwise_unchanged(cold_pool, monkeypatch, block):
     # (8, 8) at T=20 and B=32 factors each layer in one 20-step block
     cfg = NetworkConfig(layer_units=(8, 8), dropout_rates=(0.2, 0.3), seed=52)
     params = init_params(cfg)
     batch = make_rng(53).normal(size=(32, 20, 1))
     assert lstm_core._block_steps(8, 20, 32) == 20
     whole = _step(params, cfg, batch, seed=54)[1]
+    # a frame slices its blocks when it is built, so the patched size needs a cold pool
     monkeypatch.setattr(lstm_core, "_block_steps", lambda hid, T, B: block)
+    monkeypatch.setattr(lstm_core, "_POOL", {})
     np.testing.assert_array_equal(_step(params, cfg, batch, seed=54)[1], whole)
+    (frame,) = lstm_core._POOL.popitem()[1]
+    assert [len(lc.blocks) for lc in frame.layers] == [-(-20 // block)] * 2
+
+
+def _frame_buffers(frame):
+    """Every buffer a frame holds: each view it keeps is a view of one of these."""
+    layers = [a for lc in frame.layers for a in (lc.z, lc.g, lc.c, lc.bias, lc.fc_ic)]
+    return layers + [m for m in frame.masks if m is not None] + [frame.work, frame.d_inputs]
 
 
 def _poison(pool):
-    """Fill every pooled buffer with NaN: a value read before it is written shows."""
-    for buffers in pool.values():
-        for buf in buffers:
-            buf.fill(np.nan)
+    """Fill every buffer of every pooled frame with NaN: a value read before it is written shows."""
+    for frames in pool.values():
+        for frame in frames:
+            for buf in _frame_buffers(frame):
+                buf.fill(np.nan)
 
 
 def _step(params, cfg, batch, seed):
@@ -593,9 +607,13 @@ def _step(params, cfg, batch, seed):
     return pred, network_backward(params, cfg, cache, d_pred).flat
 
 
-def _cache_buffers(cache):
-    masks = [m for m in cache.dropout_masks if m is not None]
-    return [a for lc in cache.layer_caches for a in (lc.z, lc.g, lc.c)] + masks
+def _views(obj):
+    """The arrays in obj, through tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _views(item)
 
 
 def test_warm_pool_gives_bitwise_equal_gradients(cold_pool):
@@ -615,13 +633,58 @@ def test_consumed_cache_keeps_no_buffers(cold_pool):
     params = init_params(ORACLE_CFG)
     batch = make_rng(42).normal(size=(3, 5, 1))
     _, cache = network_forward(params, ORACLE_CFG, batch, mode="train", rng=make_rng(43))
-    consumed = _cache_buffers(cache)
+    frame = cache.frame
     network_backward(params, ORACLE_CFG, cache, np.ones((3, 1)))
     # no array left, so nothing the consumed cache holds can alias a later forward's
-    assert (cache.layer_caches, cache.dropout_masks, cache.final_hidden) == ([], [], None)
+    assert (cache.frame, cache.final_hidden) == (None, None)
 
     _, nxt = network_forward(params, ORACLE_CFG, batch, mode="train", rng=make_rng(43))
-    assert all(any(a is b for b in consumed) for a in _cache_buffers(nxt))  # recycled
+    assert nxt is not cache and nxt.frame is frame  # a fresh handle on the recycled frame
+    with pytest.raises(StaleCacheError, match="already used"):
+        network_backward(params, ORACLE_CFG, cache, np.ones((3, 1)))
+
+
+def test_live_forwards_hold_disjoint_frames_and_give_cold_pool_gradients(cold_pool, monkeypatch):
+    cfg = NetworkConfig(layer_units=(8, 8), dropout_rates=(0.2, 0.3), seed=60)
+    params = init_params(cfg)
+    batches = [make_rng(61 + k).normal(size=(5, 6, 1)) for k in range(2)]
+    expected = []
+    for k, batch in enumerate(batches):
+        monkeypatch.setattr(lstm_core, "_POOL", {})
+        expected.append(_step(params, cfg, batch, seed=70 + 2 * k))
+    monkeypatch.setattr(lstm_core, "_POOL", cold_pool)
+    _step(params, cfg, batches[0], seed=70)
+    _poison(cold_pool)  # one frame in the pool: the second forward builds its own
+
+    live = [
+        network_forward(params, cfg, batch, mode="train", rng=make_rng(70 + 2 * k))
+        for k, batch in enumerate(batches)
+    ]
+    first, second = (_frame_buffers(cache.frame) for _, cache in live)
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+    for k in (1, 0):  # backward in the other order
+        pred, cache = live[k]
+        np.testing.assert_array_equal(pred, expected[k][0])
+        d_pred = make_rng(71 + 2 * k).normal(size=pred.shape)
+        grads = network_backward(params, cfg, cache, d_pred)
+        np.testing.assert_array_equal(grads.flat, expected[k][1])
+
+
+def test_every_cached_view_shares_memory_only_with_its_own_frame(cold_pool, monkeypatch):
+    # uneven widths, a layer without dropout between two with it, and two factor blocks
+    monkeypatch.setattr(lstm_core, "_block_steps", lambda hid, T, B: 4)
+    cfg = NetworkConfig(layer_units=(5, 7, 2), dropout_rates=(0.3, 0.0, 0.2), seed=64)
+    params = init_params(cfg)
+    batch = make_rng(65).normal(size=(4, 6, 1))
+    forward = lambda: network_forward(params, cfg, batch, mode="train", rng=make_rng(66))[1]
+    frames = [forward().frame, forward().frame]  # both live at once
+    for own, other in (frames, frames[::-1]):
+        mine, theirs = _frame_buffers(own), _frame_buffers(other)
+        views = [v for lc in own.layers for v in _views(list(vars(lc).values())) if v.size]
+        assert len(views) > 200
+        for view in views:
+            assert any(np.shares_memory(view, buf) for buf in mine)
+            assert not any(np.shares_memory(view, buf) for buf in theirs)
 
 
 def test_mixed_shapes_on_one_pool_match_a_cold_pool(cold_pool, monkeypatch):

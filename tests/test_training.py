@@ -416,6 +416,23 @@ def test_gradcheck_ignores_dropout_rates():
     assert finite_diff_gradcheck(params, cfg, x, y, probe_count=20, seed=0) < 1e-4
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gradcheck_reports_a_non_finite_gradient_as_nan(monkeypatch, bad):
+    # max() folds NaN away (max(0.0, nan) is 0.0): a NaN gradient scored a perfect 0.0
+    original = training_module.network_backward
+
+    def broken(*args):
+        grads = original(*args)
+        grads.flat[...] = bad
+        return grads
+
+    monkeypatch.setattr(training_module, "network_backward", broken)
+    cfg = NetworkConfig(layer_units=(3,), dropout_rates=(0.0,), seed=14)
+    x = make_rng(15).normal(size=(2, 4, 1))
+    err = finite_diff_gradcheck(init_params(cfg), cfg, x, np.zeros(2), probe_count=5, seed=0)
+    assert math.isnan(err)
+
+
 def test_gradcheck_refuses_zero_probes():
     cfg, params = scalar_net()
     with pytest.raises(ValueError, match="probes must be >= 1, got 0"):
