@@ -18,7 +18,6 @@ thread count can round a trained model's GEMMs differently.
 from __future__ import annotations
 
 import argparse
-import codecs
 import contextlib
 import hashlib
 import json
@@ -67,6 +66,10 @@ class RunConfigError(ValueError):
 
 class NonFiniteMetricError(ArithmeticError):
     """A metric came out NaN or infinite, which JSON cannot hold: predictions overflowed."""
+
+
+class BadEncodingError(ValueError):
+    """A data file holds bytes that are not UTF-8 text."""
 
 
 def _declared(value, hint):
@@ -134,6 +137,8 @@ class RunConfig:
                 date.fromisoformat(getattr(self, name))
             except ValueError as exc:
                 raise RunConfigError(f"{name} {getattr(self, name)!r}: {exc}") from None
+        if date.fromisoformat(self.start) > date.fromisoformat(self.end):  # no row fits between
+            raise RunConfigError(f"start {self.start} is after end {self.end}")
         # the checks make_windows and chronological_split would make per symbol
         if self.window < 1:
             raise InvalidWindowError(f"window must be >= 1, got {self.window}")
@@ -188,14 +193,12 @@ def load_series(cfg: RunConfig, symbol: str) -> PriceSeries:
     source = Path(cfg.data_path) if cfg.data_path else resources.files("seqcast") / "fixtures"
     if source.is_dir():
         source = source / f"{symbol}.csv"
-    # utf-8-sig drops the byte-order mark Excel's "CSV UTF-8" starts a file with; given
-    # a view of the bytes, it decodes those past the mark without copying them
-    text = codecs.decode(memoryview(source.read_bytes()), "utf-8-sig")
-    if "\r" in text:  # universal newlines, as a file read in text mode has them
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    series = parse_csv(text, symbol)
-    lo = np.datetime64(date.fromisoformat(cfg.start))
-    hi = np.datetime64(date.fromisoformat(cfg.end))
+    try:
+        with source.open(encoding="utf-8-sig") as lines:  # utf-8-sig drops Excel's byte-order mark
+            series = parse_csv(lines, symbol)
+    except UnicodeDecodeError as exc:  # its position counts from a read chunk's start
+        raise BadEncodingError(f"{source} is not UTF-8 text: {exc.reason}") from None
+    lo, hi = (np.datetime64(date.fromisoformat(day)) for day in (cfg.start, cfg.end))
     return series[(series.days >= lo) & (series.days <= hi)]
 
 

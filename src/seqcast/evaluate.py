@@ -26,8 +26,8 @@ from .training import EmptySetError, PredictionSet, mse_loss
 
 # Windows per chunk, serial or pooled: one size for both keeps their
 # predictions bitwise equal on any BLAS kernel. Two 120-window chunks at once
-# peak at 2.87 MB under tracemalloc at the paper config, below one
-# 256-window chunk's 2.96 MB. 120 gave predictions bitwise equal to
+# peak at 2.75 MB under tracemalloc at the paper config, below one
+# 256-window chunk's 2.91 MB. 120 gave predictions bitwise equal to
 # 256-window chunks on OpenBLAS 0.3.31's SkylakeX, Haswell, Sandybridge,
 # Nehalem and Katmai kernels; 116 and 60 did not on SkylakeX.
 _PREDICT_BATCH = 120

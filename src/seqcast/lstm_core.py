@@ -33,7 +33,7 @@ keeps no BPTT cache and no sequence: it steps the whole stack a timestep at a
 time over one state column [h_top; ...; h_0; x_t] whose rows [h_l; h_{l-1}]
 (h_{-1} = x_t) are layer l's z; with one c per layer and one gate buffer,
 nothing it allocates has a T dimension. Its biases are broadcast views, as a
-[4*hidden, B] copy outweighs the column at B = 256; training tiles them into
+[4*hidden, B] copy outweighs the column at B = 120; training tiles them into
 its frame, as at B = 32 a broadcast add is ~3x slower.
 
 Backward first overwrites the spent cache, over time blocks, with the

@@ -6,17 +6,17 @@ marker. CSV ingestion is vendor-agnostic: column names are matched
 case-insensitively, columns other than the date and the two closes are
 ignored, unparseable or non-finite numeric cells become NaN, and rows are
 sorted by date. Cleaning and splitting select rows and never reorder them.
-A parse holds the text plus 8 bytes per cell it reads: lines are cut from
-the text one at a time, and the date and both closes of each row go straight
-into typed columns.
+A parse takes its lines one at a time, from an open file say, so it holds
+the file's read buffer plus 8 bytes per cell it reads: the date and both
+closes of each row go straight into typed columns.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import re
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date
 from itertools import accumulate, islice, repeat, tee
@@ -54,9 +54,6 @@ _COLUMN_ALIASES = {
     "adjustedclose": "adj_close",
 }
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
-# a line as io.StringIO yields it: up to and with a "\n", never ended at a "\r"
-# or at another boundary str.splitlines knows
-_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -115,19 +112,18 @@ def _parse_price(cell: str) -> float:
     return value if math.isfinite(value) else math.nan
 
 
-def parse_csv(text: str, symbol: str = "") -> PriceSeries:
-    """Parse vendor CSV into a PriceSeries sorted ascending by date.
+def parse_csv(text: Iterable[str], symbol: str = "") -> PriceSeries:
+    """Parse vendor CSV lines, an open file's say, into a PriceSeries sorted by date.
 
     Header columns are matched case-insensitively in any order; Date and Close
     are required, Adj Close is read when present, and every other column is
     ignored. Unparseable or non-finite numeric cells become NaN rather than
     errors; an unparseable date is an error because the row cannot be placed.
     """
-    reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))  # no copy of the text
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MissingColumnError("empty input: no header row") from None
+    reader = csv.reader(text)
+    header = next(reader, None)
+    if header is None:
+        raise MissingColumnError("empty input: no header row")
 
     columns: dict[str, int] = {}
     for idx, raw in enumerate(header):

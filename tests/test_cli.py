@@ -255,10 +255,11 @@ VNQ_TEXT = len((FIXTURES / "VNQ.csv").read_text(encoding="utf-8"))
 
 
 def test_load_series_holds_little_more_than_its_text():
-    # read_text holds the file's bytes and its str at once, then the parse adds
-    # 8 bytes a cell: 2.4x the text, against 7.7x through io.StringIO and lists
+    # the parse reads the open file a line at a time, so it holds a read buffer plus
+    # 8 bytes a cell: 1.4x the text, against 2.4x when it held the file's bytes and
+    # its str at once, and 7.7x through io.StringIO and lists
     peak = _peak_bytes(lambda: cli_module.load_series(cli_module.RunConfig(), "VNQ"))
-    assert peak < 3.0 * VNQ_TEXT
+    assert peak < 1.6 * VNQ_TEXT
 
 
 @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
@@ -284,11 +285,32 @@ def test_a_csv_that_starts_with_a_byte_order_mark_ingests_as_the_plain_file(tmp_
         assert main(argv + ["ingest"]) == 0
     cleaned = [tmp_path / out / "VNQ-cleaned.csv" for out in ("out-bom", "out-plain")]
     assert cleaned[0].read_bytes() == cleaned[1].read_bytes()
-    # skipped before decoding, so the str keeps one byte a character and no copy of the
-    # bytes past the mark is made: 2.4x the text, as for the plain file, where the
-    # utf-8-sig codec's copy took 3.0x and a str that holds U+FEFF 4.0x
+    # the codec drops the mark from the first read chunk alone, so the parse holds what
+    # it holds for the plain file: 1.4x the text, where a one-shot utf-8-sig decode
+    # that copied the bytes past the mark took 3.0x
     cfg = cli_module.RunConfig(data_path=str(data))
-    assert _peak_bytes(lambda: cli_module.load_series(cfg, "VNQ")) < 3.0 * VNQ_TEXT
+    assert _peak_bytes(lambda: cli_module.load_series(cfg, "VNQ")) < 1.6 * VNQ_TEXT
+
+
+def test_a_csv_that_is_not_utf8_fails_by_its_path(tmp_path, capsys):
+    # a stray Latin-1 byte past the first read chunk: the decoder's position would count
+    # from that chunk, so the error names the file instead
+    data = tmp_path / "latin1"
+    data.mkdir()
+    raw = bytearray((FIXTURES / "VNQ.csv").read_bytes())
+    raw[100_000] = 0xE9
+    (data / "VNQ.csv").write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    assert main(["--symbols", "VNQ", "--data", str(data), "--out-dir", str(out), "ingest"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {data / 'VNQ.csv'} is not UTF-8 text: invalid continuation byte\n"
+    assert not list(tmp_path.rglob("*-cleaned.csv"))
+
+
+def test_a_run_of_one_day_is_allowed(tmp_path, capsys):
+    argv = ["--start", "2020-01-02", "--end", "2020-01-02", "--symbols", "VNQ"]
+    assert main(argv + ["--out-dir", str(tmp_path), "ingest"]) == 0
+    assert "rows_kept=1 " in capsys.readouterr().out
 
 
 def _csv_writer_text(header, days, *columns) -> str:
@@ -323,8 +345,9 @@ def test_ingest_streams_its_csv(tmp_path, monkeypatch, adjusted):
     def ingest():
         cli_module.cmd_ingest(cfg, stdout=io.StringIO())
 
-    # the parse sets the peak: 2.4x the text, against 7.7x (8.7x adjusted) before
-    assert _peak_bytes(ingest) < 3.0 * VNQ_TEXT
+    # the parse sets the peak: 1.45x the text, against 2.4x when it held the file's
+    # bytes and str at once, and 7.7x (8.7x adjusted) before the parse streamed
+    assert _peak_bytes(ingest) < 1.6 * VNQ_TEXT
     # the writer alone: about 98 bytes a row, against 400 (480 adjusted) when it
     # held the file's text and a repr string per cell
     cleaned, dropped = cli_module._clean_series(cfg, "VNQ")
@@ -805,8 +828,9 @@ def test_adjusted_ingest_trains_on_the_values_of_its_source(tmp_path):
     cleaned = tmp_path / "o" / "VNQ-cleaned.csv"
     text = cleaned.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "date,close,adj_close,sma100,sma200"
-    kept, _ = drop_missing(parse_csv(source.read_text(encoding="utf-8")), adjusted=True)
-    back = parse_csv(text)
+    with open(source, encoding="utf-8") as lines:
+        kept, _ = drop_missing(parse_csv(lines), adjusted=True)
+    back = parse_csv(io.StringIO(text))
     np.testing.assert_array_equal(back.days, kept.days)
     np.testing.assert_array_equal(back.close, kept.close)  # NaN where the close is missing
     np.testing.assert_array_equal(back.adj_close, kept.adj_close)
@@ -962,6 +986,10 @@ def test_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, capsys, ra
         (TINY + ["--seed", "-1", "--symbols", "VNQ,VGT"], "seed must be >= 0, got -1"),
         (TINY + ["--epochs", "0", "--symbols", "VNQ,VGT"], "epochs must be >= 1, got 0"),
         (TINY + ["--batch-size", "0", "--symbols", "VNQ,VGT"], "batch_size must be >= 1, got 0"),
+        (
+            TINY + ["--start", "2022-01-01", "--end", "2021-01-01", "--symbols", "VNQ,VGT"],
+            "start 2022-01-01 is after end 2021-01-01",
+        ),
     ],
 )
 def test_a_config_no_symbol_can_run_is_refused_before_any_symbol(

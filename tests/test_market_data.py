@@ -8,6 +8,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from seqcast.cli import RunConfig, load_series
 from seqcast.market_data import (
     BadDateError,
     BadRatioError,
@@ -50,7 +51,7 @@ def test_parse_csv_maps_fields_by_column_name():
             "2020-01-03,1.5,2.5,1.0,2.0,1.9,2000",
         ]
     )
-    series = parse_csv(text, "AAA")
+    series = parse_csv(io.StringIO(text), "AAA")
     assert series.symbol == "AAA"
     assert len(series) == 2
     assert series.days.dtype == np.dtype("datetime64[D]")
@@ -62,7 +63,7 @@ def test_parse_csv_maps_fields_by_column_name():
 
 def test_parse_csv_empty_close_cell_becomes_missing():
     text = "\n".join([HEADER, "2020-01-02,1.0,2.0,0.5,,1.4,1000"])
-    series = parse_csv(text)
+    series = parse_csv(io.StringIO(text))
     assert math.isnan(series.close[0])
     assert series.adj_close[0] == 1.4
 
@@ -77,19 +78,19 @@ def test_parse_csv_empty_close_cell_becomes_missing():
 )
 def test_parse_csv_missing_tokens_and_junk(cell):
     text = "\n".join([HEADER, f"2020-01-02,1.0,2.0,0.5,{cell},1.4,1000"])
-    assert math.isnan(parse_csv(text).close[0])
+    assert math.isnan(parse_csv(io.StringIO(text)).close[0])
 
 
 @pytest.mark.parametrize("cell, value", [(" 1.5 ", 1.5), ("1e3", 1000.0), ("-2.5e-1", -0.25)])
 def test_parse_csv_reads_every_numeric_form(cell, value):
     text = "\n".join([HEADER, f"2020-01-02,1.0,2.0,0.5,{cell},1.4,1000"])
-    assert parse_csv(text).close[0] == value
+    assert parse_csv(io.StringIO(text)).close[0] == value
 
 
 def test_parse_csv_sorts_descending_rows_ascending():
     days = [date(2020, 1, d) for d in (9, 8, 7, 6, 3)]
     rows = [f"{d.isoformat()},1,1,1,{k + 1.0},{k + 0.5},10" for k, d in enumerate(days)]
-    series = parse_csv("\n".join([HEADER] + rows))
+    series = parse_csv(io.StringIO("\n".join([HEADER] + rows)))
     assert series.dates() == sorted(days)
     assert all(type(d) is date for d in series.dates())
     # both closes follow their rows through the sort
@@ -100,43 +101,45 @@ def test_parse_csv_sorts_descending_rows_ascending():
 def test_parse_csv_days_match_numpy_dates_across_the_calendar():
     ordinals = make_rng(12).choice(date.max.toordinal(), size=500, replace=False) + 1
     days = [date.fromordinal(int(k)) for k in ordinals] + [date.min, date.max]
-    series = parse_csv("\n".join(["Date,Close"] + [f"{d.isoformat()},1" for d in days]))
+    text = "\n".join(["Date,Close"] + [f"{d.isoformat()},1" for d in days])
+    series = parse_csv(io.StringIO(text))
     np.testing.assert_array_equal(series.days, np.array(sorted(set(days)), dtype="datetime64[D]"))
 
 
 def test_parse_csv_header_case_and_order_insensitive():
     for adj_header in ("ADJ close", "adjusted_close", "Adj-Close"):
-        series = parse_csv(f"volume,CLOSE,date,{adj_header}\n5,10.5,2020-01-02,10.4")
+        series = parse_csv(io.StringIO(f"volume,CLOSE,date,{adj_header}\n5,10.5,2020-01-02,10.4"))
         assert series.close[0] == 10.5
         assert series.adj_close[0] == 10.4
 
 
 def test_parse_csv_without_adj_close_column_reads_it_as_missing():
-    series = parse_csv("Date,Close\n2020-01-02,3.5\n2020-01-03,3.6\n")
+    series = parse_csv(io.StringIO("Date,Close\n2020-01-02,3.5\n2020-01-03,3.6\n"))
     np.testing.assert_array_equal(series.close, [3.5, 3.6])
     assert np.isnan(series.adj_close).all()
 
 
 def test_parse_csv_missing_required_columns():
     with pytest.raises(MissingColumnError):
-        parse_csv("Open,High,Low,Close\n1,2,3,4")
+        parse_csv(io.StringIO("Open,High,Low,Close\n1,2,3,4"))
     with pytest.raises(MissingColumnError):
-        parse_csv("Date,Open\n2020-01-02,1")
+        parse_csv(io.StringIO("Date,Open\n2020-01-02,1"))
     with pytest.raises(MissingColumnError):
-        parse_csv("")
+        parse_csv(io.StringIO(""))
 
 
 def test_parse_csv_bad_date():
     rows = ["2020-01-02,1,1,1,1,1,1", "02/01/2020,1,1,1,1,1,1"]
     with pytest.raises(BadDateError, match="line 3"):
-        parse_csv("\n".join([HEADER] + rows))
+        parse_csv(io.StringIO("\n".join([HEADER] + rows)))
 
 
 def _stringio_parse(text: str):
     """What parse_csv reads from `text` (columns Date, Close and Adj Close, found by
-    name) when its rows come from csv.reader(io.StringIO(text)): the (day, close,
-    adj close) rows in date order with None for missing, or the error's type and
-    message. A cell a short row lacks, or a column the header lacks, is empty."""
+    name) when its rows come from csv.reader(io.StringIO(text, newline=None)), which
+    reads universal newlines as a text-mode file does: the (day, close, adj close)
+    rows in date order with None for missing, or the error's type and message. A
+    cell a short row lacks, or a column the header lacks, is empty."""
 
     def price(cell: str):
         try:
@@ -146,7 +149,7 @@ def _stringio_parse(text: str):
         return value if math.isfinite(value) else None
 
     try:
-        reader = csv.reader(io.StringIO(text))
+        reader = csv.reader(io.StringIO(text, newline=None))
         header = next(reader, None)
         if header is None:
             return MissingColumnError, "empty input: no header row"
@@ -167,10 +170,13 @@ def _stringio_parse(text: str):
     return sorted(rows, key=lambda r: r[0])
 
 
-def _parsed(text: str):
-    """parse_csv's result on `text` in _stringio_parse's form."""
+def _parsed(text: str, tmp_path):
+    """What the program parses from a file holding `text`, in _stringio_parse's form."""
+    path = tmp_path / "prices.csv"
+    path.write_bytes(text.encode("utf-8"))
+    cfg = RunConfig(data_path=str(path), start=date.min.isoformat(), end=date.max.isoformat())
     try:
-        series = parse_csv(text)
+        series = load_series(cfg, "")
     except (csv.Error, ValueError) as exc:
         return type(exc), str(exc)
     columns = (series.close.tolist(), series.adj_close.tolist())
@@ -196,7 +202,7 @@ COLUMNS = "Date,Close,Adj Close"
         f"{COLUMNS}\n2020-01-02,1\x0c,1\x0b\n2020-01-03,2\x1c5,2\x1d\n2020-01-04,3\x1e,3\x85\n",
         f"{COLUMNS}\n2020-01-02,1\u2028,1\n2020-01-03,2\u20295,2\n",
         f'{COLUMNS}\n2020-01-02,"1\r",1\n',
-        # a bare \r ends no line: csv refuses it, as it did over io.StringIO
+        # a bare \r ends a line, as in a classic Mac file
         f"{COLUMNS}\r2020-01-02,1,1\r",
         # empty text, and a header with no rows
         "",
@@ -217,14 +223,20 @@ COLUMNS = "Date,Close,Adj Close"
         "Volume,Date,Close\n7,2020-01-02,1.25\n8,2020-01-03\n",
     ],
 )
-def test_parse_csv_splits_lines_as_stringio_does(text):
-    assert _parsed(text) == _stringio_parse(text)
+def test_parse_csv_splits_lines_as_stringio_does(text, tmp_path):
+    assert _parsed(text, tmp_path) == _stringio_parse(text)
+
+
+def test_parse_csv_reads_a_str_as_lines_of_one_character():
+    # a str is an iterable of characters, so its header is one character: no date column
+    with pytest.raises(MissingColumnError, match=r"header has no 'date' column: \['D'\]"):
+        parse_csv("Date,Close\n2020-01-02,1.5\n")
 
 
 def test_parse_csv_duplicate_date():
     rows = ["2020-01-02,1,1,1,1,1,1", "2020-01-02,2,2,2,2,2,2"]
     with pytest.raises(BadDateError, match="duplicate date 2020-01-02"):
-        parse_csv("\n".join([HEADER] + rows))
+        parse_csv(io.StringIO("\n".join([HEADER] + rows)))
 
 
 def test_series_refuses_days_out_of_order():
@@ -262,7 +274,7 @@ def test_drop_missing_keeps_a_row_missing_only_other_columns():
             "2020-01-06,1.0,2.0,0.5,inf,1.7,1000",  # an infinite close is missing
         ]
     )
-    series = parse_csv(text)
+    series = parse_csv(io.StringIO(text))
     cleaned, dropped = drop_missing(series)
     assert dropped == 1
     np.testing.assert_array_equal(cleaned.close, [1.5, 1.6])

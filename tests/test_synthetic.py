@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import zlib
 from datetime import date
 from importlib import resources
@@ -36,7 +37,7 @@ def test_synthetic_series_deterministic_and_clean():
     a = synthetic_csv("VNQ")
     b = synthetic_csv("VNQ")
     assert a == b
-    series = parse_csv(a, "VNQ")
+    series = parse_csv(io.StringIO(a), "VNQ")
     for adjusted in (False, True):
         _, dropped = drop_missing(series, adjusted=adjusted)
         assert dropped == 0
@@ -45,7 +46,7 @@ def test_synthetic_series_deterministic_and_clean():
 
 def test_synthetic_series_roundtrips_through_csv():
     # the text carries the generator's rounded walk exactly, in both close columns
-    series = parse_csv(synthetic_csv("VGT"), "VGT")
+    series = parse_csv(io.StringIO(synthetic_csv("VGT")), "VGT")
     days = business_days(DEFAULT_START, DEFAULT_END)
     start_price, drift, vol = ETF_PROFILES["VGT"]
     rng = make_rng(zlib.crc32(b"VGT"))
@@ -59,7 +60,7 @@ def test_write_fixtures_covers_all_nine(tmp_path):
     paths = write_fixtures(tmp_path)
     assert {p.stem for p in paths} == set(ETF_PROFILES)
     for path in paths:
-        series = parse_csv(path.read_text(), path.stem)
+        series = parse_csv(io.StringIO(path.read_text()), path.stem)
         assert len(series) == len(business_days(DEFAULT_START, DEFAULT_END))
 
 
