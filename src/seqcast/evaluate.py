@@ -4,46 +4,29 @@ MAPE guards against near-zero actuals: samples with |actual| below
 _MAPE_THRESHOLD (1e-8) are excluded and counted instead of producing
 astronomical percentages.
 
-predict_series runs its chunks of windows on the cores BLAS leaves free, as
-NumPy releases the GIL inside its GEMMs and ufuncs: on two threads when
-OPENBLAS_NUM_THREADS (else OMP_NUM_THREADS) leaves cores idle, serially when
-neither is set. The chunks are the same either way, so the predictions are
-too at a given BLAS thread count.
+predict_series runs its chunks of windows on lstm_core._workers threads, the
+policy network_backward shares: two when OPENBLAS_NUM_THREADS (else
+OMP_NUM_THREADS) leaves a core idle, as NumPy releases the GIL in its GEMMs
+and ufuncs. The chunks are the same either way, so the predictions are too
+at a given BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
-from .lstm_core import NetworkConfig, NetworkParams, network_forward
+from .lstm_core import NetworkConfig, NetworkParams, _workers, network_forward
 from .preprocess import ScalerParams, WindowedDataset, inverse_transform
 from .training import EmptySetError, PredictionSet, mse_loss
 
-# Windows per chunk, serial or pooled: one size for both keeps their
-# predictions bitwise equal on any BLAS kernel. Two 120-window chunks at once
-# peak at 2.75 MB under tracemalloc at the paper config, below one
-# 256-window chunk's 2.91 MB. 120 gave predictions bitwise equal to
-# 256-window chunks on OpenBLAS 0.3.31's SkylakeX, Haswell, Sandybridge,
-# Nehalem and Katmai kernels; 116 and 60 did not on SkylakeX.
+# Windows per chunk, serial or pooled: one size for both keeps their predictions bitwise
+# equal on any BLAS kernel. Two chunks at once peak below one of twice the size, and 120
+# gave the predictions of 256-window chunks on the OpenBLAS kernels tried; 116 and 60 did not.
 _PREDICT_BATCH = 120
-
-# Inference stays on one thread when a layer is narrower than this: a narrow
-# step is mostly NumPy's per-call overhead, which holds the GIL. Two workers
-# over one, 573 windows, T=100 unless given, one BLAS thread, on a 2-vCPU x86
-# host, 3 process pairs (5 for the middle three stacks), median in brackets:
-# (8, 8) T=20 0.33-0.62x, (8, 8) 0.36-0.82x, (16, 16) 0.46-0.66x, (32, 32)
-# 0.84-1.18x (0.86), (50,) 1.17-1.61x (1.22), (50, 60) 0.99-2.02x (1.38), the
-# paper stack 1.59-1.75x.
-_POOL_MIN_UNITS = 50
-
-# At most this many inference threads: the speed-ups above were measured with
-# two, and an affinity mask does not show a container's CPU quota.
-_POOL_MAX_WORKERS = 2
 
 _MAPE_THRESHOLD = 1e-8
 
@@ -126,27 +109,6 @@ def compute_metrics(p: PredictionSet) -> MetricsReport:
     )
 
 
-def _workers(config: NetworkConfig) -> int:
-    """Inference threads: the usable cores over the BLAS threads the environment
-    names, at most _POOL_MAX_WORKERS. One when neither variable is set (BLAS
-    threads over every core), when it is not a positive integer, or when a
-    layer is under _POOL_MIN_UNITS."""
-    if min(config.layer_units) < _POOL_MIN_UNITS:
-        return 1
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            blas = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            if hasattr(os, "sched_getaffinity"):
-                cpus = len(os.sched_getaffinity(0))
-            else:
-                cpus = os.cpu_count() or 1
-            return max(1, min(_POOL_MAX_WORKERS, cpus // blas))
-    return 1
-
-
 def predict_series(
     params: NetworkParams,
     config: NetworkConfig,
@@ -157,12 +119,12 @@ def predict_series(
 
     One (actual, predicted) pair per test day; windows come from
     bridge_test_windows so every target has a full history. Chunks run on
-    _workers(config) threads and are concatenated in window order; a
+    _workers threads and are concatenated in window order; a
     worker's exception is raised here.
     """
     if windows.n_samples == 0:
         raise EmptySetError("no windows to predict")
-    workers = _workers(config)
+    workers = _workers(config.layer_units)
 
     def forward(lo: int) -> np.ndarray:
         batch = windows.inputs[lo : lo + _PREDICT_BATCH]
@@ -173,7 +135,7 @@ def predict_series(
     if workers == 1:
         chunks = [forward(lo) for lo in starts]
     else:
-        # imported here, not at the top: ~8 ms on a 2-vCPU x86 host, paid at every start-up
+        # imported here, not at the top, where every start-up would pay for it
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:

@@ -42,8 +42,11 @@ g[t] = [F, I, C, Bo] and c[t] = [f_{t+1} | A_t] (see _gate_factors). The
 time loop then keeps only the recurrence, six NumPy calls a step: dh += the
 gradient from above; dc_t = f_{t+1} dc_{t+1} + A_t dh_t (a multiply and an
 add); dc copied beside itself; da_t = [dc; dc; dc; dh] * g[t]; dh = W_h^T da.
-dW = G Z^T and dX = W_x^T G then take one GEMM each over gate-major copies
-G [4*hidden, T*B] of da and Z [hidden+input, T*B] of z.
+dW = G Z^T and dX = W_x^T G then run as GEMMs over gate-major copies G [4*hidden, T*B]
+of da and Z [hidden+input, T*B] of z. From 50 units up, a layer makes the copies, then dW
+and db, in two parts that write disjoint rows of the frame and of the gradients, and dX in
+the first; below, one part does all. When _workers gives two threads, a worker runs the
+second parts beside the caller (a fork-join), and dropout on dX follows the join.
 
 Numerics: the forward is bitwise that of the equations above. The backward
 multiplies each gate gradient's factors in another order than left to right
@@ -62,9 +65,7 @@ gives it back (a second backward on the handle raises StaleCacheError), so
 a steady training step allocates little beyond the gradients it returns.
 Recycled frames are not cleared: the kernels write every element before
 they read it. The pool keeps, per key, as many frames as were live at once,
-with their view objects, for the life of the process (at the paper config,
-T = 100: 86.4 MB for B = 32, 0.84 MB of it view objects and their lists,
-plus 38.2 MB, 0.77 MB of it views, for a short last batch of 14). Inference
+with their view objects, for the life of the process. Inference
 never uses it: concurrent inference calls share nothing but the params,
 which they only read, so they may run on threads. Taking and giving back
 are single list operations, so threads never share a frame.
@@ -80,7 +81,9 @@ applies a mask as it stages its input into z.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +115,28 @@ _POOL: dict[tuple, list[_Frame]] = {}
 
 # 1.0, read-only: a ufunc converts a Python float operand each call, as slowly as it adds
 _ONE = np.broadcast_to(1.0, ())
+
+# At most 2 threads, the count measured (an affinity mask does not show a container's CPU
+# quota); 1 below 50 units, where a layer's work is mostly per-call overhead in the GIL.
+_MAX_THREADS, _THREADS_MIN_UNITS = 2, 50
+
+
+def _workers(units) -> int:
+    """Threads for inference's chunks and the backward's parts: the usable cores over the BLAS
+    threads the environment names, at most _MAX_THREADS; one when neither variable names a
+    positive integer (BLAS threads over every core), or a layer is under _THREADS_MIN_UNITS."""
+    if min(units) < _THREADS_MIN_UNITS:
+        return 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+            cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+            return max(1, min(_MAX_THREADS, cpus // blas))
+    return 1
 
 
 def _block_steps(hid: int, T: int, B: int) -> int:
@@ -233,13 +258,20 @@ class LayerCache:
         # gate-major copies G of da and Z of z, for dW = G Z^T and dX = W_x^T G
         self.gm = gm = work[: rows * cols].reshape(rows, cols)
         zm = work[rows * cols : (rows + width) * cols].reshape(width, cols)
-        self.copies = (
-            (gm.reshape(rows, T, B), g.transpose(1, 0, 2)),
-            (zm.reshape(width, T, B), z[:T].transpose(1, 0, 2)),
-        )
+        g_dst, g_src = gm.reshape(rows, T, B), g.transpose(1, 0, 2)
+        z_dst, z_src = zm.reshape(width, T, B), z[:T].transpose(1, 0, 2)
         self.zm_t = zm.T
-        self.dx = None if bottom else d_inputs[: inp * cols].reshape(inp, cols)
-        self.dx_seq = None if bottom else self.dx.reshape(inp, T, B).transpose(1, 0, 2)
+        dx = None if bottom else d_inputs[: inp * cols].reshape(inp, cols)
+        self.dx_seq = None if bottom else dx.reshape(inp, T, B).transpose(1, 0, 2)
+        # that work in parts, the first product with all of dX. From _THREADS_MIN_UNITS up,
+        # the last copy and product can run on a worker: G's copy splits to even the copies,
+        # dW and db to even the GEMMs at a multiple of 8 rows, where one BLAS thread kept the
+        # whole GEMM's rounding on the OpenBLAS kernels tried
+        self.copies, self.products = [(g_dst, g_src), (z_dst, z_src)], [(slice(None), gm, dx)]
+        if hid >= _THREADS_MIN_UNITS:
+            a, r = max(0, rows - width) // 2, rows * hid // (16 * width) * 8
+            self.copies = [(g_dst[:a], g_src[:a]), (z_dst, z_src), (g_dst[a:], g_src[a:])]
+            self.products = [(slice(r), gm[:r], dx), (slice(r, None), gm[r:], None)]
 
 
 class _Frame:
@@ -499,8 +531,25 @@ def _gate_factors(blocks, f_last: np.ndarray) -> None:
     f_last[...] = 0.0
 
 
+def _products(gm, zm_t, w_x, grads, rows, g_rows, dx) -> None:
+    """dW = G Z^T and db on `rows` of the gradients, and dX = W_x^T G if dx is given."""
+    np.matmul(g_rows, zm_t, out=grads.w[rows])
+    np.sum(g_rows, axis=1, out=grads.b[rows])
+    if dx is not None:
+        np.matmul(w_x, gm, out=dx)
+
+
+def _fork(pool, fn, parts) -> None:
+    """fn(*part) for each part in turn, or, given a pool, the last on its thread meanwhile."""
+    future = None if pool is None else pool.submit(fn, *parts[-1])
+    for part in parts if future is None else parts[:-1]:
+        fn(*part)
+    if future is not None:
+        future.result()  # raises the worker's exception
+
+
 def _layer_backward(
-    params: LstmLayerParams, lc: LayerCache, d_last: np.ndarray | None, grads: LstmLayerParams
+    params: LstmLayerParams, lc: LayerCache, d_last, grads: LstmLayerParams, pool
 ) -> None:
     """BPTT through one layer, overwriting lc.g with the gate gradients.
 
@@ -508,7 +557,8 @@ def _layer_backward(
     lower layer (d_last None) reads its [T, hidden, B] gradient from the dX that
     the layer above left in the frame, which the time loop reads before dX
     overwrites it. Writes the parameter gradients into `grads` and, above the
-    bottom layer, dX times the dropout of the layer below into lc.dx_seq.
+    bottom layer, dX times the dropout of the layer below into lc.dx_seq. A one-thread
+    `pool` runs the last of lc.copies, then of lc.products, beside this thread.
     """
     _gate_factors(lc.blocks, lc.f_last)
     hid = params.hidden_size
@@ -528,15 +578,12 @@ def _layer_backward(
         if t:
             np.matmul(w_h, gt, dh)
 
-    # dW, db and dX over gate-major copies G of da and Z of z, one call each
-    for dst, src in lc.copies:
-        np.copyto(dst, src)
-    np.matmul(lc.gm, lc.zm_t, out=grads.w)
-    np.sum(lc.gm, axis=1, out=grads.b)
-    if lc.dx is not None:
-        np.matmul(params.w[:, hid:].T, lc.gm, out=lc.dx)
-        if lc.mask_in is not None:
-            lc.dx_seq *= lc.mask_in
+    # dW, db and dX over gate-major copies G of da and Z of z, part by part
+    _fork(pool, np.copyto, lc.copies)
+    w_x = params.w[:, hid:].T
+    _fork(pool, _products, [(lc.gm, lc.zm_t, w_x, grads, *part) for part in lc.products])
+    if lc.mask_in is not None:  # here: on two threads, the two ufuncs' buffers add up
+        lc.dx_seq *= lc.mask_in
 
 
 def network_backward(
@@ -575,9 +622,15 @@ def network_backward(
     if frame.masks[-1] is not None:
         d_out *= frame.masks[-1]
     d_last = d_out.T  # feature-major from here on
-    for layer, lc, layer_grads in zip(params.layers[::-1], frame.layers[::-1], grads.layers[::-1]):
-        _layer_backward(layer, lc, d_last, layer_grads)
-        d_last = None
+    threads = contextlib.nullcontext()  # which gives None
+    if _workers([layer.hidden_size for layer in params.layers]) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported here, as in predict_series
+
+        threads = ThreadPoolExecutor(1)
+    with threads as pool:  # None, or one worker thread that ends with the block
+        for layer, lc, lg in zip(params.layers[::-1], frame.layers[::-1], grads.layers[::-1]):
+            _layer_backward(layer, lc, d_last, lg, pool)
+            d_last = None
 
     cache.final_hidden = None
     _POOL.setdefault(frame.key, []).append(frame)

@@ -527,6 +527,19 @@ def test_a_symbol_missing_from_the_data_dir_fails_by_its_path(tmp_path, capsys):
     assert [p.name.split("-")[0] for p in out.glob("*.metrics.json")] == ["VNQ"]
 
 
+def test_sweep_mean_is_over_the_scored_symbols_only(tmp_path):
+    data = _fixture_copies(tmp_path, ["VNQ"])
+    out = tmp_path / "out"
+    argv = TINY + ["--symbols", "VGT,VNQ", "--data", str(data), "--out-dir", str(out), "sweep"]
+    assert main(argv) == 1
+    (sweep,) = out.glob("sweep-*.json")
+    doc = json.loads(sweep.read_text(encoding="utf-8"))
+    assert list(doc["failures"]) == ["VGT"]
+    (vnq,) = doc["reports"]
+    assert vnq["r_squared"] != 0.0
+    assert doc["mean_r_squared"] == vnq["r_squared"]  # VGT, which failed, is not counted
+
+
 def test_evaluate_without_the_data_dir_of_its_training_is_refused(tmp_path, capsys):
     data = _fixture_copies(tmp_path, ["VNQ"])
     argv = TINY + ["--symbols", "VNQ", "--out-dir", str(tmp_path / "out")]

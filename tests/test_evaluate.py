@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import asdict
 from datetime import date
@@ -25,6 +24,8 @@ from seqcast.lstm_core import NetworkConfig, ShapeMismatchError, init_params, ne
 from seqcast.preprocess import bridge_test_windows, fit_scaler, inverse_transform, transform
 from seqcast.rng import make_rng
 from seqcast.training import PredictionSet, mse_loss
+
+from test_lstm_core import blas_env
 
 
 def pset(y, y_hat):
@@ -164,6 +165,14 @@ def test_compute_metrics_guards_mape_at_its_default_threshold():
     )
 
 
+def test_mape_keeps_an_actual_exactly_at_its_threshold():
+    # the guard excludes actuals below 1e-8, not at it: this pair's ratio is 0.5
+    value, excluded = mape(pset([1e-8, 100.0], [1.5e-8, 110.0]))
+    assert excluded == 0
+    assert abs(value - (0.5 + 0.1) / 2) < 1e-12
+    assert compute_metrics(pset([1e-8, 100.0], [1.5e-8, 110.0])).mape_excluded_count == 0
+
+
 def test_compute_metrics_report_fields():
     p = random_pairs(make_rng(105), 25)
     report = compute_metrics(p)
@@ -233,51 +242,12 @@ def test_predict_series_persistence_stub(monkeypatch):
 # ------------------------------------------------- predict_series on threads
 
 
-def blas_env(monkeypatch, cpus, openblas=None, omp=None):
-    """`cpus` usable cores, and the BLAS thread variables set as given."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
-        if value is None:
-            monkeypatch.delenv(var, raising=False)
-        else:
-            monkeypatch.setenv(var, value)
-
-
 def series_windows(seed, n_windows, steps):
     rng = make_rng(seed)
     prices = np.cumsum(rng.normal(size=steps + n_windows)) + 100.0
     scaler = fit_scaler(prices[:steps])
     scaled = transform(scaler, prices)
     return scaler, bridge_test_windows(scaled[:steps], scaled[steps:], steps)
-
-
-@pytest.mark.parametrize(
-    "units,cpus,openblas,omp,workers",
-    [
-        ((50, 56), 2, None, None, 1),  # BLAS threads over every core already
-        ((50, 56), 2, "1", None, 2),
-        ((50, 56), 2, "2", None, 1),
-        ((50, 56), 2, "3", None, 1),
-        ((50, 56), 3, "2", None, 1),
-        ((50, 56), 2, None, "1", 2),
-        ((50, 56), 2, "1", "2", 2),  # OpenBLAS reads its own variable first
-        ((50, 56), 2, "abc", "1", 2),  # as in OpenBLAS, a non-numeric value is passed over
-        ((50, 56), 2, "0", None, 1),
-        ((50, 56), 2, "-1", None, 1),
-        ((50, 56), 2, "", None, 1),
-        ((50, 56), 2, None, "4,2", 1),
-        ((50, 56), 4, "1", None, 2),  # never more workers than were measured
-        ((50, 56), 64, "1", None, 2),
-        ((50, 56), 64, "16", None, 2),
-        ((8, 8), 2, "1", None, 1),  # under the width gate
-        ((32, 32), 2, "1", None, 1),
-        ((56, 49), 2, "1", None, 1),
-    ],
-)
-def test_workers_are_the_cores_blas_leaves_free(monkeypatch, units, cpus, openblas, omp, workers):
-    blas_env(monkeypatch, cpus, openblas, omp)
-    config = NetworkConfig(layer_units=units, dropout_rates=(0.0,) * len(units))
-    assert evaluate_module._workers(config) == workers
 
 
 @pytest.mark.parametrize(

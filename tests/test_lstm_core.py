@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -754,3 +755,145 @@ def test_warm_dropout_step_allocates_under_half_a_mask_beyond_the_gradients(cold
         tracemalloc.stop()
     mask = steps * batch_size * cfg.layer_units[0] * 8
     assert peak < params.flat.nbytes + mask // 2
+
+
+# ------------------------------------------------------------ threads
+
+def blas_env(monkeypatch, cpus, openblas=None, omp=None):
+    """`cpus` usable cores, and the BLAS thread variables set as given."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+
+
+@pytest.mark.parametrize(
+    "units,cpus,openblas,omp,workers",
+    [
+        ((50, 56), 2, None, None, 1),  # BLAS threads over every core already
+        ((50, 56), 2, "1", None, 2),
+        ((50, 56), 2, "2", None, 1),
+        ((50, 56), 2, "3", None, 1),
+        ((50, 56), 3, "2", None, 1),
+        ((50, 56), 2, None, "1", 2),
+        ((50, 56), 2, "1", "2", 2),  # OpenBLAS reads its own variable first
+        ((50, 56), 2, "abc", "1", 2),  # as in OpenBLAS, a non-numeric value is passed over
+        ((50, 56), 2, "0", None, 1),
+        ((50, 56), 2, "-1", None, 1),
+        ((50, 56), 2, "", None, 1),
+        ((50, 56), 2, None, "4,2", 1),
+        ((50, 56), 4, "1", None, 2),  # never more workers than were measured
+        ((50, 56), 64, "1", None, 2),
+        ((50, 56), 64, "16", None, 2),
+        ((8, 8), 2, "1", None, 1),  # under the width gate
+        ((32, 32), 2, "1", None, 1),
+        ((56, 49), 2, "1", None, 1),
+    ],
+)
+def test_workers_are_the_cores_blas_leaves_free(monkeypatch, units, cpus, openblas, omp, workers):
+    blas_env(monkeypatch, cpus, openblas, omp)
+    assert lstm_core._workers(units) == workers
+
+
+WIDE_CASES = [
+    ((50, 60, 80, 120), (0.2, 0.3, 0.4, 0.5), 32, 100),
+    ((50, 60, 80, 120), (0.2, 0.3, 0.4, 0.5), 14, 100),  # the paper's short last batch
+    ((50, 56), (0.3, 0.0), 7, 31),  # odd T, dropout on the lower layer only
+]
+
+
+@pytest.mark.parametrize("units,rates,batch_size,steps", WIDE_CASES, ids=["paper", "paper-B14", "odd-T"])
+def test_threaded_backward_gives_the_serial_gradients(
+    cold_pool, monkeypatch, units, rates, batch_size, steps
+):
+    cfg = NetworkConfig(layer_units=units, dropout_rates=rates, seed=80)
+    params = init_params(cfg)
+    batch = make_rng(81).normal(size=(batch_size, steps, 1))
+    threads, products = [], lstm_core._products
+
+    def recording_products(*args):
+        threads.append(threading.get_ident())  # list.append holds the GIL
+        products(*args)
+
+    monkeypatch.setattr(lstm_core, "_products", recording_products)
+    caller, grads = threading.get_ident(), {}
+    for cpus in (1, 2):
+        blas_env(monkeypatch, cpus, openblas="1")
+        threads.clear()
+        grads[cpus] = _step(params, cfg, batch, seed=82)[1].tobytes()
+        if cpus == 1:  # two parts a layer, in turn on this thread
+            assert threads == [caller] * 2 * len(units)
+        else:  # the second part of each layer on one worker thread
+            assert threads.count(caller) == len(units) and len(set(threads) - {caller}) == 1
+    assert grads[1] == grads[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_backward_in_parts_matches_exact_oracle(cold_pool, monkeypatch, cpus):
+    blas_env(monkeypatch, cpus, openblas="1")
+    cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.3, 0.2), seed=83)
+    params = init_params(cfg)
+    params.flat[...] += make_rng(84).normal(scale=0.1, size=params.flat.size)
+    batch = make_rng(85).normal(size=(5, 9, 1))
+    d_pred = make_rng(86).normal(size=(5, 1))
+
+    _, cache = network_forward(params, cfg, batch, mode="train", rng=make_rng(87))
+    assert [len(lc.products) for lc in cache.frame.layers] == [2, 2]
+    got = network_backward(params, cfg, cache, d_pred).flat
+    want = oracle_network_backward(params, cfg, batch, d_pred, rng=make_rng(87)).flat
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("error", [ShapeMismatchError("part 2"), MemoryError()])
+def test_a_worker_exception_is_raised_by_network_backward(cold_pool, monkeypatch, error):
+    blas_env(monkeypatch, 2, openblas="1")
+    caller, raised_on, products = threading.get_ident(), [], lstm_core._products
+
+    def failing_products(*args):
+        if threading.get_ident() != caller:
+            raised_on.append(threading.get_ident())
+            raise error
+        products(*args)
+
+    monkeypatch.setattr(lstm_core, "_products", failing_products)
+    cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.0, 0.0), seed=88)
+    params = init_params(cfg)
+    pred, cache = network_forward(params, cfg, make_rng(89).normal(size=(4, 6, 1)), mode="train")
+    before = threading.active_count()
+    with pytest.raises(type(error)) as info:
+        network_backward(params, cfg, cache, np.ones_like(pred))
+    assert info.value is error and len(raised_on) == 1
+    assert threading.active_count() == before  # the worker has ended
+
+
+def test_threaded_backwards_under_a_short_switch_interval_keep_their_gradients(
+    cold_pool, monkeypatch
+):
+    # three training steps at once, each backward with its worker: six threads on two
+    # cores, switching often, so that a write into a row another thread owns would show
+    cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.3, 0.2), seed=90)
+    params = init_params(cfg)
+    batches = [make_rng(91 + k).normal(size=(6, 9, 1)) for k in range(3)]
+    blas_env(monkeypatch, 1, openblas="1")
+    expected = [_step(params, cfg, batch, seed=95)[1].tobytes() for batch in batches]
+    blas_env(monkeypatch, 2, openblas="1")
+    matched = [[] for _ in batches]
+
+    def steps(k):
+        for _ in range(5):
+            matched[k].append(_step(params, cfg, batches[k], seed=95)[1].tobytes() == expected[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=steps, args=(k,)) for k in range(len(batches))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert matched == [[True] * 5] * len(batches)

@@ -322,6 +322,22 @@ def test_train_epoch_covers_every_sample_once(monkeypatch):
     np.testing.assert_array_equal(per_epoch, np.sort(ds.inputs[:, 0, 0]))
 
 
+def test_epoch_loss_weights_the_short_last_batch_by_its_size():
+    # 50 samples at batch 16: three full batches and a short one of 2. At a zero
+    # learning rate and no dropout, every batch sees the initial params, so the
+    # epoch loss is the MSE of one inference forward over all 50 samples.
+    ds = tiny_dataset(n=50)
+    cfg = NetworkConfig(layer_units=(3, 2), dropout_rates=(0.0, 0.0), seed=8)
+    params = init_params(cfg)
+    logs = []
+    out = train(params, cfg, ds, epochs=2, batch_size=16, learning_rate=0.0, progress=logs.append)
+    np.testing.assert_array_equal(out.flat, params.flat)
+    pred, _ = network_forward(params, cfg, ds.inputs, mode="inference")
+    expected = mse_loss(PredictionSet(y=ds.targets, y_hat=pred[:, 0]))
+    for log in logs:
+        np.testing.assert_allclose(log.loss, expected, rtol=1e-12)
+
+
 def test_train_empty_dataset():
     cfg = NetworkConfig(layer_units=(2,), dropout_rates=(0.0,), seed=1)
     empty = WindowedDataset(inputs=np.empty((0, 2, 1)), targets=np.empty(0))
