@@ -473,17 +473,14 @@ def _parse_args(argv):
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("ingest", help="clean data and emit close/sma100/sma200 CSV")
-    sub.add_parser("train", help="train and write a checkpoint")
+    spare = "can use a core that BLAS leaves free (OPENBLAS_NUM_THREADS=1 frees one)"
+    sub.add_parser("train", help=f"train and write a checkpoint; training {spare}")
     eval_parser = sub.add_parser(
-        "evaluate",
-        help="metrics, predictions CSV, and chart; inference uses the cores BLAS "
-        "leaves free (OPENBLAS_NUM_THREADS=1 frees them)",
+        "evaluate", help=f"metrics, predictions CSV, and chart; inference {spare}"
     )
     eval_parser.add_argument("--checkpoint", help="checkpoint path (default: derived from config)")
     sub.add_parser(
-        "sweep",
-        help="train + evaluate every symbol and tabulate; inference uses the cores "
-        "BLAS leaves free (OPENBLAS_NUM_THREADS=1 frees them)",
+        "sweep", help=f"train + evaluate every symbol and tabulate; training and inference {spare}"
     )
     grad_parser = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     grad_parser.add_argument("--probes", type=int, default=50)

@@ -3,12 +3,6 @@
 MAPE guards against near-zero actuals: samples with |actual| below
 _MAPE_THRESHOLD (1e-8) are excluded and counted instead of producing
 astronomical percentages.
-
-predict_series runs its chunks of windows on lstm_core._workers threads, the
-policy network_backward shares: two when OPENBLAS_NUM_THREADS (else
-OMP_NUM_THREADS) leaves a core idle, as NumPy releases the GIL in its GEMMs
-and ufuncs. The chunks are the same either way, so the predictions are too
-at a given BLAS thread count.
 """
 
 from __future__ import annotations
@@ -19,14 +13,9 @@ from datetime import date
 
 import numpy as np
 
-from .lstm_core import NetworkConfig, NetworkParams, _workers, network_forward
+from .lstm_core import NetworkConfig, NetworkParams, network_forward
 from .preprocess import ScalerParams, WindowedDataset, inverse_transform
 from .training import EmptySetError, PredictionSet, mse_loss
-
-# Windows per chunk, serial or pooled: one size for both keeps their predictions bitwise
-# equal on any BLAS kernel. Two chunks at once peak below one of twice the size, and 120
-# gave the predictions of 256-window chunks on the OpenBLAS kernels tried; 116 and 60 did not.
-_PREDICT_BATCH = 120
 
 _MAPE_THRESHOLD = 1e-8
 
@@ -118,31 +107,14 @@ def predict_series(
     """Inference over test windows, inverse-scaled to price units.
 
     One (actual, predicted) pair per test day; windows come from
-    bridge_test_windows so every target has a full history. Chunks run on
-    _workers threads and are concatenated in window order; a
-    worker's exception is raised here.
+    bridge_test_windows so every target has a full history. One inference
+    call: lstm_core runs the windows in chunks, on a spare core too.
     """
     if windows.n_samples == 0:
         raise EmptySetError("no windows to predict")
-    workers = _workers(config.layer_units)
-
-    def forward(lo: int) -> np.ndarray:
-        batch = windows.inputs[lo : lo + _PREDICT_BATCH]
-        pred, _ = network_forward(params, config, batch, mode="inference")
-        return pred[:, 0]
-
-    starts = range(0, windows.n_samples, _PREDICT_BATCH)
-    if workers == 1:
-        chunks = [forward(lo) for lo in starts]
-    else:
-        # imported here, not at the top, where every start-up would pay for it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            chunks = list(pool.map(forward, starts))
-    scaled_pred = np.concatenate(chunks)
+    scaled_pred, _ = network_forward(params, config, windows.inputs, mode="inference")
     pset = PredictionSet(
         y=inverse_transform(scaler, windows.targets),
-        y_hat=inverse_transform(scaler, scaled_pred),
+        y_hat=inverse_transform(scaler, scaled_pred[:, 0]),
     )
     return pset, windows.target_dates

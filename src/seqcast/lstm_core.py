@@ -33,8 +33,8 @@ keeps no BPTT cache and no sequence: it steps the whole stack a timestep at a
 time over one state column [h_top; ...; h_0; x_t] whose rows [h_l; h_{l-1}]
 (h_{-1} = x_t) are layer l's z; with one c per layer and one gate buffer,
 nothing it allocates has a T dimension. Its biases are broadcast views, as a
-[4*hidden, B] copy outweighs the column at B = 120; training tiles them into
-its frame, as at B = 32 a broadcast add is ~3x slower.
+[4*hidden, B] copy outweighs the column at inference's chunk size; training
+tiles them into its frame, as at its batch sizes a broadcast add is slower.
 
 Backward first overwrites the spent cache, over time blocks, with the
 gate-derivative factors that do not depend on the incoming gradient:
@@ -44,9 +44,11 @@ gradient from above; dc_t = f_{t+1} dc_{t+1} + A_t dh_t (a multiply and an
 add); dc copied beside itself; da_t = [dc; dc; dc; dh] * g[t]; dh = W_h^T da.
 dW = G Z^T and dX = W_x^T G then run as GEMMs over gate-major copies G [4*hidden, T*B]
 of da and Z [hidden+input, T*B] of z. From 50 units up, a layer makes the copies, then dW
-and db, in two parts that write disjoint rows of the frame and of the gradients, and dX in
-the first; below, one part does all. When _workers gives two threads, a worker runs the
-second parts beside the caller (a fork-join), and dropout on dX follows the join.
+and db, in parts that write disjoint rows of the frame and of the gradients, dX in the first
+product; below, one part does all. _fork runs such parts, and inference's chunks of
+_INFER_CHUNK windows, on the caller and on the one worker thread _threads may give for the
+call, each taking the next (a fork-join); dropout on dX follows the join. The parts depend
+on the width alone and the chunks on B alone, so where they run changes no byte.
 
 Numerics: the forward is bitwise that of the equations above. The backward
 multiplies each gate gradient's factors in another order than left to right
@@ -66,9 +68,9 @@ a steady training step allocates little beyond the gradients it returns.
 Recycled frames are not cleared: the kernels write every element before
 they read it. The pool keeps, per key, as many frames as were live at once,
 with their view objects, for the life of the process. Inference
-never uses it: concurrent inference calls share nothing but the params,
-which they only read, so they may run on threads. Taking and giving back
-are single list operations, so threads never share a frame.
+never uses it: concurrent inference calls and chunks share nothing but the
+params, which they only read, so they may run on threads. Taking and giving
+back are single list operations, so threads never share a frame.
 
 Layer stacking: every layer but the last feeds its hidden states to the
 next; the last emits its final hidden state, which the dense head maps to
@@ -84,6 +86,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +99,7 @@ class InvalidConfigError(ValueError):
 
 
 class ShapeMismatchError(ValueError):
-    """Array shapes inconsistent with the parameters or config, or with no timestep."""
+    """Array shapes inconsistent with the parameters or config, or with no window or timestep."""
 
 
 class StaleCacheError(ValueError):
@@ -116,27 +119,60 @@ _POOL: dict[tuple, list[_Frame]] = {}
 # 1.0, read-only: a ufunc converts a Python float operand each call, as slowly as it adds
 _ONE = np.broadcast_to(1.0, ())
 
-# At most 2 threads, the count measured (an affinity mask does not show a container's CPU
-# quota); 1 below 50 units, where a layer's work is mostly per-call overhead in the GIL.
-_MAX_THREADS, _THREADS_MIN_UNITS = 2, 50
+# One worker, the count measured (an affinity mask does not show a container's CPU quota);
+# none below 50 units, where a layer's work is mostly per-call overhead in the GIL, or for a
+# backward of fewer multiply-adds (4H(H+I)*T*B summed over layers) than the worker costs.
+_THREADS_MIN_UNITS, _THREADS_MIN_WORK = 50, 4 * 10**7
+
+# Windows per inference chunk, on either thread: one size for both keeps the predictions
+# bitwise equal on any BLAS kernel. Two chunks at once peak below one of twice the size, and
+# 120 gave the predictions of 256-window chunks on the OpenBLAS kernels tried; 116 and 60 did not.
+_INFER_CHUNK = 120
 
 
-def _workers(units) -> int:
-    """Threads for inference's chunks and the backward's parts: the usable cores over the BLAS
-    threads the environment names, at most _MAX_THREADS; one when neither variable names a
-    positive integer (BLAS threads over every core), or a layer is under _THREADS_MIN_UNITS."""
-    if min(units) < _THREADS_MIN_UNITS:
-        return 1
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            blas = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
-            cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-            return max(1, min(_MAX_THREADS, cpus // blas))
-    return 1
+def _threads(units, work=math.inf):
+    """A one-thread ThreadPoolExecutor if the usable cores are at least twice the BLAS threads
+    that OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, names (neither: BLAS threads on every
+    core), no layer is under _THREADS_MIN_UNITS and `work` (a backward's) reaches
+    _THREADS_MIN_WORK; else a null context, which gives None."""
+    if min(units) >= _THREADS_MIN_UNITS and work >= _THREADS_MIN_WORK:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            try:
+                blas = int(os.environ.get(var, ""))
+            except ValueError:
+                continue
+            if blas > 0:
+                affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+                cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+                if cpus < 2 * blas:
+                    break
+                # imported here, not at the top, where every start-up would pay for it
+                from concurrent.futures import ThreadPoolExecutor
+
+                return ThreadPoolExecutor(1)
+    return contextlib.nullcontext()
+
+
+def _fork(pool, fn, parts) -> list:
+    """[fn(*part) for part in parts]; given a pool and two parts or more, its worker and the
+    caller each take the next part no one has. Ends once the worker has, raising its exception."""
+    todo, results = deque(enumerate(parts)), [None] * len(parts)
+
+    def take() -> None:
+        while True:
+            try:
+                k, part = todo.popleft()  # atomic: no part runs twice
+            except IndexError:
+                return
+            results[k] = fn(*part)
+
+    future = None if pool is None or len(parts) < 2 else pool.submit(take)
+    try:
+        take()
+    finally:
+        if future is not None:
+            future.result()
+    return results
 
 
 def _block_steps(hid: int, T: int, B: int) -> int:
@@ -224,8 +260,8 @@ class LayerCache:
         self.z = z = np.empty((T + 1, width, B))  # z[t] = [h_{t-1} | x_t]
         self.g = g = np.empty((T, rows, B))  # f, i, tanh(c_t), o; gate gradients after backward
         self.c = c = np.empty((T + 1, 2 * hid, B))  # c[t] = [c_{t-1} | c~_t], c_{-1} = 0
-        self.bias = np.empty((rows, B))  # a broadcast add is ~3x slower
-        self.fc_ic = np.empty((2 * hid, B))  # c[t + 1] in its place is 2-3% slower
+        self.bias = np.empty((rows, B))  # a broadcast add is slower
+        self.fc_ic = np.empty((2 * hid, B))  # c[t + 1] in its place is slower
         self.mask_in = mask_in  # [T, in, B]: the layer below's dropout, or None
         # forward: the zero state, the staged input, the hidden sequence and _steps' steps
         self.h0, self.c0, self.x, self.h = z[0, :hid], c[0, :hid], z[:T, hid:], z[1:, :hid]
@@ -263,14 +299,14 @@ class LayerCache:
         self.zm_t = zm.T
         dx = None if bottom else d_inputs[: inp * cols].reshape(inp, cols)
         self.dx_seq = None if bottom else dx.reshape(inp, T, B).transpose(1, 0, 2)
-        # that work in parts, the first product with all of dX. From _THREADS_MIN_UNITS up,
-        # the last copy and product can run on a worker: G's copy splits to even the copies,
-        # dW and db to even the GEMMs at a multiple of 8 rows, where one BLAS thread kept the
-        # whole GEMM's rounding on the OpenBLAS kernels tried
+        # that work in parts for _fork, the first product with all of dX. From
+        # _THREADS_MIN_UNITS up, G's copy splits so that its larger part equals the other and
+        # Z's, as the first taker takes it; dW and db split to even the GEMMs at a multiple
+        # of 8 rows, where one BLAS thread kept the whole GEMM's rounding on the kernels tried
         self.copies, self.products = [(g_dst, g_src), (z_dst, z_src)], [(slice(None), gm, dx)]
         if hid >= _THREADS_MIN_UNITS:
             a, r = max(0, rows - width) // 2, rows * hid // (16 * width) * 8
-            self.copies = [(g_dst[:a], g_src[:a]), (z_dst, z_src), (g_dst[a:], g_src[a:])]
+            self.copies = [(g_dst[a:], g_src[a:]), (g_dst[:a], g_src[:a]), (z_dst, z_src)]
             self.products = [(slice(r), gm[:r], dx), (slice(r, None), gm[r:], None)]
 
 
@@ -426,7 +462,7 @@ def _layer_forward(params: LstmLayerParams, x: np.ndarray, lc: LayerCache) -> No
 
 
 def _infer(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """The stack's final hidden state [hidden_last, B]. The state is one column
+    """Predictions [B] for a feature-major [T, in, B] chunk. The state is one column
     [h_top; ...; h_0; x_t]: layer l steps in place on its rows [h_l; h_{l-1}] and one c."""
     _, inp, B = x.shape
     units = [layer.hidden_size for layer in params.layers]
@@ -449,7 +485,7 @@ def _infer(params: NetworkParams, x: np.ndarray) -> np.ndarray:
                     _steps(*layer)
         finally:
             np.setbufsize(size)  # NumPy 1's errstate does not restore it
-    return col[: units[-1]]
+    return col[: units[-1]].T @ params.dense.w + params.dense.b[0]
 
 
 def network_forward(
@@ -463,7 +499,7 @@ def network_forward(
 
     Train mode draws one dropout mask per layer (in layer order) from `rng`
     and returns the cache BPTT needs; inference returns (predictions, None)
-    and is deterministic.
+    and is deterministic, in chunks of _INFER_CHUNK windows that _fork runs.
     """
     if mode not in ("train", "inference"):
         raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
@@ -472,19 +508,21 @@ def network_forward(
         raise ShapeMismatchError(
             f"expected [B, T, {config.input_features}] batch, got shape {arr.shape}"
         )
-    if arr.shape[1] == 0:
-        raise ShapeMismatchError("batch has zero timesteps")
+    if 0 in arr.shape[:2]:
+        raise ShapeMismatchError(f"batch has zero {'windows' if len(arr) == 0 else 'timesteps'}")
     if len(params.layers) != len(config.layer_units):
         raise ShapeMismatchError(
             f"params have {len(params.layers)} layers, config names {len(config.layer_units)}"
         )
+    B, T, _ = arr.shape
     x = arr.transpose(1, 2, 0)  # feature-major [T, features, B]
     if mode == "inference":
-        return (_infer(params, x).T @ params.dense.w + params.dense.b[0])[:, np.newaxis], None
+        chunks = [(params, x[..., lo : lo + _INFER_CHUNK]) for lo in range(0, B, _INFER_CHUNK)]
+        with _threads(config.layer_units) as pool:
+            return np.concatenate(_fork(pool, _infer, chunks))[:, np.newaxis], None
     if rng is None and any(r > 0.0 for r in config.dropout_rates):
         raise ValueError("train-mode forward with nonzero dropout needs an rng")
 
-    B, T, _ = arr.shape
     rates = config.dropout_rates
     key = (tuple(_param_sizes(params)), tuple(r > 0.0 for r in rates), T, B)
     try:
@@ -539,15 +577,6 @@ def _products(gm, zm_t, w_x, grads, rows, g_rows, dx) -> None:
         np.matmul(w_x, gm, out=dx)
 
 
-def _fork(pool, fn, parts) -> None:
-    """fn(*part) for each part in turn, or, given a pool, the last on its thread meanwhile."""
-    future = None if pool is None else pool.submit(fn, *parts[-1])
-    for part in parts if future is None else parts[:-1]:
-        fn(*part)
-    if future is not None:
-        future.result()  # raises the worker's exception
-
-
 def _layer_backward(
     params: LstmLayerParams, lc: LayerCache, d_last, grads: LstmLayerParams, pool
 ) -> None:
@@ -558,7 +587,7 @@ def _layer_backward(
     the layer above left in the frame, which the time loop reads before dX
     overwrites it. Writes the parameter gradients into `grads` and, above the
     bottom layer, dX times the dropout of the layer below into lc.dx_seq. A one-thread
-    `pool` runs the last of lc.copies, then of lc.products, beside this thread.
+    `pool` takes parts of lc.copies, then of lc.products, beside this thread.
     """
     _gate_factors(lc.blocks, lc.f_last)
     hid = params.hidden_size
@@ -609,7 +638,7 @@ def network_backward(
         raise StaleCacheError(
             f"cache has {len(frame.layers)} layers, params have {len(params.layers)}"
         )
-    B = frame.key[-1]
+    sizes, _, T, B = frame.key
     d_pred = np.asarray(d_predictions, dtype=np.float64).reshape(-1)
     if d_pred.shape[0] != B:
         raise StaleCacheError(f"gradient batch {d_pred.shape[0]} does not match cache batch {B}")
@@ -622,12 +651,8 @@ def network_backward(
     if frame.masks[-1] is not None:
         d_out *= frame.masks[-1]
     d_last = d_out.T  # feature-major from here on
-    threads = contextlib.nullcontext()  # which gives None
-    if _workers([layer.hidden_size for layer in params.layers]) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # imported here, as in predict_series
-
-        threads = ThreadPoolExecutor(1)
-    with threads as pool:  # None, or one worker thread that ends with the block
+    work = T * B * sum(4 * hid * (hid + inp) for hid, inp in sizes)
+    with _threads([hid for hid, _ in sizes], work) as pool:  # a worker ends with the block
         for layer, lc, lg in zip(params.layers[::-1], frame.layers[::-1], grads.layers[::-1]):
             _layer_backward(layer, lc, d_last, lg, pool)
             d_last = None

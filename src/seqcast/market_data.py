@@ -150,7 +150,7 @@ def parse_csv(text: Iterable[str], symbol: str = "") -> PriceSeries:
         add_close(_parse_price(row[ci]))
         add_adj(math.nan if ai is None else _parse_price(row[ai]))
 
-    # from ordinals: numpy converts a list of date objects one by one, ~30x slower
+    # from ordinals: numpy converts a list of date objects one by one, far more slowly
     day_array = (np.asarray(days) - _EPOCH_ORDINAL).astype("datetime64[D]")
     order = np.argsort(day_array, kind="stable")
     return PriceSeries(

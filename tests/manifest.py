@@ -37,6 +37,8 @@ COPIES = {
     "bom": lambda raw: codecs.BOM_UTF8 + raw,
 }
 TINY = ["--units", "4", "--window", "10", "--epochs", "1", "--symbols", "VNQ"]
+# wide enough that, given a spare core, the backward and inference run on a worker thread too
+WIDE = ["--units", "50,50", "--window", "100", "--epochs", "1", "--symbols", "VNQ"]
 COMMANDS = [
     ("ingest", ["--symbols", NINE, "--out-dir", "ingest", "ingest"]),
     ("ingest-adj", ["--use-adj-close", "--symbols", NINE, "--out-dir", "ingest-adj", "ingest"]),
@@ -48,6 +50,8 @@ COMMANDS = [
     ),
     ("train", TINY + ["--out-dir", "units4", "train"]),
     ("evaluate", TINY + ["--out-dir", "units4", "evaluate"]),
+    ("train-wide", WIDE + ["--out-dir", "units50", "train"]),
+    ("evaluate-wide", WIDE + ["--out-dir", "units50", "evaluate"]),
     ("gradcheck", ["gradcheck", "--probes", "200"]),
 ]
 # `seconds=0.012` in the epoch lines, `"seconds": 0.0123` in the --log-out JSON lines

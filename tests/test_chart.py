@@ -43,6 +43,14 @@ def test_chart_point_counts_match_series():
         assert len(polyline.get("points").split()) == 5
 
 
+def test_chart_draws_a_higher_price_higher():
+    # SVG's y axis points down: a larger value has a smaller y
+    root = ET.fromstring(render_sample())
+    actual = next(p for p in root.findall(f".//{SVG_NS}polyline") if p.get("stroke") == "green")
+    ys = [float(point.split(",")[1]) for point in actual.get("points").split()]
+    assert ys[1] < ys[0] and ys[4] == min(ys)  # 11.0 over 10.0; 12.5 the highest
+
+
 def test_chart_handles_constant_series():
     svg = render_price_chart([date(2022, 1, 3), date(2022, 1, 4)], [5.0, 5.0], [5.0, 5.0], TITLE)
     ET.fromstring(svg)

@@ -8,7 +8,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-import seqcast.evaluate as evaluate_module
+from seqcast import lstm_core
 from seqcast.evaluate import (
     AllExcludedError,
     ZeroVarianceError,
@@ -212,12 +212,11 @@ def test_predict_series_persistence_stub(monkeypatch):
     # equals the previous day's close
     batch_sizes = []
 
-    def stub_forward(params, config, batch, mode="inference", rng=None):
-        arr = np.asarray(batch)
-        batch_sizes.append(arr.shape[0])
-        return arr[:, -1, 0][:, np.newaxis], None
+    def stub_infer(params, x):  # a feature-major [T, 1, B] chunk
+        batch_sizes.append(x.shape[2])
+        return x[-1, 0].copy()
 
-    monkeypatch.setattr(evaluate_module, "network_forward", stub_forward)
+    monkeypatch.setattr(lstm_core, "_infer", stub_infer)
     rng = make_rng(107)
     prices = np.cumsum(rng.normal(size=600)) + 100.0
     scaler = fit_scaler(prices[:30])
@@ -264,15 +263,19 @@ def series_windows(seed, n_windows, steps):
 )
 def test_predictions_equal_the_serial_chunks(monkeypatch, units, cpus, openblas, pooled):
     blas_env(monkeypatch, cpus, openblas)
-    threads, sizes, lock = [], [], threading.Lock()
+    caller, threads, sizes, infer = threading.get_ident(), [], [], lstm_core._infer
+    worker_took = threading.Event()
 
-    def recording_forward(params, config, batch, mode="inference", rng=None):
-        with lock:
-            threads.append(threading.get_ident())
-            sizes.append(len(batch))
-        return network_forward(params, config, batch, mode=mode, rng=rng)
+    def recording_infer(params, x):
+        threads.append(threading.get_ident())  # list.append holds the GIL
+        sizes.append(x.shape[2])
+        if threads[-1] != caller:
+            worker_took.set()
+        elif pooled:  # so that the worker takes a chunk
+            assert worker_took.wait(timeout=60)
+        return infer(params, x)
 
-    monkeypatch.setattr(evaluate_module, "network_forward", recording_forward)
+    monkeypatch.setattr(lstm_core, "_infer", recording_infer)
     scaler, windows = series_windows(108, 601, 30)
     cfg = NetworkConfig(layer_units=units, dropout_rates=(0.0, 0.0), seed=4)
     params = init_params(cfg)
@@ -280,38 +283,38 @@ def test_predictions_equal_the_serial_chunks(monkeypatch, units, cpus, openblas,
 
     # 601 windows run as five chunks of 120 and one of 1, pooled or not
     assert sorted(sizes) == [1] + [120] * 5
-    if pooled:  # on at most two worker threads
-        assert threading.get_ident() not in threads and len(set(threads)) <= 2
+    if pooled:  # on this thread and one worker thread
+        assert caller in threads and len(set(threads)) == 2
     else:
-        assert threads == [threading.get_ident()] * 6
+        assert threads == [caller] * 6
     serial = [
         network_forward(params, cfg, windows.inputs[lo : lo + 120], mode="inference")[0][:, 0]
         for lo in range(0, windows.n_samples, 120)
     ]
     assert pset_out.y_hat.tobytes() == inverse_transform(scaler, np.concatenate(serial)).tobytes()
     # other chunk sizes differ at most by rounding, which depends on the BLAS kernel
-    whole = network_forward(params, cfg, windows.inputs, mode="inference")[0][:, 0]
+    whole = infer(params, windows.inputs.transpose(1, 2, 0))  # one 601-window chunk
     np.testing.assert_allclose(pset_out.y_hat, inverse_transform(scaler, whole), rtol=1e-12)
 
 
 @pytest.mark.parametrize("error", [ShapeMismatchError("chunk 2"), MemoryError()])
 def test_a_worker_exception_is_raised_by_predict_series(monkeypatch, error):
     blas_env(monkeypatch, 2, openblas="1")
-    calls, lock, raised_on = [], threading.Lock(), []
+    caller, raised_on, raised = threading.get_ident(), [], threading.Event()
 
-    def failing_forward(params, config, batch, mode="inference", rng=None):
-        with lock:
-            calls.append(len(batch))
-            second = len(calls) == 2
-        if second:
+    def failing_infer(params, x):
+        if threading.get_ident() != caller:
             raised_on.append(threading.get_ident())
+            raised.set()
             raise error
-        return np.zeros((len(batch), 1)), None
+        assert raised.wait(timeout=60)  # so that the worker takes a chunk
+        return np.zeros(x.shape[2])
 
-    monkeypatch.setattr(evaluate_module, "network_forward", failing_forward)
+    monkeypatch.setattr(lstm_core, "_infer", failing_infer)
     scaler, windows = series_windows(110, 601, 30)
     cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.0, 0.0), seed=4)
+    before = threading.active_count()
     with pytest.raises(type(error)) as info:
         predict_series(init_params(cfg), cfg, scaler, windows)
-    assert info.value is error
-    assert len(raised_on) == 1 and raised_on[0] != threading.get_ident()
+    assert info.value is error and len(raised_on) == 1
+    assert threading.active_count() == before  # the worker has ended

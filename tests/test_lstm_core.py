@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -360,6 +361,9 @@ def test_network_forward_shape_errors():
         network_forward(params, cfg, np.zeros((2, 4, 3)), mode="inference")
     with pytest.raises(ShapeMismatchError, match="batch has zero timesteps"):
         network_forward(params, cfg, np.zeros((2, 0, 1)), mode="inference")
+    for mode in ("inference", "train"):  # train mode's time blocks divided by B
+        with pytest.raises(ShapeMismatchError, match="batch has zero windows"):
+            network_forward(params, cfg, np.zeros((0, 4, 1)), mode=mode)
 
 
 def test_network_forward_requires_rng_for_dropout():
@@ -794,7 +798,38 @@ def blas_env(monkeypatch, cpus, openblas=None, omp=None):
 )
 def test_workers_are_the_cores_blas_leaves_free(monkeypatch, units, cpus, openblas, omp, workers):
     blas_env(monkeypatch, cpus, openblas, omp)
-    assert lstm_core._workers(units) == workers
+    with lstm_core._threads(units) as pool:  # a one-thread executor, or None
+        assert (pool is not None) == (workers == 2)
+
+
+@pytest.mark.parametrize("windows,threaded", [(1, False), (120, False), (121, True)])
+def test_an_inference_call_of_one_chunk_starts_no_thread(monkeypatch, windows, threaded):
+    blas_env(monkeypatch, 2, openblas="1")
+    submitted, submit = [], ThreadPoolExecutor.submit
+
+    def recording_submit(pool, *args):
+        submitted.append(args)
+        return submit(pool, *args)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
+    cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.0, 0.0), seed=76)
+    batch = make_rng(75).normal(size=(windows, 6, 1))
+    assert network_forward(init_params(cfg), cfg, batch, mode="inference")[0].shape == (windows, 1)
+    assert len(submitted) == threaded
+
+
+def test_a_backward_under_the_work_gate_starts_no_worker(cold_pool, monkeypatch):
+    blas_env(monkeypatch, 2, openblas="1")
+    floor = lstm_core._THREADS_MIN_WORK
+    for work, threaded in ((floor - 1, False), (floor, True)):
+        with lstm_core._threads((50, 56), work) as pool:
+            assert (pool is not None) == threaded
+    # (50, 50) at T=20 and B=32: 4H(H+I) summed over the layers is 30,200, times T*B = 640
+    refuse = lambda *args: pytest.fail("a thread was started")
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
+    cfg = NetworkConfig(layer_units=(50, 50), dropout_rates=(0.2, 0.0), seed=79)
+    assert 30_200 * 640 < floor
+    _step(init_params(cfg), cfg, make_rng(78).normal(size=(32, 20, 1)), seed=77)
 
 
 WIDE_CASES = [
@@ -808,24 +843,30 @@ WIDE_CASES = [
 def test_threaded_backward_gives_the_serial_gradients(
     cold_pool, monkeypatch, units, rates, batch_size, steps
 ):
+    monkeypatch.setattr(lstm_core, "_THREADS_MIN_WORK", 0)  # the odd-T frame is small
     cfg = NetworkConfig(layer_units=units, dropout_rates=rates, seed=80)
     params = init_params(cfg)
     batch = make_rng(81).normal(size=(batch_size, steps, 1))
-    threads, products = [], lstm_core._products
+    threads, products, taken = [], lstm_core._products, threading.Condition()
+    caller, grads = threading.get_ident(), {}
 
     def recording_products(*args):
-        threads.append(threading.get_ident())  # list.append holds the GIL
+        with taken:
+            threads.append(threading.get_ident())
+            taken.notify_all()
+            # with a worker, the caller waits until it has taken this layer's other part
+            if cpus == 2 and threads[-1] == caller:
+                assert taken.wait_for(lambda: len(threads) % 2 == 0, timeout=60)
         products(*args)
 
     monkeypatch.setattr(lstm_core, "_products", recording_products)
-    caller, grads = threading.get_ident(), {}
     for cpus in (1, 2):
         blas_env(monkeypatch, cpus, openblas="1")
         threads.clear()
         grads[cpus] = _step(params, cfg, batch, seed=82)[1].tobytes()
         if cpus == 1:  # two parts a layer, in turn on this thread
             assert threads == [caller] * 2 * len(units)
-        else:  # the second part of each layer on one worker thread
+        else:  # one part of each layer on one worker thread
             assert threads.count(caller) == len(units) and len(set(threads) - {caller}) == 1
     assert grads[1] == grads[2]
 
@@ -833,6 +874,7 @@ def test_threaded_backward_gives_the_serial_gradients(
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_backward_in_parts_matches_exact_oracle(cold_pool, monkeypatch, cpus):
     blas_env(monkeypatch, cpus, openblas="1")
+    monkeypatch.setattr(lstm_core, "_THREADS_MIN_WORK", 0)
     cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.3, 0.2), seed=83)
     params = init_params(cfg)
     params.flat[...] += make_rng(84).normal(scale=0.1, size=params.flat.size)
@@ -849,12 +891,16 @@ def test_backward_in_parts_matches_exact_oracle(cold_pool, monkeypatch, cpus):
 @pytest.mark.parametrize("error", [ShapeMismatchError("part 2"), MemoryError()])
 def test_a_worker_exception_is_raised_by_network_backward(cold_pool, monkeypatch, error):
     blas_env(monkeypatch, 2, openblas="1")
+    monkeypatch.setattr(lstm_core, "_THREADS_MIN_WORK", 0)
     caller, raised_on, products = threading.get_ident(), [], lstm_core._products
+    raised = threading.Event()
 
     def failing_products(*args):
         if threading.get_ident() != caller:
             raised_on.append(threading.get_ident())
+            raised.set()
             raise error
+        assert raised.wait(timeout=60)  # so that the worker takes the other part
         products(*args)
 
     monkeypatch.setattr(lstm_core, "_products", failing_products)
@@ -873,6 +919,7 @@ def test_threaded_backwards_under_a_short_switch_interval_keep_their_gradients(
 ):
     # three training steps at once, each backward with its worker: six threads on two
     # cores, switching often, so that a write into a row another thread owns would show
+    monkeypatch.setattr(lstm_core, "_THREADS_MIN_WORK", 0)
     cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.3, 0.2), seed=90)
     params = init_params(cfg)
     batches = [make_rng(91 + k).normal(size=(6, 9, 1)) for k in range(3)]

@@ -163,6 +163,12 @@ def test_bridge_tail_too_short():
         bridge_test_windows([1.0, 2.0], [3.0], 3)
 
 
+def test_bridge_tail_too_long():
+    # a longer tail would add windows that end before the first test value
+    with pytest.raises(InvalidWindowError, match="train tail has 4 values, need exactly 3"):
+        bridge_test_windows([0.0, 1.0, 2.0, 3.0], [4.0], 3)
+
+
 # ------------------------------------------------------------- footprint
 
 

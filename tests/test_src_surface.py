@@ -9,10 +9,13 @@ module beyond its definition, or the benchmark under bench/ names it.
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import seqcast
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "seqcast"
@@ -61,3 +64,9 @@ def test_the_cli_loads_every_module_of_the_package():
     assert done.returncode == 0, done.stderr
     modules = {f"seqcast.{p.stem}" for p in PACKAGE.glob("*.py")} - {"seqcast.__init__"}
     assert set(done.stdout.split()) == modules - {"seqcast.__main__"}
+
+
+def test_the_package_states_the_version_pyproject_declares():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert declared and seqcast.__version__ == declared.group(1)

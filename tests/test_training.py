@@ -449,6 +449,26 @@ def test_gradcheck_reports_a_non_finite_gradient_as_nan(monkeypatch, bad):
     assert math.isnan(err)
 
 
+def test_gradcheck_reports_nan_when_only_a_later_probe_is_not_finite(monkeypatch):
+    # max() keeps a finite first error over a later NaN, so only a NaN first probe showed
+    cfg = NetworkConfig(layer_units=(3,), dropout_rates=(0.0,), seed=14)
+    params = init_params(cfg)
+    first = make_rng(0).integers(0, params.flat.size, size=5)[0]  # the probe seed 0 draws first
+    original = training_module.network_backward
+
+    def broken(*args):
+        grads = original(*args)
+        kept = grads.flat[first]
+        grads.flat[...] = np.nan
+        grads.flat[first] = kept
+        return grads
+
+    monkeypatch.setattr(training_module, "network_backward", broken)
+    x = make_rng(15).normal(size=(2, 4, 1))
+    err = finite_diff_gradcheck(params, cfg, x, np.zeros(2), probe_count=5, seed=0)
+    assert math.isnan(err)
+
+
 def test_gradcheck_refuses_zero_probes():
     cfg, params = scalar_net()
     with pytest.raises(ValueError, match="probes must be >= 1, got 0"):
