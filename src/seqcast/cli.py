@@ -24,7 +24,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from datetime import date
 from importlib import resources
 from pathlib import Path
 from types import UnionType
@@ -48,6 +47,7 @@ from .market_data import (
     InvalidWindowError,
     PriceSeries,
     SplitResult,
+    _parse_day,
     chronological_split,
     drop_missing,
     parse_csv,
@@ -132,12 +132,12 @@ class RunConfig:
             raise RunConfigError(
                 f"data file {self.data_path} holds one series; got {len(self.symbols)} symbols"
             )
-        for name in ("start", "end"):
+        for name in ("start", "end"):  # so YYYY-MM-DD, which orders days as it orders text
             try:
-                date.fromisoformat(getattr(self, name))
+                _parse_day(getattr(self, name))
             except ValueError as exc:
                 raise RunConfigError(f"{name} {getattr(self, name)!r}: {exc}") from None
-        if date.fromisoformat(self.start) > date.fromisoformat(self.end):  # no row fits between
+        if self.start > self.end:  # no row fits between
             raise RunConfigError(f"start {self.start} is after end {self.end}")
         # the checks make_windows and chronological_split would make per symbol
         if self.window < 1:
@@ -198,7 +198,7 @@ def load_series(cfg: RunConfig, symbol: str) -> PriceSeries:
             series = parse_csv(lines, symbol)
     except UnicodeDecodeError as exc:  # its position counts from a read chunk's start
         raise BadEncodingError(f"{source} is not UTF-8 text: {exc.reason}") from None
-    lo, hi = (np.datetime64(date.fromisoformat(day)) for day in (cfg.start, cfg.end))
+    lo, hi = np.datetime64(cfg.start), np.datetime64(cfg.end)
     return series[(series.days >= lo) & (series.days <= hi)]
 
 

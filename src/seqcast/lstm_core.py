@@ -24,12 +24,11 @@ Activation layout: feature-major, [T, features, B], so each gate of the step
 GEMM w @ z_t -> [4*hidden, B] is a contiguous [hidden, B] row block and the
 gate math runs as in-place ufuncs. _steps is the one recurrence kernel of both
 modes: a cell step is 15 NumPy calls over views sliced before the loop, as at
-small widths a step costs per call, not per FLOP. A train-mode forward stages
-x into z [T+1, hidden+input, B] once per layer (z[t] = [h_{t-1} | x_t]) and
-keeps g [T, 4*hidden, B] = [f, i, tanh c_t, o] and c [T+1, 2*hidden, B] with
-c[t] = [c_{t-1} | c~_t]: 7*hidden+input floats a step. As c[t] lines up with
-[f; i], the cell update is one multiply and one add of its halves. Inference
-keeps no BPTT cache and no sequence: it steps the whole stack a timestep at a
+small widths a step costs per call, not per FLOP. A train-mode forward stages x into
+z [T+1, hidden+input, B] (z[t] = [h_{t-1} | x_t]) and keeps g [T, 4*hidden, B] = [f, i,
+tanh c_t, o] and c [T+1, 2*hidden, B] with c[t] = [c_{t-1} | c~_t]: 7*hidden+input floats
+a step. As c[t] lines up with [f; i], the cell update is one multiply and one add of its
+halves. Inference keeps no BPTT cache and no sequence: it steps the whole stack a timestep at a
 time over one state column [h_top; ...; h_0; x_t] whose rows [h_l; h_{l-1}]
 (h_{-1} = x_t) are layer l's z; with one c per layer and one gate buffer,
 nothing it allocates has a T dimension. Its biases are broadcast views, as a
@@ -59,7 +58,7 @@ dropout rates are > 0, T, B), which it takes from a module-private pool or
 builds when the pool has none. A frame holds every layer's z, g and c, its
 bias tile and fc_ic scratch, the dropout masks and backward's scratch (work,
 and d_inputs for dX). It also holds every view of them the kernels read,
-sliced once when it is built: _steps' cell steps, _gate_factors' blocks, the
+sliced once when it is built: _stage's blocks of cell steps, _gate_factors' blocks, the
 BPTT loop's steps and the dX steps that feed the layer below, so a batch
 slices nothing a batch before it sliced. network_forward returns a fresh
 NetworkCache handle on the frame; network_backward detaches the frame and
@@ -75,10 +74,15 @@ back are single list operations, so threads never share a frame.
 Layer stacking: every layer but the last feeds its hidden states to the
 next; the last emits its final hidden state, which the dense head maps to
 one scalar. Inverted dropout (survivors scaled by 1/(1-rate) in training,
-identity at inference) follows each layer's output. network_forward draws
-each mask from its rng, in place and in layer order: batch-major,
-[T, B, hidden] per layer and [B, hidden] for the last state. The next layer
-applies a mask as it stages its input into z.
+identity at inference) follows each layer's output. A train-mode network_forward first draws
+every mask from its rng, in place and in layer order: batch-major, [T, B, hidden] per layer
+and [B, hidden] for the last state; a layer applies the mask below as it stages its input into
+z. _stage then runs layers by blocks of time: one stage of every layer over all T, or, given
+_threads' worker, two stages on two threads over _PIPE_STEPS-step blocks, cut where the
+heavier side's sum of 4H(H+I) is least (layers 0-2 | 3 in the paper's stack), the stage above
+stepping block k once the stage below has written it (a wavefront). Each cell step makes the
+same NumPy calls on the same data, staging is elementwise and the masks are drawn first, so
+neither the threads nor the blocks change a byte.
 """
 
 from __future__ import annotations
@@ -120,9 +124,11 @@ _POOL: dict[tuple, list[_Frame]] = {}
 _ONE = np.broadcast_to(1.0, ())
 
 # One worker, the count measured (an affinity mask does not show a container's CPU quota);
-# none below 50 units, where a layer's work is mostly per-call overhead in the GIL, or for a
-# backward of fewer multiply-adds (4H(H+I)*T*B summed over layers) than the worker costs.
+# none below 50 units, where a layer's work is mostly per-call overhead in the GIL, for a
+# backward of fewer multiply-adds (4H(H+I)*T*B summed over layers) than the worker costs, or
+# for a two-stage forward whose lighter stage makes under _PIPE_MIN_WORK a step (4H(H+I)*B).
 _THREADS_MIN_UNITS, _THREADS_MIN_WORK = 50, 4 * 10**7
+_PIPE_STEPS, _PIPE_MIN_WORK = 4, 10**6  # _PIPE_STEPS: the two-stage forward's time block
 
 # Windows per inference chunk, on either thread: one size for both keeps the predictions
 # bitwise equal on any BLAS kernel. Two chunks at once peak below one of twice the size, and
@@ -130,12 +136,11 @@ _THREADS_MIN_UNITS, _THREADS_MIN_WORK = 50, 4 * 10**7
 _INFER_CHUNK = 120
 
 
-def _threads(units, work=math.inf):
+def _threads(units, work=0, floor=0):
     """A one-thread ThreadPoolExecutor if the usable cores are at least twice the BLAS threads
     that OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, names (neither: BLAS threads on every
-    core), no layer is under _THREADS_MIN_UNITS and `work` (a backward's) reaches
-    _THREADS_MIN_WORK; else a null context, which gives None."""
-    if min(units) >= _THREADS_MIN_UNITS and work >= _THREADS_MIN_WORK:
+    core), no layer is under _THREADS_MIN_UNITS and `work` reaches `floor`; else a null context."""
+    if min(units) >= _THREADS_MIN_UNITS and work >= floor:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             try:
                 blas = int(os.environ.get(var, ""))
@@ -267,7 +272,11 @@ class LayerCache:
         self.h0, self.c0, self.x, self.h = z[0, :hid], c[0, :hid], z[:T, hid:], z[1:, :hid]
         self.fc, self.ic = self.fc_ic[:hid], self.fc_ic[hid:]
         gates = (g[:, : 2 * hid], g[:, 2 * hid : 3 * hid], g[:, 3 * hid :])
-        self.steps = list(zip(z[:T], g, *gates, c[:T], c[:T, hid:], c[1:, :hid], z[1:, :hid]))
+        steps = list(zip(z[:T], g, *gates, c[:T], c[:T, hid:], c[1:, :hid], z[1:, :hid]))
+        self.runs = []  # _stage's (span, staged input, steps) blocks: all T in one, or
+        for n in (T, _PIPE_STEPS):  # _PIPE_STEPS steps each for a stage of a two-stage forward
+            spans = [slice(t, t + n) for t in range(0, T, n)]
+            self.runs.append([(s, self.x[s], steps[s]) for s in spans])
         # backward: _gate_factors' time blocks, each gathered gate-major into work
         self.blocks, block = [], _block_steps(hid, T, B)
         for t0 in range(0, T, block):
@@ -321,6 +330,10 @@ class _Frame:
         self.work = np.empty(span * B)  # G and Z after the time loop, or one _gate_factors block
         self.d_inputs = np.empty(max((i for _, i in sizes[1:]), default=0) * T * B)
         self.masks: list[np.ndarray | None] = []  # on each layer's output, None = identity
+        self.macs = macs = [4 * h * (h + i) for h, i in sizes]  # per layer, step and window
+        side = lambda cut: (sum(macs[:cut]), sum(macs[cut:]))  # a two-stage forward's stages
+        self.cut = min(range(1, len(sizes)), key=lambda cut: max(side(cut)), default=1)
+        self.light = min(side(self.cut)) * B  # the lighter stage's multiply-adds a step
         self.layers: list[LayerCache] = []
         for idx, ((hid, inp), drop) in enumerate(zip(sizes, dropped)):
             below = self.masks[-1] if idx else None
@@ -445,20 +458,31 @@ def _steps(w, bias, fc_ic, fc, ic, steps) -> None:
         np.multiply(o, tc, h_new)
 
 
-def _layer_forward(params: LstmLayerParams, x: np.ndarray, lc: LayerCache) -> None:
-    """Train-mode recurrence over a feature-major [T, in, B] input from zero state.
-
-    Stages x, times lc.mask_in if given, into lc.z and fills lc's BPTT cache; the
-    hidden sequence is lc.h.
-    """
-    lc.h0[...] = lc.c0[...] = 0.0
-    if lc.mask_in is None:
-        lc.x[...] = x
-    else:
-        np.multiply(x, lc.mask_in, out=lc.x)
-    np.copyto(lc.bias, params.b[:, np.newaxis])
-    with np.errstate(over="ignore"):
-        _steps(params.w, lc.bias, lc.fc_ic, lc.fc, lc.ic, lc.steps)
+def _stage(layers, x, piped, after, ready) -> None:
+    """Train-mode recurrence of `layers`, (params, LayerCache) pairs bottom up, over x, the
+    first's [T, in, B] input, by the blocks of lc.runs[piped]: each layer stages a block, times
+    lc.mask_in if given, into lc.z, then steps. A block first takes a word from queue `after`
+    and stops on False; `ready` gets True a block, then False once this stage ends or raises."""
+    try:
+        with np.errstate(over="ignore"):  # per thread
+            for layer, lc in layers:
+                lc.h0[...] = lc.c0[...] = 0.0
+                np.copyto(lc.bias, layer.b[:, np.newaxis])
+            inputs = [x] + [lc.h for _, lc in layers[:-1]]  # [T, in, B] each
+            for block in zip(*(lc.runs[piped] for _, lc in layers)):
+                if after is not None and not after.get():
+                    return  # _fork raises the stage below's exception
+                for (layer, lc), src, (span, x_in, steps) in zip(layers, inputs, block):
+                    if lc.mask_in is None:
+                        x_in[...] = src[span]
+                    else:
+                        np.multiply(src[span], lc.mask_in[span], out=x_in)
+                    _steps(layer.w, lc.bias, lc.fc_ic, lc.fc, lc.ic, steps)
+                if ready is not None:
+                    ready.put(True)
+    finally:  # after the last block, or on an exception
+        if ready is not None:
+            ready.put(False)
 
 
 def _infer(params: NetworkParams, x: np.ndarray) -> np.ndarray:
@@ -529,15 +553,20 @@ def network_forward(
         frame = _POOL[key].pop()
     except (KeyError, IndexError):
         frame = _Frame(key)
-    for layer, lc, rate, mask in zip(params.layers, frame.layers, rates, frame.masks):
-        _layer_forward(layer, x, lc)
-        x = lc.h  # the hidden sequence [T, hidden, B]
+    for rate, mask in zip(rates, frame.masks):  # every mask first, in layer order
         if mask is not None:
-            rng.random(out=mask)
-            np.greater_equal(mask, rate, out=mask)
+            np.greater_equal(rng.random(out=mask), rate, out=mask)
             np.divide(mask, 1.0 - rate, out=mask)
-
-    final_hidden = x[-1].T if mask is None else x[-1].T * mask  # [B, hidden_last]
+    layers, cut = list(zip(params.layers, frame.layers)), frame.cut
+    with _threads(config.layer_units, frame.light, _PIPE_MIN_WORK) as pool:
+        stages = [(layers, x, 0, None, None)]
+        if pool is not None:  # layers below the cut on one thread, the rest on the other
+            from queue import SimpleQueue  # loaded with the pool
+            ready, h = SimpleQueue(), frame.layers[cut - 1].h
+            stages = [(layers[:cut], x, 1, None, ready), (layers[cut:], h, 1, ready, None)]
+        _fork(pool, _stage, stages)
+    h_last = frame.layers[-1].h[-1].T  # [B, hidden_last]
+    final_hidden = h_last if mask is None else h_last * mask
     predictions = (final_hidden @ params.dense.w + params.dense.b[0])[:, np.newaxis]
     return predictions, NetworkCache(frame, final_hidden)
 
@@ -651,8 +680,7 @@ def network_backward(
     if frame.masks[-1] is not None:
         d_out *= frame.masks[-1]
     d_last = d_out.T  # feature-major from here on
-    work = T * B * sum(4 * hid * (hid + inp) for hid, inp in sizes)
-    with _threads([hid for hid, _ in sizes], work) as pool:  # a worker ends with the block
+    with _threads([hid for hid, _ in sizes], T * B * sum(frame.macs), _THREADS_MIN_WORK) as pool:
         for layer, lc, lg in zip(params.layers[::-1], frame.layers[::-1], grads.layers[::-1]):
             _layer_backward(layer, lc, d_last, lg, pool)
             d_last = None

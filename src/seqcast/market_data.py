@@ -112,6 +112,13 @@ def _parse_price(cell: str) -> float:
     return value if math.isfinite(value) else math.nan
 
 
+def _parse_day(text: str) -> date:
+    """The day `text` names, spelled YYYY-MM-DD: 3.11's fromisoformat reads more than 3.10's."""
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError("not YYYY-MM-DD")
+    return date.fromisoformat(text)
+
+
 def parse_csv(text: Iterable[str], symbol: str = "") -> PriceSeries:
     """Parse vendor CSV lines, an open file's say, into a PriceSeries sorted by date.
 
@@ -144,7 +151,7 @@ def parse_csv(text: Iterable[str], symbol: str = "") -> PriceSeries:
         if not raw_date and not "".join(row).strip():
             continue
         try:
-            add_day(date.fromisoformat(raw_date).toordinal())
+            add_day(_parse_day(raw_date).toordinal())
         except ValueError:
             raise BadDateError(f"line {line_no}: unparseable date {raw_date!r}") from None
         add_close(_parse_price(row[ci]))

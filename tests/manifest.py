@@ -39,6 +39,8 @@ COPIES = {
 TINY = ["--units", "4", "--window", "10", "--epochs", "1", "--symbols", "VNQ"]
 # wide enough that, given a spare core, the backward and inference run on a worker thread too
 WIDE = ["--units", "50,50", "--window", "100", "--epochs", "1", "--symbols", "VNQ"]
+# the paper stack: given a spare core, its training forward runs as two stages on two threads
+PAPER_SHORT = ["--window", "20", "--end", "2013-12-31", "--epochs", "1", "--symbols", "VNQ"]
 COMMANDS = [
     ("ingest", ["--symbols", NINE, "--out-dir", "ingest", "ingest"]),
     ("ingest-adj", ["--use-adj-close", "--symbols", NINE, "--out-dir", "ingest-adj", "ingest"]),
@@ -52,6 +54,7 @@ COMMANDS = [
     ("evaluate", TINY + ["--out-dir", "units4", "evaluate"]),
     ("train-wide", WIDE + ["--out-dir", "units50", "train"]),
     ("evaluate-wide", WIDE + ["--out-dir", "units50", "evaluate"]),
+    ("train-paper-short", PAPER_SHORT + ["--out-dir", "paper", "train"]),
     ("gradcheck", ["gradcheck", "--probes", "200"]),
 ]
 # `seconds=0.012` in the epoch lines, `"seconds": 0.0123` in the --log-out JSON lines

@@ -45,6 +45,22 @@ ORACLE = (
     f"{CORE}::test_backward_matches_exact_oracle",
 )
 
+# network_forward's dropout draw and its stages, for a mutant that swaps the two
+DRAW = """    for rate, mask in zip(rates, frame.masks):  # every mask first, in layer order
+        if mask is not None:
+            np.greater_equal(rng.random(out=mask), rate, out=mask)
+            np.divide(mask, 1.0 - rate, out=mask)
+"""
+STAGES = """    layers, cut = list(zip(params.layers, frame.layers)), frame.cut
+    with _threads(config.layer_units, frame.light, _PIPE_MIN_WORK) as pool:
+        stages = [(layers, x, 0, None, None)]
+        if pool is not None:  # layers below the cut on one thread, the rest on the other
+            from queue import SimpleQueue  # loaded with the pool
+            ready, h = SimpleQueue(), frame.layers[cut - 1].h
+            stages = [(layers[:cut], x, 1, None, ready), (layers[cut:], h, 1, ready, None)]
+        _fork(pool, _stage, stages)
+"""
+
 MUTANTS = [
     # lstm_core: the fork-join and its gate
     Mutant(
@@ -79,6 +95,22 @@ MUTANTS = [
         "lstm_core.py", "if cpus < 2 * blas:", "if cpus < blas:",
         "a worker where BLAS threads fill every core",
         (f"{CORE}::test_workers_are_the_cores_blas_leaves_free",),
+    ),
+    # lstm_core: the two-stage forward
+    Mutant(
+        "lstm_core.py", "self.cut = min(range(1, len(sizes)),", "self.cut = min(range(1, len(sizes) - 1),",
+        "the forward's cut one layer lower in the paper stack",
+        (f"{CORE}::test_threaded_forward_gives_the_serial_bytes",),
+    ),
+    Mutant(
+        "lstm_core.py", "if after is not None and not after.get():", "if after is not None and not after:",
+        "the stage above does not wait for its block",
+        (f"{CORE}::test_each_block_of_the_stage_above_waits_for_the_stage_below",),
+    ),
+    Mutant(
+        "lstm_core.py", DRAW + STAGES, STAGES + DRAW,
+        "a layer steps before its mask is drawn",
+        ORACLE,
     ),
     Mutant(
         "lstm_core.py", "_INFER_CHUNK = 120", "_INFER_CHUNK = 128",

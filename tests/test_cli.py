@@ -678,6 +678,14 @@ def test_default_config_hash_is_pinned():
     assert cli_module.config_hash(cli_module.RunConfig()) == "db0f663d"
 
 
+@pytest.mark.parametrize("field", ["start", "end"])
+@pytest.mark.parametrize("day", ["20120101", "2011-W52-7", "2011W527", "2012-01-01T00:00"])
+def test_a_day_not_spelled_yyyy_mm_dd_is_refused(field, day):
+    # under Python 3.11 each names 2012-01-01, which would give that day a second config hash
+    with pytest.raises(cli_module.RunConfigError, match=f"^{field} '{day}': not YYYY-MM-DD$"):
+        cli_module.RunConfig(**{field: day})
+
+
 def test_config_hash_covers_the_data_path_but_not_the_out_dir():
     base = cli_module.RunConfig(data_path="d")
     moved = cli_module.RunConfig(data_path="d", out_dir="/elsewhere/o")
@@ -996,6 +1004,9 @@ def test_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, capsys, ra
             TINY + ["--end", "2022-12-32", "--symbols", "VNQ,VGT"],
             "end '2022-12-32': day is out of range for month",
         ),
+        # one day, one spelling: Python 3.11 reads these as 2012-01-01 and 3.10 refuses them
+        (TINY + ["--start", "20120101", "--symbols", "VNQ,VGT"], "start '20120101': not YYYY-MM-DD"),
+        (TINY + ["--end", "2011-W52-7", "--symbols", "VNQ,VGT"], "end '2011-W52-7': not YYYY-MM-DD"),
         (TINY + ["--seed", "-1", "--symbols", "VNQ,VGT"], "seed must be >= 0, got -1"),
         (TINY + ["--epochs", "0", "--symbols", "VNQ,VGT"], "epochs must be >= 1, got 0"),
         (TINY + ["--batch-size", "0", "--symbols", "VNQ,VGT"], "batch_size must be >= 1, got 0"),

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +54,7 @@ def layer_forward(layer, sequence, return_sequences=True):
     T, _, B = x.shape
     # a one-layer frame without dropout: its layer stages x as it is
     cache = lstm_core._Frame((((layer.hidden_size, layer.input_size),), (False,), T, B)).layers[0]
-    lstm_core._layer_forward(layer, x, cache)
+    lstm_core._stage([(layer, cache)], x, 0, None, None)
     h = cache.z[1:, : layer.hidden_size]  # [T, hidden, B]
     out = h.transpose(2, 0, 1) if return_sequences else h[-1].T
     return (out[0] if single else out), cache
@@ -822,7 +823,7 @@ def test_a_backward_under_the_work_gate_starts_no_worker(cold_pool, monkeypatch)
     blas_env(monkeypatch, 2, openblas="1")
     floor = lstm_core._THREADS_MIN_WORK
     for work, threaded in ((floor - 1, False), (floor, True)):
-        with lstm_core._threads((50, 56), work) as pool:
+        with lstm_core._threads((50, 56), work, floor) as pool:
             assert (pool is not None) == threaded
     # (50, 50) at T=20 and B=32: 4H(H+I) summed over the layers is 30,200, times T*B = 640
     refuse = lambda *args: pytest.fail("a thread was started")
@@ -917,9 +918,11 @@ def test_a_worker_exception_is_raised_by_network_backward(cold_pool, monkeypatch
 def test_threaded_backwards_under_a_short_switch_interval_keep_their_gradients(
     cold_pool, monkeypatch
 ):
-    # three training steps at once, each backward with its worker: six threads on two
-    # cores, switching often, so that a write into a row another thread owns would show
+    # three training steps at once, each forward and backward with its worker: six threads
+    # on two cores, switching often, so that a write into a row another thread owns, or a
+    # block read before the stage below wrote it, would show
     monkeypatch.setattr(lstm_core, "_THREADS_MIN_WORK", 0)
+    monkeypatch.setattr(lstm_core, "_PIPE_MIN_WORK", 0)
     cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.3, 0.2), seed=90)
     params = init_params(cfg)
     batches = [make_rng(91 + k).normal(size=(6, 9, 1)) for k in range(3)]
@@ -944,3 +947,123 @@ def test_threaded_backwards_under_a_short_switch_interval_keep_their_gradients(
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert matched == [[True] * 5] * len(batches)
+
+
+def _forward_bytes(params, cfg, batch, seed):
+    """A train-mode forward's predictions, masks and every layer's z, g and c, as bytes,
+    then the gradients of a backward on its cache. Of z[T] and c[T] only h and c_{T-1},
+    the first halves, are written."""
+    pred, cache = network_forward(params, cfg, batch, mode="train", rng=make_rng(seed))
+    frame, T = cache.frame, batch.shape[1]
+    cached = [m.tobytes() for m in frame.masks if m is not None]
+    cached += [a.tobytes() for lc in frame.layers for a in (lc.z[:T], lc.h, lc.g, lc.c[:T])]
+    cached += [lc.c[1:, : len(lc.c0)].tobytes() for lc in frame.layers]
+    grads = network_backward(params, cfg, cache, make_rng(seed + 1).normal(size=pred.shape))
+    return pred.tobytes(), cached, grads.flat.tobytes()
+
+
+@pytest.mark.parametrize("units,rates,batch_size,steps", WIDE_CASES, ids=["paper", "paper-B14", "odd-T"])
+def test_threaded_forward_gives_the_serial_bytes(
+    cold_pool, monkeypatch, units, rates, batch_size, steps
+):
+    monkeypatch.setattr(lstm_core, "_PIPE_MIN_WORK", 0)  # the odd-T stack is light
+    assert 31 % lstm_core._PIPE_STEPS  # odd-T's last block is short
+    cfg = NetworkConfig(layer_units=units, dropout_rates=rates, seed=100)
+    params = init_params(cfg)
+    batch = make_rng(101).normal(size=(batch_size, steps, 1))
+    stages, stage, taken = [], lstm_core._stage, threading.Condition()
+    caller, runs = threading.get_ident(), {}
+
+    def recording_stage(layers, *args):
+        with taken:
+            stages.append((threading.get_ident(), [layer.hidden_size for layer, _ in layers]))
+            taken.notify_all()
+            # with a worker, the caller waits until it has taken the other stage
+            if cpus == 2 and stages[-1][0] == caller:
+                assert taken.wait_for(lambda: len(stages) == 2, timeout=60)
+        stage(layers, *args)
+
+    monkeypatch.setattr(lstm_core, "_stage", recording_stage)
+    for cpus in (1, 2):
+        blas_env(monkeypatch, cpus, openblas="1")
+        stages.clear()
+        _poison(cold_pool)  # the frame the other run left: nothing the forward skips survives
+        runs[cpus] = _forward_bytes(params, cfg, batch, seed=102)
+        if cpus == 1:  # one stage of every layer, on this thread
+            assert stages == [(caller, list(units))]
+        else:  # cut where the heavier side's multiply-adds are fewest: 0-2 | 3 for the paper's
+            cut = 3 if len(units) == 4 else 1
+            assert sorted(layers for _, layers in stages) == [list(units[:cut]), list(units[cut:])]
+            assert len({thread for thread, _ in stages}) == 2
+    assert runs[1] == runs[2]
+
+
+def test_each_block_of_the_stage_above_waits_for_the_stage_below(cold_pool, monkeypatch):
+    blas_env(monkeypatch, 2, openblas="1")
+    monkeypatch.setattr(lstm_core, "_PIPE_MIN_WORK", 0)
+    cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.3, 0.0), seed=103)
+    steps, n = lstm_core._PIPE_STEPS, 3
+    events, lock, kernel = [], threading.Lock(), lstm_core._steps
+
+    def recording_steps(w, *args):
+        hid = w.shape[0] // 4
+        if hid == 50:
+            time.sleep(0.005)  # the stage below is slow: a stage above that ran ahead shows
+        with lock:
+            events.append(("begin", hid))
+        kernel(w, *args)
+        with lock:
+            events.append(("end", hid))
+
+    monkeypatch.setattr(lstm_core, "_steps", recording_steps)
+    network_forward(init_params(cfg), cfg, make_rng(104).normal(size=(8, n * steps, 1)), "train", make_rng(105))
+    ends = [k for k, event in enumerate(events) if event == ("end", 50)]
+    begins = [k for k, event in enumerate(events) if event == ("begin", 56)]
+    assert len(ends) == len(begins) == n
+    assert all(end < begin for end, begin in zip(ends, begins))
+
+
+@pytest.mark.parametrize("raising", [50, 56])
+def test_an_exception_in_either_stage_is_raised_by_network_forward(cold_pool, monkeypatch, raising):
+    blas_env(monkeypatch, 2, openblas="1")
+    monkeypatch.setattr(lstm_core, "_PIPE_MIN_WORK", 0)
+    error, kernel = MemoryError(), lstm_core._steps
+
+    def failing_steps(w, *args):
+        if w.shape[0] == 4 * raising:
+            raise error
+        kernel(w, *args)
+
+    monkeypatch.setattr(lstm_core, "_steps", failing_steps)
+    cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.3, 0.2), seed=106)
+    params, batch, raised = init_params(cfg), make_rng(107).normal(size=(6, 13, 1)), []
+    before = threading.active_count()
+
+    def forward():
+        try:
+            network_forward(params, cfg, batch, mode="train", rng=make_rng(108))
+        except MemoryError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=forward)
+    caller.start()
+    caller.join(timeout=60)  # a stage that waits for ever shows here
+    assert not caller.is_alive()
+    assert raised == [error] and raised[0] is error
+    assert threading.active_count() == before  # the worker has ended
+
+
+def test_a_forward_under_the_gate_or_of_one_layer_starts_no_worker(cold_pool, monkeypatch):
+    blas_env(monkeypatch, 2, openblas="1")
+    floor = lstm_core._PIPE_MIN_WORK
+    for work, threaded in ((floor - 1, False), (floor, True)):
+        with lstm_core._threads((50, 56), work, floor) as pool:
+            assert (pool is not None) == threaded
+    refuse = lambda *args: pytest.fail("a thread was started")
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
+    # (50, 50) at B=32: the lighter stage, layer 0, makes 4*50*51*32 multiply-adds a step
+    assert 4 * 50 * 51 * 32 < floor
+    for units in ((50, 50), (120,)):
+        cfg = NetworkConfig(layer_units=units, dropout_rates=(0.2,) * len(units), seed=109)
+        batch = make_rng(110).normal(size=(32, 100, 1))
+        network_forward(init_params(cfg), cfg, batch, mode="train", rng=make_rng(111))

@@ -134,6 +134,15 @@ def test_parse_csv_bad_date():
         parse_csv(io.StringIO("\n".join([HEADER] + rows)))
 
 
+@pytest.mark.parametrize("cell", ["20200103", "2020-W01-5", "2020W015", "2020-1-3", " 2020-01-03x"])
+def test_parse_csv_reads_only_yyyy_mm_dd_dates(cell):
+    # Python 3.11's date.fromisoformat reads the first three as 2020-01-03, and 3.10's refuses
+    # them: the one spelling every supported Python reads is the one the program takes
+    rows = ["2020-01-02,1,1,1,1,1,1", f"{cell},1,1,1,1,1,1"]
+    with pytest.raises(BadDateError, match=f"^line 3: unparseable date {cell.strip()!r}$"):
+        parse_csv(io.StringIO("\n".join([HEADER] + rows)))
+
+
 def _stringio_parse(text: str):
     """What parse_csv reads from `text` (columns Date, Close and Adj Close, found by
     name) when its rows come from csv.reader(io.StringIO(text, newline=None)), which
