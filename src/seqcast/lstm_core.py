@@ -46,30 +46,31 @@ of da and Z [hidden+input, T*B] of z. From 50 units up, a layer makes the copies
 and db, in parts that write disjoint rows of the frame and of the gradients, dX in the first
 product; below, one part does all. _fork runs such parts, and inference's chunks of
 _INFER_CHUNK windows, on the caller and on the one worker thread _threads may give for the
-call, each taking the next (a fork-join); dropout on dX follows the join. The parts depend
-on the width alone and the chunks on B alone, so where they run changes no byte.
+call, each taking the next (a fork-join); dropout on dX follows the join. Given that worker
+and two layers or more, the top layer's factors and loop form one part and every lower layer's
+factors, top down, the other; the layers below then skip theirs. The parts depend on the
+width alone and the chunks on B alone, so where they run changes no byte.
 
 Numerics: the forward is bitwise that of the equations above. The backward
 multiplies each gate gradient's factors in another order than left to right
 (dc * ((1 - f) * (c_{t-1} * f)) for da_f): its gradients differ by rounding.
 
-Buffers: a train-mode forward runs in a frame, one per (layer sizes, which
-dropout rates are > 0, T, B), which it takes from a module-private pool or
-builds when the pool has none. A frame holds every layer's z, g and c, its
-bias tile and fc_ic scratch, the dropout masks and backward's scratch (work,
-and d_inputs for dX). It also holds every view of them the kernels read,
-sliced once when it is built: _stage's blocks of cell steps, _gate_factors' blocks, the
-BPTT loop's steps and the dX steps that feed the layer below, so a batch
-slices nothing a batch before it sliced. network_forward returns a fresh
-NetworkCache handle on the frame; network_backward detaches the frame and
-gives it back (a second backward on the handle raises StaleCacheError), so
-a steady training step allocates little beyond the gradients it returns.
-Recycled frames are not cleared: the kernels write every element before
-they read it. The pool keeps, per key, as many frames as were live at once,
-with their view objects, for the life of the process. Inference
-never uses it: concurrent inference calls and chunks share nothing but the
-params, which they only read, so they may run on threads. Taking and giving
-back are single list operations, so threads never share a frame.
+Buffers: a train-mode forward runs in a frame, one per (layer sizes, which dropout rates
+are > 0, T, B), which it takes from a module-private pool or builds when the pool has none.
+A frame holds every layer's z, g and c, its bias tile and fc_ic scratch, the dropout masks
+and backward's scratch (work, and d_inputs for dX). Where every layer may get the worker,
+the lower layers' _gate_factors blocks lie in work past the top layer's 7*hidden*block*B
+floats, so the two parts share no scratch. It also holds every view of them the kernels
+read, sliced once when it is built: _stage's blocks of cell steps, _gate_factors' blocks,
+the BPTT loop's steps and the dX steps that feed the layer below, so a batch slices nothing
+a batch before it sliced. network_forward returns a fresh NetworkCache handle on the frame;
+network_backward detaches the frame and gives it back (a second backward on the handle
+raises StaleCacheError), so a steady training step allocates little beyond the gradients it
+returns. Recycled frames are not cleared: the kernels write every element before they read
+it. The pool keeps, per key, as many frames as were live at once, with their view objects,
+for the life of the process. Inference never uses it: concurrent inference calls and chunks
+share nothing but the params, which they only read, so they may run on threads. Taking and
+giving back are single list operations, so threads never share a frame.
 
 Layer stacking: every layer but the last feeds its hidden states to the
 next; the last emits its final hidden state, which the dense head maps to
@@ -260,7 +261,7 @@ class LayerCache:
     bias tile and fc_ic scratch, and every view of them, of the dropout masks and of
     the frame's backward scratch that the kernels read, sliced once."""
 
-    def __init__(self, hid, inp, T, B, work, d_inputs, mask_in, bottom, top) -> None:
+    def __init__(self, hid, inp, T, B, work, factors, d_inputs, mask_in, bottom, top) -> None:
         width, rows, cols = hid + inp, 4 * hid, T * B
         self.z = z = np.empty((T + 1, width, B))  # z[t] = [h_{t-1} | x_t]
         self.g = g = np.empty((T, rows, B))  # f, i, tanh(c_t), o; gate gradients after backward
@@ -277,13 +278,13 @@ class LayerCache:
         for n in (T, _PIPE_STEPS):  # _PIPE_STEPS steps each for a stage of a two-stage forward
             spans = [slice(t, t + n) for t in range(0, T, n)]
             self.runs.append([(s, self.x[s], steps[s]) for s in spans])
-        # backward: _gate_factors' time blocks, each gathered gate-major into work
+        # backward: _gate_factors' time blocks, each gathered gate-major into factors (in work)
         self.blocks, block = [], _block_steps(hid, T, B)
         for t0 in range(0, T, block):
             n, skip = min(block, T - t0), int(t0 == 0)  # f_0 is unused: c_{-1} is the zero state
             gv = g[t0 : t0 + n].reshape(n, 4, hid, B).transpose(1, 0, 2, 3)
             cv = c[t0 : t0 + n].reshape(n, 2, hid, B).transpose(1, 0, 2, 3)
-            s = work[: 7 * n * hid * B].reshape(7, n, hid, B)
+            s = factors[: 7 * n * hid * B].reshape(7, n, hid, B)
             f, i, tc, o, _, cand, a = s
             f_dst, f_src = c[t0 + skip - 1 : t0 + n - 1, :hid], f[skip:]
             block_views = (gv, cv, s[:4], s[4:6], s[:2], i, tc, o, cand, a, cv[1], f_dst, f_src)
@@ -325,9 +326,13 @@ class _Frame:
 
     def __init__(self, key) -> None:
         sizes, dropped, T, B = key
-        span = max(max((5 * h + i) * T, 7 * h * _block_steps(h, T, B)) for h, i in sizes)
+        blocks = [7 * h * _block_steps(h, T, B) for h, _ in sizes]  # floats a column, as span
+        # where a worker may make the lower layers' factors beside the top layer's: past its block
+        split = min(h for h, _ in sizes) >= _THREADS_MIN_UNITS
+        at = [blocks[-1] * split] * (len(sizes) - 1) + [0]
+        span = max(max((5 * h + i) * T, a + n) for (h, i), a, n in zip(sizes, at, blocks))
         self.key = key
-        self.work = np.empty(span * B)  # G and Z after the time loop, or one _gate_factors block
+        self.work = np.empty(span * B)  # G and Z after the time loop, or _gate_factors blocks
         self.d_inputs = np.empty(max((i for _, i in sizes[1:]), default=0) * T * B)
         self.masks: list[np.ndarray | None] = []  # on each layer's output, None = identity
         self.macs = macs = [4 * h * (h + i) for h, i in sizes]  # per layer, step and window
@@ -339,7 +344,8 @@ class _Frame:
             below = self.masks[-1] if idx else None
             mask_in = None if below is None else below.transpose(0, 2, 1)
             top = idx == len(sizes) - 1
-            layer = LayerCache(hid, inp, T, B, self.work, self.d_inputs, mask_in, not idx, top)
+            scratch = (self.work, self.work[at[idx] * B :], self.d_inputs)  # factors from at[idx]
+            layer = LayerCache(hid, inp, T, B, *scratch, mask_in, not idx, top)
             self.layers.append(layer)
             # batch-major [T, B, hidden], or [B, hidden] on the last state
             self.masks.append(np.empty((B, hid) if top else (T, B, hid)) if drop else None)
@@ -606,21 +612,12 @@ def _products(gm, zm_t, w_x, grads, rows, g_rows, dx) -> None:
         np.matmul(w_x, gm, out=dx)
 
 
-def _layer_backward(
-    params: LstmLayerParams, lc: LayerCache, d_last, grads: LstmLayerParams, pool
-) -> None:
-    """BPTT through one layer, overwriting lc.g with the gate gradients.
-
-    d_last is the loss gradient [hidden, B] into the top layer's final step; a
-    lower layer (d_last None) reads its [T, hidden, B] gradient from the dX that
-    the layer above left in the frame, which the time loop reads before dX
-    overwrites it. Writes the parameter gradients into `grads` and, above the
-    bottom layer, dX times the dropout of the layer below into lc.dx_seq. A one-thread
-    `pool` takes parts of lc.copies, then of lc.products, beside this thread.
-    """
-    _gate_factors(lc.blocks, lc.f_last)
-    hid = params.hidden_size
-    w_h = params.w[:, :hid].T  # [hidden, 4*hidden]: recurrent part of dz = w.T @ da
+def _bptt(factored, lc=None, w_h=None, d_last=None) -> None:
+    """_gate_factors on each LayerCache of `factored`, then, given lc, its BPTT time loop."""
+    for f in factored:
+        _gate_factors(f.blocks, f.f_last)
+    if lc is None:
+        return
     dcdh, dcdh_tail, prod, prod_c, prod_h, dc_gates, dc, dh = lc.loop
     dc[...] = 0.0
     dh[...] = 0.0 if d_last is None else d_last
@@ -636,6 +633,24 @@ def _layer_backward(
         if t:
             np.matmul(w_h, gt, dh)
 
+
+def _layer_backward(
+    params: LstmLayerParams, lc: LayerCache, d_last, grads: LstmLayerParams, pool, factored, beside
+) -> None:
+    """BPTT through one layer, overwriting lc.g with the gate gradients.
+
+    d_last is the loss gradient [hidden, B] into the top layer's final step; a
+    lower layer (d_last None) reads its [T, hidden, B] gradient from the dX that
+    the layer above left in the frame, which the time loop reads before dX
+    overwrites it. Writes the parameter gradients into `grads` and, above the
+    bottom layer, dX times the dropout of the layer below into lc.dx_seq. The time loop
+    follows the factors of the LayerCaches in `factored` (lc, or none if made already); a
+    one-thread `pool` makes those of `beside` meanwhile, then takes parts of lc.copies,
+    then of lc.products, beside this thread.
+    """
+    hid = params.hidden_size
+    w_h = params.w[:, :hid].T  # [hidden, 4*hidden]: recurrent part of dz = w.T @ da
+    _fork(pool, _bptt, [(factored, lc, w_h, d_last)] + [(beside,)] * bool(beside))
     # dW, db and dX over gate-major copies G of da and Z of z, part by part
     _fork(pool, np.copyto, lc.copies)
     w_x = params.w[:, hid:].T
@@ -681,8 +696,11 @@ def network_backward(
         d_out *= frame.masks[-1]
     d_last = d_out.T  # feature-major from here on
     with _threads([hid for hid, _ in sizes], T * B * sum(frame.macs), _THREADS_MIN_WORK) as pool:
+        # given the worker, it makes every lower layer's factors while the top layer's loop runs
+        lower = frame.layers[-2::-1] if pool is not None else []
         for layer, lc, lg in zip(params.layers[::-1], frame.layers[::-1], grads.layers[::-1]):
-            _layer_backward(layer, lc, d_last, lg, pool)
+            factored, beside = ([lc], lower) if d_last is not None else ([] if lower else [lc], [])
+            _layer_backward(layer, lc, d_last, lg, pool, factored, beside)
             d_last = None
 
     cache.final_hidden = None

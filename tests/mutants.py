@@ -61,6 +61,12 @@ STAGES = """    layers, cut = list(zip(params.layers, frame.layers)), frame.cut
         _fork(pool, _stage, stages)
 """
 
+# _layer_backward's time loop, beside the lower layers' factors, and the top layer's copies
+LOOP = "    _fork(pool, _bptt, [(factored, lc, w_h, d_last)] + [(beside,)] * bool(beside))\n"
+COPIES = """    # dW, db and dX over gate-major copies G of da and Z of z, part by part
+    _fork(pool, np.copyto, lc.copies)
+"""
+
 MUTANTS = [
     # lstm_core: the fork-join and its gate
     Mutant(
@@ -95,6 +101,19 @@ MUTANTS = [
         "lstm_core.py", "if cpus < 2 * blas:", "if cpus < blas:",
         "a worker where BLAS threads fill every core",
         (f"{CORE}::test_workers_are_the_cores_blas_leaves_free",),
+    ),
+    # lstm_core: the lower layers' factors beside the top layer's loop
+    Mutant(
+        "lstm_core.py",
+        "at = [blocks[-1] * split] * (len(sizes) - 1) + [0]",
+        "at = [0] * len(sizes)",
+        "the lower layers' factor blocks at the top layer's offset 0 in work",
+        (f"{CORE}::test_every_cached_view_shares_memory_only_with_its_own_frame",),
+    ),
+    Mutant(
+        "lstm_core.py", LOOP + COPIES, COPIES + LOOP,
+        "a layer's copies made before its time loop and, on top, the lower factors' join",
+        (f"{CORE}::test_backward_in_parts_matches_exact_oracle",),
     ),
     # lstm_core: the two-stage forward
     Mutant(

@@ -677,20 +677,42 @@ def test_live_forwards_hold_disjoint_frames_and_give_cold_pool_gradients(cold_po
 
 
 def test_every_cached_view_shares_memory_only_with_its_own_frame(cold_pool, monkeypatch):
-    # uneven widths, a layer without dropout between two with it, and two factor blocks
+    # uneven widths, a layer without dropout between two with it, and two factor blocks; the
+    # second stack may get the backward's worker, which factors the lower layers beside the
+    # top layer's factors and loop, so their blocks lie apart in work; the first's share it
     monkeypatch.setattr(lstm_core, "_block_steps", lambda hid, T, B: 4)
-    cfg = NetworkConfig(layer_units=(5, 7, 2), dropout_rates=(0.3, 0.0, 0.2), seed=64)
-    params = init_params(cfg)
-    batch = make_rng(65).normal(size=(4, 6, 1))
-    forward = lambda: network_forward(params, cfg, batch, mode="train", rng=make_rng(66))[1]
-    frames = [forward().frame, forward().frame]  # both live at once
-    for own, other in (frames, frames[::-1]):
-        mine, theirs = _frame_buffers(own), _frame_buffers(other)
-        views = [v for lc in own.layers for v in _views(list(vars(lc).values())) if v.size]
-        assert len(views) > 200
-        for view in views:
-            assert any(np.shares_memory(view, buf) for buf in mine)
-            assert not any(np.shares_memory(view, buf) for buf in theirs)
+    for units in ((5, 7, 2), (50, 60, 56)):
+        cfg = NetworkConfig(layer_units=units, dropout_rates=(0.3, 0.0, 0.2), seed=64)
+        params = init_params(cfg)
+        batch = make_rng(65).normal(size=(4, 6, 1))
+        forward = lambda: network_forward(params, cfg, batch, mode="train", rng=make_rng(66))[1]
+        frames = [forward().frame, forward().frame]  # both live at once
+        for own, other in (frames, frames[::-1]):
+            mine, theirs = _frame_buffers(own), _frame_buffers(other)
+            views = [v for lc in own.layers for v in _views(list(vars(lc).values())) if v.size]
+            assert len(views) > 200
+            for view in views:
+                assert any(np.shares_memory(view, buf) for buf in mine)
+                assert not any(np.shares_memory(view, buf) for buf in theirs)
+            top = list(_views(own.layers[-1].blocks)) + list(_views(own.layers[-1].loop))
+            lower = [v for lc in own.layers[:-1] for v in _views(lc.blocks)]
+            shared = any(np.shares_memory(a, b) for a in top for b in lower)
+            assert shared == (min(units) < lstm_core._THREADS_MIN_UNITS)
+
+
+@pytest.mark.parametrize(
+    "units,steps,batch_size,size",
+    [
+        ((50, 60, 80, 120), 100, 32, 2_176_000),  # G and Z of the top layer: (5*120 + 80)*T*B
+        ((50, 60, 80, 120), 100, 14, 952_000),
+        ((8, 8), 20, 32, 35_840),  # one 20-step factor block: 7*8*20*B
+    ],
+)
+def test_the_backward_scratch_of_these_frames_keeps_its_size(units, steps, batch_size, size):
+    # the lower layers' factor blocks fit beside the top layer's within the paper frames' work
+    sizes = tuple(zip(units, (1,) + units[:-1]))
+    frame = lstm_core._Frame((sizes, (True,) * len(units), steps, batch_size))
+    assert frame.work.size == size
 
 
 def test_mixed_shapes_on_one_pool_match_a_cold_pool(cold_pool, monkeypatch):
@@ -840,7 +862,11 @@ WIDE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("units,rates,batch_size,steps", WIDE_CASES, ids=["paper", "paper-B14", "odd-T"])
+@pytest.mark.parametrize(
+    "units,rates,batch_size,steps",
+    WIDE_CASES + [((120,), (0.5,), 32, 100)],
+    ids=["paper", "paper-B14", "odd-T", "one-layer"],
+)
 def test_threaded_backward_gives_the_serial_gradients(
     cold_pool, monkeypatch, units, rates, batch_size, steps
 ):
@@ -850,6 +876,17 @@ def test_threaded_backward_gives_the_serial_gradients(
     batch = make_rng(81).normal(size=(batch_size, steps, 1))
     threads, products, taken = [], lstm_core._products, threading.Condition()
     caller, grads = threading.get_ident(), {}
+    parts, bptt, top_down = [], lstm_core._bptt, list(units[::-1])
+
+    def recording_bptt(factored, lc=None, *args):
+        widths = [f.f_last.shape[0] for f in factored]
+        with taken:  # (thread, widths factored, whether a time loop follows)
+            parts.append((threading.get_ident(), widths, lc is not None))
+            taken.notify_all()
+            # with a worker, a caller that took the top layer's first part waits for the other
+            if cpus == 2 and len(units) > 1 and len(parts) == 1 and parts[0][0] == caller:
+                assert taken.wait_for(lambda: len(parts) == 2, timeout=60)
+        bptt(factored, lc, *args)
 
     def recording_products(*args):
         with taken:
@@ -861,14 +898,23 @@ def test_threaded_backward_gives_the_serial_gradients(
         products(*args)
 
     monkeypatch.setattr(lstm_core, "_products", recording_products)
+    monkeypatch.setattr(lstm_core, "_bptt", recording_bptt)
     for cpus in (1, 2):
         blas_env(monkeypatch, cpus, openblas="1")
         threads.clear()
+        parts.clear()
         grads[cpus] = _step(params, cfg, batch, seed=82)[1].tobytes()
         if cpus == 1:  # two parts a layer, in turn on this thread
             assert threads == [caller] * 2 * len(units)
         else:  # one part of each layer on one worker thread
             assert threads.count(caller) == len(units) and len(set(threads) - {caller}) == 1
+        if cpus == 1 or len(units) == 1:  # each layer factors itself, then runs its loop
+            assert parts == [(caller, [hid], True) for hid in top_down]
+        else:  # the top layer's factors and loop beside every lower layer's factors, top down
+            first = sorted(parts[:2], key=lambda part: part[2])
+            assert first[0][1:] == (top_down[1:], False) and first[1][1:] == (top_down[:1], True)
+            assert {first[0][0], first[1][0]} == {caller} | (set(threads) - {caller})
+            assert parts[2:] == [(caller, [], True)] * (len(units) - 1)
     assert grads[1] == grads[2]
 
 
@@ -889,12 +935,20 @@ def test_backward_in_parts_matches_exact_oracle(cold_pool, monkeypatch, cpus):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("error", [ShapeMismatchError("part 2"), MemoryError()])
-def test_a_worker_exception_is_raised_by_network_backward(cold_pool, monkeypatch, error):
+@pytest.mark.parametrize(
+    "part,error",
+    [
+        ("products", ShapeMismatchError("part 2")),
+        ("products", MemoryError()),
+        ("factors", MemoryError()),  # in the lower layer's factors, beside the top layer's loop
+    ],
+    ids=["error0", "error1", "factors"],
+)
+def test_a_worker_exception_is_raised_by_network_backward(cold_pool, monkeypatch, part, error):
     blas_env(monkeypatch, 2, openblas="1")
     monkeypatch.setattr(lstm_core, "_THREADS_MIN_WORK", 0)
     caller, raised_on, products = threading.get_ident(), [], lstm_core._products
-    raised = threading.Event()
+    raised, factors, began = threading.Event(), lstm_core._gate_factors, threading.Event()
 
     def failing_products(*args):
         if threading.get_ident() != caller:
@@ -904,10 +958,28 @@ def test_a_worker_exception_is_raised_by_network_backward(cold_pool, monkeypatch
         assert raised.wait(timeout=60)  # so that the worker takes the other part
         products(*args)
 
-    monkeypatch.setattr(lstm_core, "_products", failing_products)
+    def failing_factors(blocks, f_last):
+        if threading.get_ident() != caller:  # the lower layer's, beside the top layer's part
+            raised_on.append(threading.get_ident())
+            raised.set()
+            raise error
+        began.set()
+        assert raised.wait(timeout=60)  # so that the caller does not take the other part too
+        factors(blocks, f_last)
+
+    def late_submit(pool, fn, *args):
+        # the worker starts once the caller has begun the top layer's part, so it takes the other
+        return submit(pool, lambda *a: began.wait(timeout=60) and fn(*a), *args)
+
     cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.0, 0.0), seed=88)
     params = init_params(cfg)
     pred, cache = network_forward(params, cfg, make_rng(89).normal(size=(4, 6, 1)), mode="train")
+    if part == "products":
+        monkeypatch.setattr(lstm_core, "_products", failing_products)
+    else:
+        submit = ThreadPoolExecutor.submit
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", late_submit)
+        monkeypatch.setattr(lstm_core, "_gate_factors", failing_factors)
     before = threading.active_count()
     with pytest.raises(type(error)) as info:
         network_backward(params, cfg, cache, np.ones_like(pred))
