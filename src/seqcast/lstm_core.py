@@ -58,12 +58,12 @@ multiplies each gate gradient's factors in another order than left to right
 Buffers: a train-mode forward runs in a frame, one per (layer sizes, which dropout rates
 are > 0, T, B), which it takes from a module-private pool or builds when the pool has none.
 A frame holds every layer's z, g and c, its bias tile and fc_ic scratch, the dropout masks
-and backward's scratch (work, and d_inputs for dX). Where every layer may get the worker,
-the lower layers' _gate_factors blocks lie in work past the top layer's 7*hidden*block*B
-floats, so the two parts share no scratch. It also holds every view of them the kernels
-read, sliced once when it is built: _stage's blocks of cell steps, _gate_factors' blocks,
-the BPTT loop's steps and the dX steps that feed the layer below, so a batch slices nothing
-a batch before it sliced. network_forward returns a fresh NetworkCache handle on the frame;
+and backward's scratch (work, and d_inputs for dX). Where the frame's backward may get the
+worker, the lower layers' _gate_factors blocks lie in work past the top layer's
+7*hidden*block*B floats, so the two parts share no scratch. It also holds every view of them
+the kernels read, sliced once when it is built: _stage's blocks of cell steps, _gate_factors'
+blocks, the BPTT loop's steps and the dX steps that feed the layer below, so a batch slices
+nothing a batch before it sliced. network_forward returns a fresh NetworkCache handle on the frame;
 network_backward detaches the frame and gives it back (a second backward on the handle
 raises StaleCacheError), so a steady training step allocates little beyond the gradients it
 returns. Recycled frames are not cleared: the kernels write every element before they read
@@ -124,10 +124,10 @@ _POOL: dict[tuple, list[_Frame]] = {}
 # 1.0, read-only: a ufunc converts a Python float operand each call, as slowly as it adds
 _ONE = np.broadcast_to(1.0, ())
 
-# One worker, the count measured (an affinity mask does not show a container's CPU quota);
-# none below 50 units, where a layer's work is mostly per-call overhead in the GIL, for a
-# backward of fewer multiply-adds (4H(H+I)*T*B summed over layers) than the worker costs, or
-# for a two-stage forward whose lighter stage makes under _PIPE_MIN_WORK a step (4H(H+I)*B).
+# One worker, the count measured (an affinity mask does not show a container's CPU quota),
+# and none below 50 units, where a layer's work is mostly per-call overhead in the GIL. A frame
+# applies both work gates: the backward's multiply-adds (4H(H+I)*T*B summed over layers) against
+# what the worker costs, and a two-stage forward's lighter stage's (4H(H+I)*B a step).
 _THREADS_MIN_UNITS, _THREADS_MIN_WORK = 50, 4 * 10**7
 _PIPE_STEPS, _PIPE_MIN_WORK = 4, 10**6  # _PIPE_STEPS: the two-stage forward's time block
 
@@ -137,11 +137,11 @@ _PIPE_STEPS, _PIPE_MIN_WORK = 4, 10**6  # _PIPE_STEPS: the two-stage forward's t
 _INFER_CHUNK = 120
 
 
-def _threads(units, work=0, floor=0):
-    """A one-thread ThreadPoolExecutor if the usable cores are at least twice the BLAS threads
-    that OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, names (neither: BLAS threads on every
-    core), no layer is under _THREADS_MIN_UNITS and `work` reaches `floor`; else a null context."""
-    if min(units) >= _THREADS_MIN_UNITS and work >= floor:
+def _threads(wanted):
+    """A one-thread ThreadPoolExecutor if `wanted` and the usable cores are at least twice the
+    BLAS threads that OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, names (neither: BLAS threads
+    on every core); else a null context."""
+    if wanted:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             try:
                 blas = int(os.environ.get(var, ""))
@@ -327,18 +327,18 @@ class _Frame:
     def __init__(self, key) -> None:
         sizes, dropped, T, B = key
         blocks = [7 * h * _block_steps(h, T, B) for h, _ in sizes]  # floats a column, as span
-        # where a worker may make the lower layers' factors beside the top layer's: past its block
-        split = min(h for h, _ in sizes) >= _THREADS_MIN_UNITS
-        at = [blocks[-1] * split] * (len(sizes) - 1) + [0]
+        macs = [4 * h * (h + i) for h, i in sizes]  # per layer, step and window
+        side = lambda cut: (sum(macs[:cut]), sum(macs[cut:]))  # a two-stage forward's stages
+        self.cut = min(range(1, len(sizes)), key=lambda cut: max(side(cut)), default=1)
+        wide = min(h for h, _ in sizes) >= _THREADS_MIN_UNITS  # whether to ask for the worker:
+        self.piped = wide and min(side(self.cut)) * B >= _PIPE_MIN_WORK  # for the two stages,
+        self.forked = wide and sum(macs) * T * B >= _THREADS_MIN_WORK  # for the backward, whose
+        at = [blocks[-1] * self.forked] * (len(sizes) - 1) + [0]  # lower factors go past the top's
         span = max(max((5 * h + i) * T, a + n) for (h, i), a, n in zip(sizes, at, blocks))
         self.key = key
         self.work = np.empty(span * B)  # G and Z after the time loop, or _gate_factors blocks
         self.d_inputs = np.empty(max((i for _, i in sizes[1:]), default=0) * T * B)
         self.masks: list[np.ndarray | None] = []  # on each layer's output, None = identity
-        self.macs = macs = [4 * h * (h + i) for h, i in sizes]  # per layer, step and window
-        side = lambda cut: (sum(macs[:cut]), sum(macs[cut:]))  # a two-stage forward's stages
-        self.cut = min(range(1, len(sizes)), key=lambda cut: max(side(cut)), default=1)
-        self.light = min(side(self.cut)) * B  # the lighter stage's multiply-adds a step
         self.layers: list[LayerCache] = []
         for idx, ((hid, inp), drop) in enumerate(zip(sizes, dropped)):
             below = self.masks[-1] if idx else None
@@ -548,7 +548,7 @@ def network_forward(
     x = arr.transpose(1, 2, 0)  # feature-major [T, features, B]
     if mode == "inference":
         chunks = [(params, x[..., lo : lo + _INFER_CHUNK]) for lo in range(0, B, _INFER_CHUNK)]
-        with _threads(config.layer_units) as pool:
+        with _threads(min(config.layer_units) >= _THREADS_MIN_UNITS) as pool:
             return np.concatenate(_fork(pool, _infer, chunks))[:, np.newaxis], None
     if rng is None and any(r > 0.0 for r in config.dropout_rates):
         raise ValueError("train-mode forward with nonzero dropout needs an rng")
@@ -564,7 +564,7 @@ def network_forward(
             np.greater_equal(rng.random(out=mask), rate, out=mask)
             np.divide(mask, 1.0 - rate, out=mask)
     layers, cut = list(zip(params.layers, frame.layers)), frame.cut
-    with _threads(config.layer_units, frame.light, _PIPE_MIN_WORK) as pool:
+    with _threads(frame.piped) as pool:
         stages = [(layers, x, 0, None, None)]
         if pool is not None:  # layers below the cut on one thread, the rest on the other
             from queue import SimpleQueue  # loaded with the pool
@@ -682,7 +682,7 @@ def network_backward(
         raise StaleCacheError(
             f"cache has {len(frame.layers)} layers, params have {len(params.layers)}"
         )
-    sizes, _, T, B = frame.key
+    B = frame.key[-1]
     d_pred = np.asarray(d_predictions, dtype=np.float64).reshape(-1)
     if d_pred.shape[0] != B:
         raise StaleCacheError(f"gradient batch {d_pred.shape[0]} does not match cache batch {B}")
@@ -695,7 +695,7 @@ def network_backward(
     if frame.masks[-1] is not None:
         d_out *= frame.masks[-1]
     d_last = d_out.T  # feature-major from here on
-    with _threads([hid for hid, _ in sizes], T * B * sum(frame.macs), _THREADS_MIN_WORK) as pool:
+    with _threads(frame.forked) as pool:
         # given the worker, it makes every lower layer's factors while the top layer's loop runs
         lower = frame.layers[-2::-1] if pool is not None else []
         for layer, lc, lg in zip(params.layers[::-1], frame.layers[::-1], grads.layers[::-1]):

@@ -39,6 +39,8 @@ COPIES = {
 TINY = ["--units", "4", "--window", "10", "--epochs", "1", "--symbols", "VNQ"]
 # wide enough that, given a spare core, the backward and inference run on a worker thread too
 WIDE = ["--units", "50,50", "--window", "100", "--epochs", "1", "--symbols", "VNQ"]
+# under both work gates: its frames keep no second factor region for a worker that never comes
+WIDE_SHORT = ["--units", "50,50", "--window", "20", "--end", "2013-12-31", "--epochs", "1"]
 # the paper stack: given a spare core, its training forward runs as two stages on two threads
 PAPER_SHORT = ["--window", "20", "--end", "2013-12-31", "--epochs", "1", "--symbols", "VNQ"]
 COMMANDS = [
@@ -54,6 +56,7 @@ COMMANDS = [
     ("evaluate", TINY + ["--out-dir", "units4", "evaluate"]),
     ("train-wide", WIDE + ["--out-dir", "units50", "train"]),
     ("evaluate-wide", WIDE + ["--out-dir", "units50", "evaluate"]),
+    ("train-wide-short", WIDE_SHORT + ["--symbols", "VNQ", "--out-dir", "wide-short", "train"]),
     ("train-paper-short", PAPER_SHORT + ["--out-dir", "paper", "train"]),
     ("gradcheck", ["gradcheck", "--probes", "200"]),
 ]

@@ -52,7 +52,7 @@ DRAW = """    for rate, mask in zip(rates, frame.masks):  # every mask first, in
             np.divide(mask, 1.0 - rate, out=mask)
 """
 STAGES = """    layers, cut = list(zip(params.layers, frame.layers)), frame.cut
-    with _threads(config.layer_units, frame.light, _PIPE_MIN_WORK) as pool:
+    with _threads(frame.piped) as pool:
         stages = [(layers, x, 0, None, None)]
         if pool is not None:  # layers below the cut on one thread, the rest on the other
             from queue import SimpleQueue  # loaded with the pool
@@ -88,14 +88,14 @@ MUTANTS = [
     Mutant(
         "lstm_core.py", "= 50, 4 * 10**7", "= 50, 4 * 10**6",
         "the backward's work gate a tenth as high",
-        (f"{CORE}::test_a_backward_under_the_work_gate_starts_no_worker",),
+        (f"{CORE}::test_each_worker_gate_of_a_frame_at_its_edge",),
     ),
     Mutant(
         "lstm_core.py",
-        "if min(units) >= _THREADS_MIN_UNITS",
-        "if max(units) >= _THREADS_MIN_UNITS",
-        "the width gate reads the widest layer",
-        (f"{CORE}::test_workers_are_the_cores_blas_leaves_free",),
+        "wide = min(h for h, _ in sizes) >= _THREADS_MIN_UNITS",
+        "wide = max(h for h, _ in sizes) >= _THREADS_MIN_UNITS",
+        "the frame's width gate reads the widest layer",
+        (f"{CORE}::test_each_worker_gate_of_a_frame_at_its_edge",),
     ),
     Mutant(
         "lstm_core.py", "if cpus < 2 * blas:", "if cpus < blas:",
@@ -105,10 +105,15 @@ MUTANTS = [
     # lstm_core: the lower layers' factors beside the top layer's loop
     Mutant(
         "lstm_core.py",
-        "at = [blocks[-1] * split] * (len(sizes) - 1) + [0]",
+        "at = [blocks[-1] * self.forked] * (len(sizes) - 1) + [0]",
         "at = [0] * len(sizes)",
         "the lower layers' factor blocks at the top layer's offset 0 in work",
         (f"{CORE}::test_every_cached_view_shares_memory_only_with_its_own_frame",),
+    ),
+    Mutant(
+        "lstm_core.py", "at = [blocks[-1] * self.forked]", "at = [blocks[-1] * wide]",
+        "a second factor region for a frame under the backward's work gate",
+        (f"{CORE}::test_the_backward_scratch_of_these_frames_keeps_its_size",),
     ),
     Mutant(
         "lstm_core.py", LOOP + COPIES, COPIES + LOOP,

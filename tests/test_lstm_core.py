@@ -677,10 +677,12 @@ def test_live_forwards_hold_disjoint_frames_and_give_cold_pool_gradients(cold_po
 
 
 def test_every_cached_view_shares_memory_only_with_its_own_frame(cold_pool, monkeypatch):
-    # uneven widths, a layer without dropout between two with it, and two factor blocks; the
-    # second stack may get the backward's worker, which factors the lower layers beside the
-    # top layer's factors and loop, so their blocks lie apart in work; the first's share it
+    # uneven widths, a layer without dropout between two with it, and two factor blocks; under
+    # a zero work gate the second stack's backward may get the worker, which factors the lower
+    # layers beside the top layer's factors and loop, so their blocks lie apart in work; the
+    # first's share it. A frame applies the gates when it is built, so the pool is cold
     monkeypatch.setattr(lstm_core, "_block_steps", lambda hid, T, B: 4)
+    monkeypatch.setattr(lstm_core, "_THREADS_MIN_WORK", 0)
     for units in ((5, 7, 2), (50, 60, 56)):
         cfg = NetworkConfig(layer_units=units, dropout_rates=(0.3, 0.0, 0.2), seed=64)
         params = init_params(cfg)
@@ -697,7 +699,8 @@ def test_every_cached_view_shares_memory_only_with_its_own_frame(cold_pool, monk
             top = list(_views(own.layers[-1].blocks)) + list(_views(own.layers[-1].loop))
             lower = [v for lc in own.layers[:-1] for v in _views(lc.blocks)]
             shared = any(np.shares_memory(a, b) for a in top for b in lower)
-            assert shared == (min(units) < lstm_core._THREADS_MIN_UNITS)
+            assert own.forked == (min(units) >= lstm_core._THREADS_MIN_UNITS)
+            assert shared == (not own.forked)
 
 
 @pytest.mark.parametrize(
@@ -706,13 +709,41 @@ def test_every_cached_view_shares_memory_only_with_its_own_frame(cold_pool, monk
         ((50, 60, 80, 120), 100, 32, 2_176_000),  # G and Z of the top layer: (5*120 + 80)*T*B
         ((50, 60, 80, 120), 100, 14, 952_000),
         ((8, 8), 20, 32, 35_840),  # one 20-step factor block: 7*8*20*B
+        # under the work gate, so no second factor region: G and Z, (5*50 + 50)*T*B
+        ((50, 50), 20, 32, 192_000),
+        ((50, 56), 31, 7, 85_064),
     ],
 )
 def test_the_backward_scratch_of_these_frames_keeps_its_size(units, steps, batch_size, size):
     # the lower layers' factor blocks fit beside the top layer's within the paper frames' work
+    assert _frame(units, steps, batch_size).work.size == size
+
+
+def _frame(units, steps, batch_size):
     sizes = tuple(zip(units, (1,) + units[:-1]))
-    frame = lstm_core._Frame((sizes, (True,) * len(units), steps, batch_size))
-    assert frame.work.size == size
+    return lstm_core._Frame((sizes, (True,) * len(units), steps, batch_size))
+
+
+PAPER = (50, 60, 80, 120)
+
+
+@pytest.mark.parametrize(
+    "units,steps,batch_size,piped,forked",
+    [
+        # the paper's lighter stage, layers 0-2, makes 81,400*B multiply-adds a step
+        (PAPER, 100, 12, False, True),  # 976,800 < 10**6
+        (PAPER, 100, 13, True, True),
+        # the paper's backward makes 177,400*T*B: 39,028,000 at T=20, B=11
+        (PAPER, 20, 11, False, False),
+        (PAPER, 20, 12, False, True),
+        # over both work gates (1,634,304 a step and 42,685,440), but a layer under 50 units
+        ((56, 49), 10, 128, False, False),
+        ((120,), 100, 32, False, True),  # one layer: no second stage
+    ],
+)
+def test_each_worker_gate_of_a_frame_at_its_edge(units, steps, batch_size, piped, forked):
+    frame = _frame(units, steps, batch_size)
+    assert (frame.piped, frame.forked) == (piped, forked)
 
 
 def test_mixed_shapes_on_one_pool_match_a_cold_pool(cold_pool, monkeypatch):
@@ -797,36 +828,45 @@ def blas_env(monkeypatch, cpus, openblas=None, omp=None):
 
 
 @pytest.mark.parametrize(
-    "units,cpus,openblas,omp,workers",
+    "cpus,openblas,omp,workers",
     [
-        ((50, 56), 2, None, None, 1),  # BLAS threads over every core already
-        ((50, 56), 2, "1", None, 2),
-        ((50, 56), 2, "2", None, 1),
-        ((50, 56), 2, "3", None, 1),
-        ((50, 56), 3, "2", None, 1),
-        ((50, 56), 2, None, "1", 2),
-        ((50, 56), 2, "1", "2", 2),  # OpenBLAS reads its own variable first
-        ((50, 56), 2, "abc", "1", 2),  # as in OpenBLAS, a non-numeric value is passed over
-        ((50, 56), 2, "0", None, 1),
-        ((50, 56), 2, "-1", None, 1),
-        ((50, 56), 2, "", None, 1),
-        ((50, 56), 2, None, "4,2", 1),
-        ((50, 56), 4, "1", None, 2),  # never more workers than were measured
-        ((50, 56), 64, "1", None, 2),
-        ((50, 56), 64, "16", None, 2),
-        ((8, 8), 2, "1", None, 1),  # under the width gate
-        ((32, 32), 2, "1", None, 1),
-        ((56, 49), 2, "1", None, 1),
+        (2, None, None, 1),  # BLAS threads over every core already
+        (2, "1", None, 2),
+        (2, "2", None, 1),
+        (2, "3", None, 1),
+        (3, "2", None, 1),
+        (2, None, "1", 2),
+        (2, "1", "2", 2),  # OpenBLAS reads its own variable first
+        (2, "abc", "1", 2),  # as in OpenBLAS, a non-numeric value is passed over
+        (2, "0", None, 1),
+        (2, "-1", None, 1),
+        (2, "", None, 1),
+        (2, None, "4,2", 1),
+        (4, "1", None, 2),  # never more workers than were measured
+        (64, "1", None, 2),
+        (64, "16", None, 2),
     ],
 )
-def test_workers_are_the_cores_blas_leaves_free(monkeypatch, units, cpus, openblas, omp, workers):
+def test_workers_are_the_cores_blas_leaves_free(monkeypatch, cpus, openblas, omp, workers):
     blas_env(monkeypatch, cpus, openblas, omp)
-    with lstm_core._threads(units) as pool:  # a one-thread executor, or None
+    with lstm_core._threads(True) as pool:  # a one-thread executor, or None
         assert (pool is not None) == (workers == 2)
+    with lstm_core._threads(False) as pool:  # not asked for: none on any machine
+        assert pool is None
 
 
-@pytest.mark.parametrize("windows,threaded", [(1, False), (120, False), (121, True)])
-def test_an_inference_call_of_one_chunk_starts_no_thread(monkeypatch, windows, threaded):
+@pytest.mark.parametrize(
+    "units,windows,threaded",
+    [
+        ((50, 56), 1, False),
+        ((50, 56), 120, False),
+        ((50, 56), 121, True),
+        ((8, 8), 121, False),  # under the width gate
+        ((32, 32), 121, False),
+        ((56, 49), 121, False),
+    ],
+)
+def test_an_inference_call_of_one_chunk_starts_no_thread(monkeypatch, units, windows, threaded):
     blas_env(monkeypatch, 2, openblas="1")
     submitted, submit = [], ThreadPoolExecutor.submit
 
@@ -835,7 +875,7 @@ def test_an_inference_call_of_one_chunk_starts_no_thread(monkeypatch, windows, t
         return submit(pool, *args)
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
-    cfg = NetworkConfig(layer_units=(50, 56), dropout_rates=(0.0, 0.0), seed=76)
+    cfg = NetworkConfig(layer_units=units, dropout_rates=(0.0, 0.0), seed=76)
     batch = make_rng(75).normal(size=(windows, 6, 1))
     assert network_forward(init_params(cfg), cfg, batch, mode="inference")[0].shape == (windows, 1)
     assert len(submitted) == threaded
@@ -843,15 +883,11 @@ def test_an_inference_call_of_one_chunk_starts_no_thread(monkeypatch, windows, t
 
 def test_a_backward_under_the_work_gate_starts_no_worker(cold_pool, monkeypatch):
     blas_env(monkeypatch, 2, openblas="1")
-    floor = lstm_core._THREADS_MIN_WORK
-    for work, threaded in ((floor - 1, False), (floor, True)):
-        with lstm_core._threads((50, 56), work, floor) as pool:
-            assert (pool is not None) == threaded
     # (50, 50) at T=20 and B=32: 4H(H+I) summed over the layers is 30,200, times T*B = 640
     refuse = lambda *args: pytest.fail("a thread was started")
     monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
     cfg = NetworkConfig(layer_units=(50, 50), dropout_rates=(0.2, 0.0), seed=79)
-    assert 30_200 * 640 < floor
+    assert 30_200 * 640 < lstm_core._THREADS_MIN_WORK
     _step(init_params(cfg), cfg, make_rng(78).normal(size=(32, 20, 1)), seed=77)
 
 
@@ -1127,14 +1163,10 @@ def test_an_exception_in_either_stage_is_raised_by_network_forward(cold_pool, mo
 
 def test_a_forward_under_the_gate_or_of_one_layer_starts_no_worker(cold_pool, monkeypatch):
     blas_env(monkeypatch, 2, openblas="1")
-    floor = lstm_core._PIPE_MIN_WORK
-    for work, threaded in ((floor - 1, False), (floor, True)):
-        with lstm_core._threads((50, 56), work, floor) as pool:
-            assert (pool is not None) == threaded
     refuse = lambda *args: pytest.fail("a thread was started")
     monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
     # (50, 50) at B=32: the lighter stage, layer 0, makes 4*50*51*32 multiply-adds a step
-    assert 4 * 50 * 51 * 32 < floor
+    assert 4 * 50 * 51 * 32 < lstm_core._PIPE_MIN_WORK
     for units in ((50, 50), (120,)):
         cfg = NetworkConfig(layer_units=units, dropout_rates=(0.2,) * len(units), seed=109)
         batch = make_rng(110).normal(size=(32, 100, 1))
