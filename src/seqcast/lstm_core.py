@@ -45,11 +45,11 @@ dW = G Z^T and dX = W_x^T G then run as GEMMs over gate-major copies G [4*hidden
 of da and Z [hidden+input, T*B] of z. From 50 units up, a layer makes the copies, then dW
 and db, in parts that write disjoint rows of the frame and of the gradients, dX in the first
 product; below, one part does all. _fork runs such parts, and inference's chunks of
-_INFER_CHUNK windows, on the caller and on the one worker thread _threads may give for the
-call, each taking the next (a fork-join); dropout on dX follows the join. Given that worker
-and two layers or more, the top layer's factors and loop form one part and every lower layer's
-factors, top down, the other; the layers below then skip theirs. The parts depend on the
-width alone and the chunks on B alone, so where they run changes no byte.
+_INFER_CHUNK windows, on the caller and on the process's one kept worker thread, if _worker
+gives one, each taking the next (a fork-join); dropout on dX follows the join. Given that
+worker and two layers or more, the top layer's factors and loop form one part and every
+lower layer's factors, top down, the other; the layers below then skip theirs. The parts
+depend on the width alone and the chunks on B alone, so where they run changes no byte.
 
 Numerics: the forward is bitwise that of the equations above. The backward
 multiplies each gate gradient's factors in another order than left to right
@@ -79,7 +79,7 @@ identity at inference) follows each layer's output. A train-mode network_forward
 every mask from its rng, in place and in layer order: batch-major, [T, B, hidden] per layer
 and [B, hidden] for the last state; a layer applies the mask below as it stages its input into
 z. _stage then runs layers by blocks of time: one stage of every layer over all T, or, given
-_threads' worker, two stages on two threads over _PIPE_STEPS-step blocks, cut where the
+the kept worker, two stages on two threads over _PIPE_STEPS-step blocks, cut where the
 heavier side's sum of 4H(H+I) is least (layers 0-2 | 3 in the paper's stack), the stage above
 stepping block k once the stage below has written it (a wavefront). Each cell step makes the
 same NumPy calls on the same data, staging is elementwise and the masks are drawn first, so
@@ -88,7 +88,7 @@ neither the threads nor the blocks change a byte.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 import os
 from collections import deque
@@ -137,31 +137,35 @@ _PIPE_STEPS, _PIPE_MIN_WORK = 4, 10**6  # _PIPE_STEPS: the two-stage forward's t
 _INFER_CHUNK = 120
 
 
-def _threads(wanted):
-    """A one-thread ThreadPoolExecutor if `wanted` and the usable cores are at least twice the
-    BLAS threads that OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, names (neither: BLAS threads
-    on every core); else a null context."""
-    if wanted:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            try:
-                blas = int(os.environ.get(var, ""))
-            except ValueError:
-                continue
-            if blas > 0:
-                affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
-                cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-                if cpus < 2 * blas:
-                    break
-                # imported here, not at the top, where every start-up would pay for it
-                from concurrent.futures import ThreadPoolExecutor
+@functools.cache
+def _worker():
+    """The process's one worker, decided on the first call: a one-thread ThreadPoolExecutor if
+    the usable cores are at least twice the BLAS threads that OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, names (neither: BLAS threads on every core); else None."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+            cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+            if cpus < 2 * blas:
+                break
+            # imported here, not at the top, where every start-up would pay for it
+            from concurrent.futures import ThreadPoolExecutor
+            return ThreadPoolExecutor(1)
+    return None
 
-                return ThreadPoolExecutor(1)
-    return contextlib.nullcontext()
+
+if hasattr(os, "register_at_fork"):  # not on Windows: a forked child has no parent's thread
+    os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
-def _fork(pool, fn, parts) -> list:
-    """[fn(*part) for part in parts]; given a pool and two parts or more, its worker and the
-    caller each take the next part no one has. Ends once the worker has, raising its exception."""
+def _fork(fn, parts, threaded) -> list:
+    """[fn(*part) for part in parts]; if `threaded`, given the kept worker and two parts or
+    more, the worker and the caller each take the next part no one has. Ends once the worker
+    has, raising its exception. No part forks again: the worker would wait for itself."""
     todo, results = deque(enumerate(parts)), [None] * len(parts)
 
     def take() -> None:
@@ -172,7 +176,8 @@ def _fork(pool, fn, parts) -> list:
                 return
             results[k] = fn(*part)
 
-    future = None if pool is None or len(parts) < 2 else pool.submit(take)
+    pool = _worker() if threaded and len(parts) > 1 else None
+    future = None if pool is None else pool.submit(take)
     try:
         take()
     finally:
@@ -261,7 +266,7 @@ class LayerCache:
     bias tile and fc_ic scratch, and every view of them, of the dropout masks and of
     the frame's backward scratch that the kernels read, sliced once."""
 
-    def __init__(self, hid, inp, T, B, work, factors, d_inputs, mask_in, bottom, top) -> None:
+    def __init__(self, hid, inp, T, B, run, work, factors, d_inputs, mask_in, bottom, top) -> None:
         width, rows, cols = hid + inp, 4 * hid, T * B
         self.z = z = np.empty((T + 1, width, B))  # z[t] = [h_{t-1} | x_t]
         self.g = g = np.empty((T, rows, B))  # f, i, tanh(c_t), o; gate gradients after backward
@@ -274,10 +279,8 @@ class LayerCache:
         self.fc, self.ic = self.fc_ic[:hid], self.fc_ic[hid:]
         gates = (g[:, : 2 * hid], g[:, 2 * hid : 3 * hid], g[:, 3 * hid :])
         steps = list(zip(z[:T], g, *gates, c[:T], c[:T, hid:], c[1:, :hid], z[1:, :hid]))
-        self.runs = []  # _stage's (span, staged input, steps) blocks: all T in one, or
-        for n in (T, _PIPE_STEPS):  # _PIPE_STEPS steps each for a stage of a two-stage forward
-            spans = [slice(t, t + n) for t in range(0, T, n)]
-            self.runs.append([(s, self.x[s], steps[s]) for s in spans])
+        spans = [slice(t, t + run) for t in range(0, T, run)]  # all T, or _PIPE_STEPS a stage
+        self.runs = [(s, self.x[s], steps[s]) for s in spans]  # _stage's (span, input, steps)
         # backward: _gate_factors' time blocks, each gathered gate-major into factors (in work)
         self.blocks, block = [], _block_steps(hid, T, B)
         for t0 in range(0, T, block):
@@ -330,7 +333,8 @@ class _Frame:
         macs = [4 * h * (h + i) for h, i in sizes]  # per layer, step and window
         side = lambda cut: (sum(macs[:cut]), sum(macs[cut:]))  # a two-stage forward's stages
         self.cut = min(range(1, len(sizes)), key=lambda cut: max(side(cut)), default=1)
-        wide = min(h for h, _ in sizes) >= _THREADS_MIN_UNITS  # whether to ask for the worker:
+        # whether the frame gets the kept worker (a stack under the width gate never asks):
+        wide = min(h for h, _ in sizes) >= _THREADS_MIN_UNITS and _worker() is not None
         self.piped = wide and min(side(self.cut)) * B >= _PIPE_MIN_WORK  # for the two stages,
         self.forked = wide and sum(macs) * T * B >= _THREADS_MIN_WORK  # for the backward, whose
         at = [blocks[-1] * self.forked] * (len(sizes) - 1) + [0]  # lower factors go past the top's
@@ -345,8 +349,8 @@ class _Frame:
             mask_in = None if below is None else below.transpose(0, 2, 1)
             top = idx == len(sizes) - 1
             scratch = (self.work, self.work[at[idx] * B :], self.d_inputs)  # factors from at[idx]
-            layer = LayerCache(hid, inp, T, B, *scratch, mask_in, not idx, top)
-            self.layers.append(layer)
+            run = _PIPE_STEPS if self.piped else T  # steps per block of _stage
+            self.layers.append(LayerCache(hid, inp, T, B, run, *scratch, mask_in, not idx, top))
             # batch-major [T, B, hidden], or [B, hidden] on the last state
             self.masks.append(np.empty((B, hid) if top else (T, B, hid)) if drop else None)
 
@@ -464,9 +468,9 @@ def _steps(w, bias, fc_ic, fc, ic, steps) -> None:
         np.multiply(o, tc, h_new)
 
 
-def _stage(layers, x, piped, after, ready) -> None:
+def _stage(layers, x, after, ready) -> None:
     """Train-mode recurrence of `layers`, (params, LayerCache) pairs bottom up, over x, the
-    first's [T, in, B] input, by the blocks of lc.runs[piped]: each layer stages a block, times
+    first's [T, in, B] input, by the blocks of lc.runs: each layer stages a block, times
     lc.mask_in if given, into lc.z, then steps. A block first takes a word from queue `after`
     and stops on False; `ready` gets True a block, then False once this stage ends or raises."""
     try:
@@ -475,7 +479,7 @@ def _stage(layers, x, piped, after, ready) -> None:
                 lc.h0[...] = lc.c0[...] = 0.0
                 np.copyto(lc.bias, layer.b[:, np.newaxis])
             inputs = [x] + [lc.h for _, lc in layers[:-1]]  # [T, in, B] each
-            for block in zip(*(lc.runs[piped] for _, lc in layers)):
+            for block in zip(*(lc.runs for _, lc in layers)):
                 if after is not None and not after.get():
                     return  # _fork raises the stage below's exception
                 for (layer, lc), src, (span, x_in, steps) in zip(layers, inputs, block):
@@ -548,8 +552,8 @@ def network_forward(
     x = arr.transpose(1, 2, 0)  # feature-major [T, features, B]
     if mode == "inference":
         chunks = [(params, x[..., lo : lo + _INFER_CHUNK]) for lo in range(0, B, _INFER_CHUNK)]
-        with _threads(min(config.layer_units) >= _THREADS_MIN_UNITS) as pool:
-            return np.concatenate(_fork(pool, _infer, chunks))[:, np.newaxis], None
+        wide = min(config.layer_units) >= _THREADS_MIN_UNITS
+        return np.concatenate(_fork(_infer, chunks, wide))[:, np.newaxis], None
     if rng is None and any(r > 0.0 for r in config.dropout_rates):
         raise ValueError("train-mode forward with nonzero dropout needs an rng")
 
@@ -564,13 +568,12 @@ def network_forward(
             np.greater_equal(rng.random(out=mask), rate, out=mask)
             np.divide(mask, 1.0 - rate, out=mask)
     layers, cut = list(zip(params.layers, frame.layers)), frame.cut
-    with _threads(frame.piped) as pool:
-        stages = [(layers, x, 0, None, None)]
-        if pool is not None:  # layers below the cut on one thread, the rest on the other
-            from queue import SimpleQueue  # loaded with the pool
-            ready, h = SimpleQueue(), frame.layers[cut - 1].h
-            stages = [(layers[:cut], x, 1, None, ready), (layers[cut:], h, 1, ready, None)]
-        _fork(pool, _stage, stages)
+    stages = [(layers, x, None, None)]
+    if frame.piped:  # layers below the cut on one thread, the rest on the other
+        from queue import SimpleQueue  # loaded only where a frame gets the worker
+        ready, h = SimpleQueue(), frame.layers[cut - 1].h
+        stages = [(layers[:cut], x, None, ready), (layers[cut:], h, ready, None)]
+    _fork(_stage, stages, frame.piped)
     h_last = frame.layers[-1].h[-1].T  # [B, hidden_last]
     final_hidden = h_last if mask is None else h_last * mask
     predictions = (final_hidden @ params.dense.w + params.dense.b[0])[:, np.newaxis]
@@ -635,7 +638,7 @@ def _bptt(factored, lc=None, w_h=None, d_last=None) -> None:
 
 
 def _layer_backward(
-    params: LstmLayerParams, lc: LayerCache, d_last, grads: LstmLayerParams, pool, factored, beside
+    params: LstmLayerParams, lc: LayerCache, d_last, grads: LstmLayerParams, forked, factored, beside
 ) -> None:
     """BPTT through one layer, overwriting lc.g with the gate gradients.
 
@@ -644,17 +647,17 @@ def _layer_backward(
     the layer above left in the frame, which the time loop reads before dX
     overwrites it. Writes the parameter gradients into `grads` and, above the
     bottom layer, dX times the dropout of the layer below into lc.dx_seq. The time loop
-    follows the factors of the LayerCaches in `factored` (lc, or none if made already); a
-    one-thread `pool` makes those of `beside` meanwhile, then takes parts of lc.copies,
-    then of lc.products, beside this thread.
+    follows the factors of the LayerCaches in `factored` (lc, or none if made already). Given
+    `forked` and the kept worker, the worker makes those of `beside` meanwhile, then takes
+    parts of lc.copies, then of lc.products, beside this thread.
     """
     hid = params.hidden_size
     w_h = params.w[:, :hid].T  # [hidden, 4*hidden]: recurrent part of dz = w.T @ da
-    _fork(pool, _bptt, [(factored, lc, w_h, d_last)] + [(beside,)] * bool(beside))
+    _fork(_bptt, [(factored, lc, w_h, d_last)] + [(beside,)] * bool(beside), forked)
     # dW, db and dX over gate-major copies G of da and Z of z, part by part
-    _fork(pool, np.copyto, lc.copies)
+    _fork(np.copyto, lc.copies, forked)
     w_x = params.w[:, hid:].T
-    _fork(pool, _products, [(lc.gm, lc.zm_t, w_x, grads, *part) for part in lc.products])
+    _fork(_products, [(lc.gm, lc.zm_t, w_x, grads, *part) for part in lc.products], forked)
     if lc.mask_in is not None:  # here: on two threads, the two ufuncs' buffers add up
         lc.dx_seq *= lc.mask_in
 
@@ -695,13 +698,12 @@ def network_backward(
     if frame.masks[-1] is not None:
         d_out *= frame.masks[-1]
     d_last = d_out.T  # feature-major from here on
-    with _threads(frame.forked) as pool:
-        # given the worker, it makes every lower layer's factors while the top layer's loop runs
-        lower = frame.layers[-2::-1] if pool is not None else []
-        for layer, lc, lg in zip(params.layers[::-1], frame.layers[::-1], grads.layers[::-1]):
-            factored, beside = ([lc], lower) if d_last is not None else ([] if lower else [lc], [])
-            _layer_backward(layer, lc, d_last, lg, pool, factored, beside)
-            d_last = None
+    # given the worker, it makes every lower layer's factors while the top layer's loop runs
+    lower = frame.layers[-2::-1] if frame.forked else []
+    for layer, lc, lg in zip(params.layers[::-1], frame.layers[::-1], grads.layers[::-1]):
+        factored, beside = ([lc], lower) if d_last is not None else ([] if lower else [lc], [])
+        _layer_backward(layer, lc, d_last, lg, frame.forked, factored, beside)
+        d_last = None
 
     cache.final_hidden = None
     _POOL.setdefault(frame.key, []).append(frame)

@@ -77,8 +77,8 @@ def _hashes(root: Path) -> dict[str, str]:
     return hashes
 
 
-def record(workdir: Path) -> list[dict]:
-    """Run COMMANDS in `workdir`, an empty directory, and describe each one."""
+def record(workdir: Path, commands=COMMANDS) -> list[dict]:
+    """Run `commands`, (name, argv) pairs, in `workdir`, an empty directory, and describe each."""
     raw = (FIXTURES / "VNQ.csv").read_bytes()
     for name, convert in COPIES.items():
         (workdir / name).mkdir()
@@ -87,7 +87,7 @@ def record(workdir: Path) -> list[dict]:
     cwd = os.getcwd()
     os.chdir(workdir)  # relative paths: the output names and stdout hold no scratch path
     try:
-        for name, argv in COMMANDS:
+        for name, argv in commands:
             before = _hashes(workdir)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

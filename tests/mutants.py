@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 
 CORE, EVAL, TRAIN = "tests/test_lstm_core.py", "tests/test_evaluate.py", "tests/test_training.py"
+MANIFEST = "tests/test_manifest.py"
 MARKET, PREP, CLI = "tests/test_market_data.py", "tests/test_preprocess.py", "tests/test_cli.py"
 GOLDEN = ("tests/test_golden.py",)
 ORACLE = (
@@ -52,19 +53,18 @@ DRAW = """    for rate, mask in zip(rates, frame.masks):  # every mask first, in
             np.divide(mask, 1.0 - rate, out=mask)
 """
 STAGES = """    layers, cut = list(zip(params.layers, frame.layers)), frame.cut
-    with _threads(frame.piped) as pool:
-        stages = [(layers, x, 0, None, None)]
-        if pool is not None:  # layers below the cut on one thread, the rest on the other
-            from queue import SimpleQueue  # loaded with the pool
-            ready, h = SimpleQueue(), frame.layers[cut - 1].h
-            stages = [(layers[:cut], x, 1, None, ready), (layers[cut:], h, 1, ready, None)]
-        _fork(pool, _stage, stages)
+    stages = [(layers, x, None, None)]
+    if frame.piped:  # layers below the cut on one thread, the rest on the other
+        from queue import SimpleQueue  # loaded only where a frame gets the worker
+        ready, h = SimpleQueue(), frame.layers[cut - 1].h
+        stages = [(layers[:cut], x, None, ready), (layers[cut:], h, ready, None)]
+    _fork(_stage, stages, frame.piped)
 """
 
 # _layer_backward's time loop, beside the lower layers' factors, and the top layer's copies
-LOOP = "    _fork(pool, _bptt, [(factored, lc, w_h, d_last)] + [(beside,)] * bool(beside))\n"
+LOOP = "    _fork(_bptt, [(factored, lc, w_h, d_last)] + [(beside,)] * bool(beside), forked)\n"
 COPIES = """    # dW, db and dX over gate-major copies G of da and Z of z, part by part
-    _fork(pool, np.copyto, lc.copies)
+    _fork(np.copyto, lc.copies, forked)
 """
 
 MUTANTS = [
@@ -76,7 +76,7 @@ MUTANTS = [
          f"{EVAL}::test_a_worker_exception_is_raised_by_predict_series"),
     ),
     Mutant(
-        "lstm_core.py", "pool is None or len(parts) < 2", "pool is None or len(parts) < 1",
+        "lstm_core.py", "threaded and len(parts) > 1", "threaded and len(parts) > 0",
         "_fork starts its worker for one part",
         (f"{CORE}::test_an_inference_call_of_one_chunk_starts_no_thread",),
     ),
@@ -101,6 +101,24 @@ MUTANTS = [
         "lstm_core.py", "if cpus < 2 * blas:", "if cpus < blas:",
         "a worker where BLAS threads fill every core",
         (f"{CORE}::test_workers_are_the_cores_blas_leaves_free",),
+    ),
+    # lstm_core: the kept worker
+    Mutant(
+        "lstm_core.py", "@functools.cache\n", "@functools.lru_cache(maxsize=0)\n",
+        "the worker decided, and an executor built, on every call",
+        (f"{CORE}::test_a_training_run_and_its_predictions_start_one_thread_at_most",),
+    ),
+    Mutant(
+        "lstm_core.py", "    os.register_at_fork(after_in_child=_worker.cache_clear)\n", "    pass\n",
+        "a forked child keeps its parent's executor, whose thread it does not have",
+        (f"{CORE}::test_a_forked_child_decides_its_own_worker",),
+    ),
+    Mutant(
+        "lstm_core.py",
+        "        if hid >= _THREADS_MIN_UNITS:\n",
+        "        if hid >= _THREADS_MIN_UNITS and _worker() is not None:\n",
+        "a layer's backward parts, and so its GEMMs, depend on whether the worker runs",
+        (f"{MANIFEST}::test_the_worker_changes_no_byte_of_the_wide_and_paper_cases",),
     ),
     # lstm_core: the lower layers' factors beside the top layer's loop
     Mutant(
